@@ -11,37 +11,26 @@ import argparse
 import json
 import sys
 
-from .connectivity import bipartite_index, bipartite_index_bounds, toughness
+from .connectivity import (
+    bipartite_index,
+    bipartite_index_bounds,
+    bipartite_index_upper,
+    toughness,
+)
 from .decompositions import decompose_eulerian
 from .errors import (
     GraphParseError,
     HypothesisError,
     InputError,
+    SizeRefusal,
     TheoremViolationError,
     is_unknown,
 )
 from .generators import GenSpec, balanced_bipartition_of, gen_functions, gen_tree_connected
 from .graph import MultiGraph, parse_graph, serialize_graph
 from .orientations import eulerian_orientation, two_point_orientation
-from .pipeline import (
-    FactorCertificate,
-    NoFactorCertificate,
-    TheoremParams,
-    gf_factor_almost_bipartite,
-    gf_factor_bi_large,
-    gf_factor_bipartite,
-    tree_connected_gf,
-    tree_connected_gf_bipartite,
-)
-from .harness import THEOREM_IDS, verify_theorem
-
-FACTOR_THEOREMS = (
-    "bipartite-gf",
-    "almost-bipartite",
-    "bi-large",
-    "tree-gf-bipartite",
-    "tree-gf",
-)
+from .pipeline import FactorCertificate, NoFactorCertificate, TheoremParams
+from .harness import FACTOR_THEOREMS, THEOREM_IDS, THEOREMS, verify_theorem
 
 
 def _load_graph(path: str, need_functions: bool = False):
@@ -102,62 +91,15 @@ def _cmd_factor(args) -> int:
     G, g, f = parsed.graph, parsed.g, parsed.f
     k = max(1, max(f[v] - g[v] for v in G.vertices))
     params = TheoremParams(k=k, m=args.m, m0=args.m0)
-    assume = args.assume_hypotheses
+    _, run = THEOREMS[args.theorem]
     try:
-        if args.theorem == "bipartite-gf":
-            P = balanced_bipartition_of(G)
-            res = gf_factor_bipartite(
-                G, P, g, f, assume_hypotheses=assume, seed=args.seed
-            )
-        elif args.theorem == "almost-bipartite":
-            h = _almost_selector(G, g, f)
-            if h is None:
-                _emit({"outcome": "none", "detail": "no admissible selector"}, args.format)
-                return 0
-            res = gf_factor_almost_bipartite(
-                G, g, f, h, assume_hypotheses=assume, seed=args.seed
-            )
-        elif args.theorem == "bi-large":
-            res = gf_factor_bi_large(
-                G, g, f, assume_hypotheses=assume, seed=args.seed
-            )
-        elif args.theorem == "tree-gf-bipartite":
-            P = balanced_bipartition_of(G)
-            res = tree_connected_gf_bipartite(
-                G, P, g, f, params=params, assume_hypotheses=assume, seed=args.seed
-            )
-        else:
-            res = tree_connected_gf(
-                G, g, f, params=params, assume_hypotheses=assume, seed=args.seed
-            )
-    except HypothesisError as exc:
-        _emit({"outcome": "refusal", "hypothesis": exc.hypothesis, "detail": str(exc)},
-              args.format)
-        return 0
+        res = run(G, g, f, params, args.assume_hypotheses, args.seed)
     except TheoremViolationError as exc:
         _emit({"outcome": "hard-error", "detail": str(exc)}, args.format)
         return 1
     payload, code = _factor_result_payload(res, G)
     _emit(payload, args.format)
     return code
-
-
-def _almost_selector(G: MultiGraph, g, f):
-    # small hosts only: enumerate h in {g, f}^V meeting the balance gates
-    try:
-        ex_ey, P = bipartite_index(G, cap=16)
-    except HypothesisError:
-        return None
-    xs, ys = sorted(P.X), sorted(P.Y)
-    verts = xs + ys
-    if len(verts) > 20:
-        return None
-    for mask in range(1 << len(verts)):
-        h = {v: (f[v] if mask >> j & 1 else g[v]) for j, v in enumerate(verts)}
-        s = sum(h[v] for v in xs) - sum(h[v] for v in ys)
-        if sum(h.values()) % 2 == 0 and 0 <= s <= 2 * ex_ey + 1:
-            return h
-    return None
 
 
 def _cmd_orient(args) -> int:
@@ -174,12 +116,7 @@ def _cmd_orient(args) -> int:
                   args.format)
             return 0
     else:
-        try:
-            res = eulerian_orientation(G)
-        except HypothesisError as exc:
-            _emit({"outcome": "refusal", "hypothesis": exc.hypothesis,
-                   "detail": str(exc)}, args.format)
-            return 0
+        res = eulerian_orientation(G)
     payload = {
         "outcome": "orientation",
         "arcs": {str(eid): list(th) for eid, th in sorted(res.directions.items())},
@@ -195,13 +132,11 @@ def _cmd_decompose(args) -> int:
     if _is_bipartite(G):
         P = balanced_bipartition_of(G)
     else:
-        _, P = bipartite_index(G, cap=16)
-    try:
-        g1, g2 = decompose_eulerian(G, P, args.m1, args.m2, seed=args.seed)
-    except HypothesisError as exc:
-        _emit({"outcome": "refusal", "hypothesis": exc.hypothesis, "detail": str(exc)},
-              args.format)
-        return 0
+        try:
+            _, P = bipartite_index(G, cap=16)
+        except SizeRefusal:
+            _, P = bipartite_index_upper(G, seed=args.seed)
+    g1, g2 = decompose_eulerian(G, P, args.m1, args.m2, seed=args.seed)
     _emit({
         "outcome": "decomposition",
         "bipartition_x": sorted(P.X),
@@ -337,6 +272,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except HypothesisError as exc:
+        # a refusal is an answer: name the hypothesis and exit 0
+        _emit({"outcome": "refusal", "hypothesis": exc.hypothesis, "detail": str(exc)},
+              args.format)
+        return 0
     except (InputError, GraphParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

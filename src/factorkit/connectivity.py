@@ -19,7 +19,16 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import HypothesisError, InputError, SizeRefusal
-from .graph import Bipartition, Factor, MultiGraph, induced_bipartite_factor
+from .graph import (
+    Bipartition,
+    Factor,
+    MultiGraph,
+    induced_bipartite_factor,
+    partition_stats,
+)
+
+# random halves that the structure searches try after the index witness
+_CANDIDATE_TRIES = 6
 
 
 def edge_connectivity(G: MultiGraph) -> int | float:
@@ -379,16 +388,18 @@ def bipartite_index(G: MultiGraph, cap: int = 20) -> tuple[int, Bipartition]:
     return best, Bipartition(X, frozenset(verts) - X)
 
 
-def bipartite_index_bounds(
+def bipartite_index_upper(
     G: MultiGraph, seed: int = 0, restarts: int = 8
-) -> tuple[int, int, Bipartition]:
-    """(lower, upper, witness) for bi(G) beyond the exact cap.
+) -> tuple[int, Bipartition]:
+    """(upper, witness): an upper bound on bi(G) by local search, at any size.
 
-    Upper bound from local search; lower bound from the odd-cycle packing
-    argument applied to the best witness found (0 when it does not apply).
+    Each restart starts from a seeded random half and flips any vertex with
+    more same-side than cross neighbours (the flip lowers the intra count
+    by their difference) until no flip helps.
     """
     rng = random.Random(seed)
     verts = list(G.vertices)
+    nbrs = {v: [w for _, w in G.incident(v) if w != v] for v in verts}
     best_val = None
     best_part = None
     for _ in range(max(1, restarts)):
@@ -397,30 +408,58 @@ def bipartite_index_bounds(
         while improved:
             improved = False
             for v in verts:
-                base = _intra_count(G, X)
-                X2 = X ^ {v}
-                if _intra_count(G, X2) < base:
-                    X = X2
+                side = v in X
+                same = sum(1 for w in nbrs[v] if (w in X) == side)
+                if 2 * same > len(nbrs[v]):
+                    X ^= {v}
                     improved = True
-        val = _intra_count(G, X)
+        # with Y = V - X every boundary edge is a cross edge
+        val = G.num_edges - partition_stats(G, X)[0]
         if best_val is None or val < best_val:
             best_val = val
             best_part = Bipartition(frozenset(X), frozenset(verts) - frozenset(X))
+    return best_val, best_part
+
+
+def bipartite_index_bounds(
+    G: MultiGraph, seed: int = 0, restarts: int = 8
+) -> tuple[int, int, Bipartition]:
+    """(lower, upper, witness) for bi(G) beyond the exact cap.
+
+    Upper bound from local search; lower bound from the odd-cycle packing
+    argument applied to the best witness found (0 when it does not apply).
+    """
+    upper, witness = bipartite_index_upper(G, seed=seed, restarts=restarts)
     lower = 0
-    for k in range(best_val, 0, -1):
-        ok, _ = odd_cycle_packing_bound(G, best_part, k)
+    for k in range(upper, 0, -1):
+        ok, _ = odd_cycle_packing_bound(G, witness, k)
         if ok:
             lower = k
             break
-    return lower, best_val, best_part
+    return lower, upper, witness
 
 
-def _intra_count(G: MultiGraph, X: set[int]) -> int:
-    c = 0
-    for _, u, v in G.edges:
-        if (u in X) == (v in X):
-            c += 1
-    return c
+def _bipartition_candidates(G: MultiGraph, rng: random.Random):
+    """Bipartitions for the structure searches: the bipartite-index witness
+    (exact up to the cap, local search above it), then seeded random halves.
+
+    A swapped bipartition has the same cross factor, so each unordered pair
+    is yielded once; both sides are nonempty.
+    """
+    try:
+        _, P = bipartite_index(G)
+    except SizeRefusal:
+        _, P = bipartite_index_upper(G)
+    verts = list(G.vertices)
+    seen = set()
+    for trial in range(_CANDIDATE_TRIES + 1):
+        if trial:
+            X = frozenset(v for v in verts if rng.random() < 0.5)
+            P = Bipartition(X, frozenset(verts) - X)
+        key = frozenset((P.X, P.Y))
+        if P.X and P.Y and key not in seen:
+            seen.add(key)
+            yield P
 
 
 def odd_cycle_packing_bound(
@@ -521,23 +560,7 @@ def toughness(G: MultiGraph, cap: int = 16) -> Toughness:
         rest = full & ~S
         if rest == 0:
             continue
-        comps = 0
-        left = rest
-        while left:
-            comps += 1
-            seed_bit = left & -left
-            frontier = seed_bit
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= adj[b.bit_length() - 1]
-                frontier = nxt & rest & ~comp
-            left &= ~comp
+        comps = len(_mask_components(rest, adj))
         if comps >= 2:
             val = Fraction(bin(S).count("1"), comps)
             if best is None or val < best:
@@ -547,3 +570,25 @@ def toughness(G: MultiGraph, cap: int = 16) -> Toughness:
         return Toughness(None, None)
     witness = frozenset(verts[i] for i in range(n) if (best_set >> i) & 1)
     return Toughness(best, witness)
+
+
+def _mask_components(rest: int, adj: list[int]) -> list[int]:
+    """Vertex masks of the components of the vertex set `rest`, where
+    adj[i] is the neighbour mask of vertex i."""
+    comps = []
+    left = rest
+    while left:
+        frontier = left & -left
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            bits = frontier
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & rest & ~comp
+        comps.append(comp)
+        left &= ~comp
+    return comps

@@ -15,7 +15,9 @@ from typing import Mapping
 from .connectivity import (
     PackingRefusal,
     TreePacking,
+    _bipartition_candidates,
     bipartite_index,
+    bipartite_index_upper,
     edge_connectivity,
     spanning_tree_packing,
 )
@@ -82,26 +84,15 @@ def parity_forest(T: Factor, targets: VertexMap) -> Factor:
     return Factor(host, frozenset(chosen))
 
 
-def spanning_eulerian_subgraph(G: MultiGraph, seed: int | None = None) -> Factor:
-    """Connected spanning even-degree factor of a 2-tree-connected graph.
+def _even_closure(core: Factor, donor: Factor) -> Factor:
+    """core plus the parity forest of the spanning tree donor that makes
+    every degree even.
 
-    One packed tree plus the parity forest of the other.
+    donor must be edge-disjoint from core; it may live on a spanning
+    subgraph of core's host, since only its edge ids are kept.
     """
-    packing = spanning_tree_packing(G, 2, seed=seed)
-    if isinstance(packing, PackingRefusal):
-        raise HypothesisError(
-            "2-tree-connected",
-            "no two disjoint spanning trees",
-            certificate=packing,
-        )
-    t1, t2 = packing.trees
-    targets = {v: t1.degree(v) % 2 for v in G.vertices}
-    fix = parity_forest(t2, targets)
-    result = t1.union(fix)
-    graph = result.as_graph()
-    if not graph.is_eulerian() or not graph.is_connected():
-        raise AssertionError("Eulerian factor construction broke its contract")
-    return result
+    targets = {v: core.degree(v) % 2 for v in core.host.vertices}
+    return Factor(core.host, core.edge_ids | parity_forest(donor, targets).edge_ids)
 
 
 def decompose_eulerian(
@@ -130,28 +121,9 @@ def decompose_eulerian(
             f"cross factor is not {m1 + m2 + 1}-tree-connected",
             certificate=packing,
         )
-    donor = packing.trees[0]
-    h1_ids: set[int] = set()
-    for t in packing.trees[1 : 1 + m1]:
-        h1_ids |= t.edge_ids
-    h2_ids: set[int] = set()
-    for t in packing.trees[1 + m1 :]:
-        h2_ids |= t.edge_ids
-    used = donor.edge_ids | h1_ids | h2_ids
-    leftover_cross = cross.edge_ids - used
+    h2_ids = frozenset().union(*(t.edge_ids for t in packing.trees[1 + m1 :]))
     intra_ids = frozenset(G.edge_ids) - cross.edge_ids
-
-    def parity_of(v: int) -> int:
-        d = 0
-        for eid, other in G.incident(v):
-            if eid in h2_ids or eid in intra_ids:
-                d += 2 if other == v else 1
-        return d % 2
-
-    targets = {v: parity_of(v) for v in G.vertices}
-    fix = parity_forest(donor, targets)
-
-    g2 = Factor(G, frozenset(h2_ids) | fix.edge_ids | intra_ids)
+    g2 = _even_closure(Factor(G, h2_ids | intra_ids), packing.trees[0])
     g1 = g2.complement()
 
     if not g1.as_graph().is_bipartite_with(P):
@@ -210,15 +182,20 @@ def decompose_keep_bi(
         try:
             intra_target = min(k0, bipartite_index(G)[0])
         except SizeRefusal:
-            intra_target = min(k0, _local_search_intra(G, seed))
+            intra_target = min(k0, bipartite_index_upper(G, seed=seed)[0])
 
     rng = random.Random(seed)
     for trial in range(budget):
         packing = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=rng.randrange(1 << 30))
         if isinstance(packing, PackingRefusal):
             continue
-        g1 = _eulerianize(G, packing, m1)
-        if g1 is None:
+        trees = packing.trees
+        if m1 == 0:
+            g1 = Factor(G, frozenset())
+        elif len(trees) > 2 * m1:
+            core = frozenset().union(*(t.edge_ids for t in trees[: 2 * m1]))
+            g1 = _even_closure(Factor(G, core), trees[2 * m1])
+        else:
             continue
         g2 = g1.complement()
         g2_graph = g2.as_graph()
@@ -238,48 +215,6 @@ def decompose_keep_bi(
                 continue
             return g1, g2, P
     return UNKNOWN
-
-
-def _eulerianize(G: MultiGraph, packing: TreePacking, m1: int) -> Factor | None:
-    """Union of 2*m1 packed trees made even with the next tree's parity forest."""
-    if m1 == 0:
-        return Factor(G, frozenset())
-    core: set[int] = set()
-    for t in packing.trees[: 2 * m1]:
-        core |= t.edge_ids
-    if len(packing.trees) <= 2 * m1:
-        return None
-    donor = packing.trees[2 * m1]
-    core_factor = Factor(G, frozenset(core))
-    targets = {v: core_factor.degree(v) % 2 for v in G.vertices}
-    fix = parity_forest(donor, targets)
-    return core_factor.union(fix)
-
-
-def _bipartition_candidates(G: MultiGraph, rng: random.Random, tries: int = 6):
-    seen = set()
-    try:
-        _, witness = bipartite_index(G)
-        key = (witness.X, witness.Y)
-        if key not in seen:
-            seen.add(key)
-            yield witness
-    except SizeRefusal:
-        pass
-    verts = list(G.vertices)
-    for _ in range(tries):
-        X = frozenset(v for v in verts if rng.random() < 0.5)
-        key = (X, frozenset(verts) - X)
-        if key not in seen and X and key[1]:
-            seen.add(key)
-            yield Bipartition(X, key[1])
-
-
-def _local_search_intra(G: MultiGraph, seed: int) -> int:
-    from .connectivity import bipartite_index_bounds
-
-    _, upper, _ = bipartite_index_bounds(G, seed=seed)
-    return upper
 
 
 def split_tree_connected_complement(
@@ -347,97 +282,3 @@ def split_tree_connected_complement(
             continue
         return h, rest
     return UNKNOWN
-
-
-def matching_raising_bi(
-    G: MultiGraph,
-    F: Factor,
-    k: int,
-    seed: int = 0,
-    budget: int = 200,
-) -> Factor | Unknown:
-    """Matching M of size k - 1 in G with bi(F u M) >= k - 1, or UNKNOWN.
-
-    Search with relaxed hypotheses; the toughness regime of the guiding
-    lemma is out of desk-scale reach, so candidates are verified directly.
-    """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    if F.host is not G:
-        raise InputError("factor lives on a different host")
-    want = k - 1
-    if want == 0:
-        return Factor(G, frozenset())
-    candidates = [(eid, u, v) for eid, u, v in G.edges if u != v]
-    witness = None
-    try:
-        _, witness = bipartite_index(F.as_graph())
-    except SizeRefusal:
-        pass
-    if witness is not None:
-        # odd cycles come from edges inside a part, so try those first
-        candidates.sort(
-            key=lambda e: witness.side(e[1]) != witness.side(e[2])
-        )
-    rng = random.Random(seed)
-    for trial in range(budget):
-        pool = list(candidates)
-        if trial > 0:
-            rng.shuffle(pool)
-        picked: list[int] = []
-        touched: set[int] = set()
-        for eid, u, v in pool:
-            if u in touched or v in touched:
-                continue
-            picked.append(eid)
-            touched |= {u, v}
-            if len(picked) == want:
-                break
-        if len(picked) < want:
-            continue
-        merged = Factor(G, F.edge_ids | frozenset(picked)).as_graph()
-        if _bi_at_least(merged, want, seed=rng.randrange(1 << 30)):
-            return Factor(G, frozenset(picked))
-    found = _exhaustive_matching_search(G, F, want, seed)
-    if found is not None:
-        return found
-    return UNKNOWN
-
-
-def _exhaustive_matching_search(
-    G: MultiGraph, F: Factor, want: int, seed: int, edge_cap: int = 18
-) -> Factor | None:
-    import itertools
-
-    candidates = [(eid, u, v) for eid, u, v in G.edges if u != v]
-    if len(candidates) > edge_cap or want > 3:
-        return None
-    for combo in itertools.combinations(candidates, want):
-        touched: set[int] = set()
-        ok = True
-        for _, u, v in combo:
-            if u in touched or v in touched:
-                ok = False
-                break
-            touched |= {u, v}
-        if not ok:
-            continue
-        ids = frozenset(eid for eid, _, _ in combo)
-        merged = Factor(G, F.edge_ids | ids).as_graph()
-        if _bi_at_least(merged, want, seed=seed):
-            return Factor(G, ids)
-    return None
-
-
-def _bi_at_least(G: MultiGraph, k: int, seed: int = 0) -> bool:
-    """Certify bi(G) >= k, exactly below the cap, by odd-cycle packing above."""
-    if k <= 0:
-        return True
-    try:
-        return bipartite_index(G)[0] >= k
-    except SizeRefusal:
-        pass
-    from .connectivity import bipartite_index_bounds
-
-    lower, _, _ = bipartite_index_bounds(G, seed=seed)
-    return lower >= k

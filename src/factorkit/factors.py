@@ -10,15 +10,16 @@ witnesses against each other.
 """
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
+from .connectivity import _mask_components
 from .errors import InputError, SizeRefusal, UNKNOWN, Unknown
 from .graph import Factor, MultiGraph, validate_vertex_map
 from .matching import perfect_matching
 
 VertexMap = Mapping[int, int]
+T = TypeVar("T")
 
 
 # -- deficiency criteria -------------------------------------------------
@@ -113,21 +114,7 @@ def _criterion_sweep(
             continue
         rest = full & ~S
         comps = []  # (parity of f-sum, cross multiplicity per vertex index)
-        left = rest
-        while left:
-            seed_bit = left & -left
-            frontier = seed_bit
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                fbits = frontier
-                while fbits:
-                    b = fbits & -fbits
-                    fbits ^= b
-                    nxt |= adjmask[b.bit_length() - 1]
-                frontier = nxt & rest & ~comp
-            left &= ~comp
+        for comp in _mask_components(rest, adjmask):
             cbits = []
             tight = True
             cm = comp
@@ -403,31 +390,79 @@ def find_two_point_factor(
             raise InputError(f"pinned value {val} is neither g({z}) nor f({z})")
         base[z] = val
     free = [v for v in G.vertices if g[v] < f[v] and (pin is None or v != pin[0])]
+    gaps = [(v, f[v] - g[v]) for v in free]
+    # only selectors with an even degree total can have an h-factor
+    parity = sum(base.values()) % 2
+    totals = range(parity, sum(w for _, w in gaps) + 1, 2)
 
     def attempt(selected: set[int]) -> Factor | None:
         h = dict(base)
         for v in selected:
             h[v] = f[v]
-        if sum(h.values()) % 2 == 1:
-            return None
         if any(not 0 <= h[v] <= G.degree(v) for v in G.vertices):
             return None
         return find_f_factor(G, h)
 
-    if len(free) <= cap_free:
-        for r in range(len(free) + 1):
-            for combo in itertools.combinations(free, r):
-                found = attempt(set(combo))
-                if found is not None:
-                    return found
+    return _selector_search(gaps, totals, attempt, cap_free, budget, seed)
+
+
+# -- selector search -----------------------------------------------------
+
+
+def _selector_subsets(
+    gaps: list[tuple[int, int]], target: int
+) -> Iterator[set[int]]:
+    """Vertex subsets whose gap values sum to target (gaps all positive)."""
+    gaps = sorted(gaps, key=lambda t: -t[1])
+    suffix = [0] * (len(gaps) + 1)
+    for i in range(len(gaps) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + gaps[i][1]
+
+    def rec(i: int, left: int, chosen: list[int]) -> Iterator[set[int]]:
+        if left == 0:
+            # gaps are positive, so no proper superset can also hit the target
+            yield set(chosen)
+            return
+        if i >= len(gaps) or left < 0 or left > suffix[i]:
+            return
+        v, w = gaps[i]
+        yield from rec(i + 1, left - w, chosen + [v])
+        yield from rec(i + 1, left, chosen)
+
+    yield from rec(0, target, [])
+
+
+def _selector_search(
+    gaps: list[tuple[int, int]],
+    totals: Sequence[int],
+    attempt: Callable[[set[int]], T | None],
+    cap_free: int,
+    budget: int,
+    seed: int,
+) -> T | None | Unknown:
+    """First non-None attempt(S) over the vertex sets S whose gaps sum to
+    one of `totals`.
+
+    Complete while there are at most cap_free gaps: every such S is tried,
+    grouped by total in the order given.  Beyond the cap, `budget` seeded
+    random subsets are drawn, those with an admissible total are tried, and
+    exhaustion reports UNKNOWN rather than none.
+    """
+    if len(gaps) <= cap_free:
+        for total in totals:
+            for subset in _selector_subsets(gaps, total):
+                got = attempt(subset)
+                if got is not None:
+                    return got
         return None
 
     rng = random.Random(seed)
     for _ in range(budget):
-        selected = {v for v in free if rng.random() < 0.5}
-        found = attempt(selected)
-        if found is not None:
-            return found
+        selected = {v for v, _ in gaps if rng.random() < 0.5}
+        if sum(w for v, w in gaps if v in selected) in totals:
+            got = attempt(selected)
+            if got is not None:
+                return got
     return UNKNOWN
 
 

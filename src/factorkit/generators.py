@@ -1,18 +1,19 @@
 """Random instance generation: tree-connected multigraph hosts and
 degree windows shaped for the factor theorems.
 
-Generated graphs are self-certifying (the requested tree packing is
-actually run before the graph is handed out), so a campaign never has
-to trust the generator about its own hypotheses.
+Generated graphs are self-certifying (the Wilson trees they are built
+from are checked as a packing of the requested size before the graph is
+handed out), so a campaign never has to trust the generator about its
+own hypotheses.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .connectivity import spanning_tree_packing
+from .connectivity import TreePacking
 from .errors import HypothesisError, InputError
-from .graph import Bipartition, MultiGraph
+from .graph import Bipartition, Factor, MultiGraph
 from .rng import child_seed
 
 
@@ -62,7 +63,8 @@ def gen_tree_connected(spec: GenSpec) -> MultiGraph:
     """Draw a host graph per `spec` and certify its tree-connectivity.
 
     Returns a graph on vertices 1..n that passes
-    spanning_tree_packing(spec.trees); the packing is run here as a
+    spanning_tree_packing(spec.trees): tree i holds the edge ids
+    i(n-1)+1 .. (i+1)(n-1), and that packing is verified here as a
     self-check before returning.
     """
     rng = random.Random(child_seed(spec.seed, 0))
@@ -104,9 +106,13 @@ def gen_tree_connected(spec: GenSpec) -> MultiGraph:
         edges.append(random_pair(rng))
 
     G = MultiGraph(vertices, edges)
-    if spec.trees > 0:
-        packing = spanning_tree_packing(G, spec.trees, seed=spec.seed)
-        assert not isinstance(packing, type(None)) and packing.verify()
+    size = spec.n - 1
+    trees = tuple(
+        Factor(G, frozenset(range(i * size + 1, (i + 1) * size + 1)))
+        for i in range(spec.trees)
+    )
+    if not TreePacking(G, trees).verify():
+        raise AssertionError("generator trees are not a spanning tree packing")
     return G
 
 

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .connectivity import spanning_tree_packing
+from .connectivity import bipartite_index
 from .errors import (
     HypothesisError,
     InputError,
@@ -49,19 +49,6 @@ from .pipeline import (
     tree_connected_gf_bipartite,
 )
 from .rng import child_seed
-
-THEOREM_IDS = (
-    "tutte-equiv",
-    "lovasz-equiv",
-    "bijection",
-    "eulerian-half",
-    "bipartite-gf",
-    "almost-bipartite",
-    "bi-large",
-    "tree-gf-bipartite",
-    "tree-gf",
-    "tough-check",
-)
 
 ORACLE_EDGE_CAP = 20
 
@@ -181,10 +168,13 @@ def _with_intra_edge(G: MultiGraph, P: Bipartition, rng: random.Random) -> Multi
 
 
 # -- per-theorem trials --------------------------------------------------
-# each driver returns (outcome, hypothesis, detail)
+# each driver takes (trial index, trial seed, params) and returns
+# (outcome, hypothesis, detail)
+
+Outcome = tuple[str, str, str]
 
 
-def _trial_tutte(seed: int) -> tuple[str, str, str]:
+def _trial_tutte(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     G = _random_multigraph(rng)
     f = _random_f(G, rng)
@@ -212,7 +202,7 @@ def _trial_tutte(seed: int) -> tuple[str, str, str]:
     return "success", "", ""
 
 
-def _trial_lovasz(seed: int) -> tuple[str, str, str]:
+def _trial_lovasz(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     G = _random_multigraph(rng)
     g, f = _random_gf(G, rng)
@@ -231,7 +221,7 @@ def _trial_lovasz(seed: int) -> tuple[str, str, str]:
     return "success", "", ""
 
 
-def _trial_bijection(seed: int) -> tuple[str, str, str]:
+def _trial_bijection(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     G = gen_tree_connected(
         GenSpec(n=rng.randint(4, 7), trees=1, extra_edges=rng.randint(0, 4),
@@ -261,7 +251,7 @@ def _trial_bijection(seed: int) -> tuple[str, str, str]:
     return "success", "", ""
 
 
-def _trial_eulerian_half(index: int, seed: int) -> tuple[str, str, str]:
+def _trial_eulerian_half(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     t = index % 3
     base = gen_tree_connected(
@@ -287,7 +277,7 @@ def _trial_eulerian_half(index: int, seed: int) -> tuple[str, str, str]:
     return "success", "", ""
 
 
-def _trial_bipartite_gf(seed: int) -> tuple[str, str, str]:
+def _trial_bipartite_gf(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     G = gen_tree_connected(
         GenSpec(n=rng.randint(4, 8), trees=4, extra_edges=rng.randint(0, 3),
@@ -320,7 +310,7 @@ def _trial_bipartite_gf(seed: int) -> tuple[str, str, str]:
     return "success", "", ""
 
 
-def _trial_almost_bipartite(seed: int) -> tuple[str, str, str]:
+def _trial_almost_bipartite(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     c = rng.randint(14, 16)  # cross multiplicity; 6c >= 80 keeps 20 trees
     edges = [(1, 2)]
@@ -359,7 +349,7 @@ def _trial_almost_bipartite(seed: int) -> tuple[str, str, str]:
     return "success", "", ""
 
 
-def _trial_bi_large(seed: int) -> tuple[str, str, str]:
+def _trial_bi_large(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     G = gen_tree_connected(
         GenSpec(n=rng.randint(4, 7), trees=3, extra_edges=rng.randint(0, 2),
@@ -373,7 +363,7 @@ def _trial_bi_large(seed: int) -> tuple[str, str, str]:
     return _classify_factor_result(res, G, g, f)
 
 
-def _trial_tree_gf_bipartite(seed: int) -> tuple[str, str, str]:
+def _trial_tree_gf_bipartite(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     base = gen_tree_connected(
         GenSpec(n=rng.randint(4, 7), trees=3, extra_edges=rng.randint(0, 2),
@@ -389,7 +379,7 @@ def _trial_tree_gf_bipartite(seed: int) -> tuple[str, str, str]:
     return _classify_factor_result(res, G, g, f, want_packings=("factor", "complement"))
 
 
-def _trial_tree_gf(seed: int) -> tuple[str, str, str]:
+def _trial_tree_gf(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     base = gen_tree_connected(
         GenSpec(n=rng.randint(4, 7), trees=4, extra_edges=rng.randint(0, 2), seed=seed)
@@ -401,7 +391,7 @@ def _trial_tree_gf(seed: int) -> tuple[str, str, str]:
     return _classify_factor_result(res, G, g, f, want_packings=("factor", "complement"))
 
 
-def _trial_tough_check(seed: int, params: TheoremParams) -> tuple[str, str, str]:
+def _trial_tough_check(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
     base = gen_tree_connected(
         GenSpec(n=rng.randint(4, 8), trees=rng.randint(1, 2),
@@ -449,6 +439,72 @@ def _classify_factor_result(
     return "success", "", ""
 
 
+# -- pipeline runners for `factorkit factor` ------------------------------
+# each runner takes (G, g, f, params, assume_hypotheses, seed)
+
+
+def _run_bipartite_gf(G, g, f, params, assume, seed):
+    P = balanced_bipartition_of(G)
+    return gf_factor_bipartite(G, P, g, f, assume_hypotheses=assume, seed=seed)
+
+
+def _run_almost_bipartite(G, g, f, params, assume, seed):
+    h = _almost_selector(G, g, f)
+    if h is None:
+        return None
+    return gf_factor_almost_bipartite(G, g, f, h, assume_hypotheses=assume, seed=seed)
+
+
+def _almost_selector(G: MultiGraph, g, f):
+    # small hosts only: enumerate h in {g, f}^V meeting the balance gates
+    try:
+        ex_ey, P = bipartite_index(G, cap=16)
+    except HypothesisError:
+        return None
+    xs, ys = sorted(P.X), sorted(P.Y)
+    verts = xs + ys
+    if len(verts) > 20:
+        return None
+    for mask in range(1 << len(verts)):
+        h = {v: (f[v] if mask >> j & 1 else g[v]) for j, v in enumerate(verts)}
+        s = sum(h[v] for v in xs) - sum(h[v] for v in ys)
+        if sum(h.values()) % 2 == 0 and 0 <= s <= 2 * ex_ey + 1:
+            return h
+    return None
+
+
+def _run_bi_large(G, g, f, params, assume, seed):
+    return gf_factor_bi_large(G, g, f, assume_hypotheses=assume, seed=seed)
+
+
+def _run_tree_gf_bipartite(G, g, f, params, assume, seed):
+    P = balanced_bipartition_of(G)
+    return tree_connected_gf_bipartite(
+        G, P, g, f, params=params, assume_hypotheses=assume, seed=seed
+    )
+
+
+def _run_tree_gf(G, g, f, params, assume, seed):
+    return tree_connected_gf(G, g, f, params=params, assume_hypotheses=assume, seed=seed)
+
+
+# theorem id -> (campaign trial, runner for `factorkit factor` or None)
+THEOREMS = {
+    "tutte-equiv": (_trial_tutte, None),
+    "lovasz-equiv": (_trial_lovasz, None),
+    "bijection": (_trial_bijection, None),
+    "eulerian-half": (_trial_eulerian_half, None),
+    "bipartite-gf": (_trial_bipartite_gf, _run_bipartite_gf),
+    "almost-bipartite": (_trial_almost_bipartite, _run_almost_bipartite),
+    "bi-large": (_trial_bi_large, _run_bi_large),
+    "tree-gf-bipartite": (_trial_tree_gf_bipartite, _run_tree_gf_bipartite),
+    "tree-gf": (_trial_tree_gf, _run_tree_gf),
+    "tough-check": (_trial_tough_check, None),
+}
+THEOREM_IDS = tuple(THEOREMS)
+FACTOR_THEOREMS = tuple(tid for tid, (_, run) in THEOREMS.items() if run is not None)
+
+
 # -- campaign loop -------------------------------------------------------
 
 
@@ -473,31 +529,13 @@ def verify_theorem(
     if params is None:
         params = TheoremParams(k=1, m=1, m0=0, b=1)
 
+    trial, _ = THEOREMS[theorem]
     started = time.monotonic()
     rows: list[TrialRow] = []
     for index in range(trials):
         seed = child_seed(master_seed, index)
         try:
-            if theorem == "tutte-equiv":
-                outcome = _trial_tutte(seed)
-            elif theorem == "lovasz-equiv":
-                outcome = _trial_lovasz(seed)
-            elif theorem == "bijection":
-                outcome = _trial_bijection(seed)
-            elif theorem == "eulerian-half":
-                outcome = _trial_eulerian_half(index, seed)
-            elif theorem == "bipartite-gf":
-                outcome = _trial_bipartite_gf(seed)
-            elif theorem == "almost-bipartite":
-                outcome = _trial_almost_bipartite(seed)
-            elif theorem == "bi-large":
-                outcome = _trial_bi_large(seed)
-            elif theorem == "tree-gf-bipartite":
-                outcome = _trial_tree_gf_bipartite(seed)
-            elif theorem == "tree-gf":
-                outcome = _trial_tree_gf(seed)
-            else:
-                outcome = _trial_tough_check(seed, params)
+            outcome = trial(index, seed, params)
         except TheoremViolationError as exc:
             outcome = ("hard-error", "", "theorem violation: %s" % exc)
         except HypothesisError as exc:

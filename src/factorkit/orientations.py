@@ -12,12 +12,12 @@ selector that the sweep will reach.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .errors import HypothesisError, InputError, UNKNOWN, Unknown
+from .factors import _selector_search
 from .flow import feasible_flow
 from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map
 
@@ -146,29 +146,6 @@ def interval_orientation(
     return out
 
 
-def _selector_subsets(
-    gaps: list[tuple[int, int]], target: int
-) -> Iterator[set[int]]:
-    """Vertex subsets whose gap values sum to target (gaps all positive)."""
-    gaps = sorted(gaps, key=lambda t: -t[1])
-    suffix = [0] * (len(gaps) + 1)
-    for i in range(len(gaps) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + gaps[i][1]
-
-    def rec(i: int, left: int, chosen: list[int]) -> Iterator[set[int]]:
-        if left == 0:
-            # gaps are positive, so no proper superset can also hit the target
-            yield set(chosen)
-            return
-        if i >= len(gaps) or left < 0 or left > suffix[i]:
-            return
-        v, w = gaps[i]
-        yield from rec(i + 1, left - w, chosen + [v])
-        yield from rec(i + 1, left, chosen)
-
-    yield from rec(0, target, [])
-
-
 def _two_point_search(
     G: MultiGraph,
     p: VertexMap,
@@ -190,21 +167,8 @@ def _two_point_search(
             t[v] = q[v]
         return interval_orientation(G, t, t)
 
-    if len(free) <= cap_free:
-        for subset in _selector_subsets([(v, q[v] - p[v]) for v in free], target):
-            got = attempt(subset)
-            if got is not None:
-                return got
-        return None
-
-    rng = random.Random(seed)
-    for _ in range(budget):
-        selected = {v for v in free if rng.random() < 0.5}
-        if sum(q[v] - p[v] for v in selected) == target:
-            got = attempt(selected)
-            if got is not None:
-                return got
-    return UNKNOWN
+    gaps = [(v, q[v] - p[v]) for v in free]
+    return _selector_search(gaps, (target,), attempt, cap_free, budget, seed)
 
 
 def two_point_orientation(

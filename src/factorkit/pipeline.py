@@ -15,11 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .connectivity import (
     PackingRefusal,
     TreePacking,
+    _bipartition_candidates,
     bipartite_index,
     bipartite_index_bounds,
     edge_connectivity,
@@ -27,9 +28,9 @@ from .connectivity import (
     toughness,
 )
 from .decompositions import (
+    _even_closure,
     decompose_eulerian,
     decompose_keep_bi,
-    parity_forest,
     split_tree_connected_complement,
 )
 from .errors import (
@@ -47,6 +48,7 @@ from .graph import (
     Factor,
     MultiGraph,
     induced_bipartite_factor,
+    partition_stats,
     validate_vertex_map,
 )
 from .orientations import (
@@ -91,7 +93,16 @@ class FactorCertificate:
         for v, (achieved, allowed) in self.degree_report.items():
             if self.factor.degree(v) != achieved or achieved not in allowed:
                 return False
-        for packing in self.packings.values():
+        # each packing must span exactly the part of the host it names
+        parts = {"factor": self.factor, "complement": self.factor.complement()}
+        for name, packing in self.packings.items():
+            part = parts.get(name)
+            if part is None:
+                return False
+            if packing.host.vertex_set != host.vertex_set:
+                return False
+            if set(packing.host.edges) != set(part.edges()):
+                return False
             if not packing.verify():
                 return False
         return True
@@ -108,7 +119,8 @@ class NoFactorCertificate:
     def verify(self, G: MultiGraph, g: VertexMap, f: VertexMap) -> bool:
         if any((f[v] - g[v]) % 2 != 0 for v in G.vertices):
             return False
-        return sum(f[v] for v in G.vertices) % 2 == 1 and self.f_total % 2 == 1
+        total = sum(f[v] for v in G.vertices)
+        return total % 2 == 1 and self.f_total == total
 
 
 def parity_criterion(G: MultiGraph, g: VertexMap, f: VertexMap) -> bool:
@@ -140,6 +152,14 @@ def _validate_gf(G: MultiGraph, g: VertexMap, f: VertexMap) -> None:
     bad = [v for v in G.vertices if g[v] > f[v]]
     if bad:
         raise InputError(f"need g <= f, violated at vertex {bad[0]}")
+
+
+def _require_window(
+    gate: _Gate, G: MultiGraph, lo: VertexMap, hi: VertexMap, name: str
+) -> None:
+    """Gate lo(v) <= d(v)/2 <= hi(v) at every vertex, naming the first miss."""
+    bad = [v for v in G.vertices if not 2 * lo[v] <= G.degree(v) <= 2 * hi[v]]
+    gate.require(not bad, name, f"violated at vertex {bad[0]}" if bad else "")
 
 
 def _bi_at_least(G: MultiGraph, threshold: int, seed: int = 0) -> bool:
@@ -398,12 +418,7 @@ def gf_factor_bipartite(
         f"no {4 * k * k} disjoint spanning trees (k = {k})",
         certificate=packing if isinstance(packing, PackingRefusal) else None,
     )
-    window_bad = [v for v in G.vertices if not 2 * g[v] <= G.degree(v) <= 2 * f[v]]
-    gate.require(
-        not window_bad,
-        "g <= d/2 <= f",
-        f"violated at vertex {window_bad[0]}" if window_bad else "",
-    )
+    _require_window(gate, G, g, f, "g <= d/2 <= f")
 
     if h is None:
         h = balanced_selector(G, P, g, f)
@@ -453,35 +468,57 @@ def gf_factor_bipartite(
 # -- the almost-bipartite theorem -----------------------------------------
 
 
-def _structure_candidates(
-    G: MultiGraph, rng: random.Random, tries: int = 8
-):
-    """Bipartitions worth testing for the almost-bipartite/bi-large gates."""
-    seen = set()
-    try:
-        _, witness = bipartite_index(G)
-        cands = [witness, witness.swapped()]
-    except SizeRefusal:
-        _, _, witness = bipartite_index_bounds(G)
-        cands = [witness, witness.swapped()]
-    for P in cands:
-        key = (P.X, P.Y)
-        if key not in seen and P.X and P.Y:
-            seen.add(key)
-            yield P
-    verts = list(G.vertices)
-    for _ in range(tries):
-        X = frozenset(v for v in verts if rng.random() < 0.5)
-        Y = frozenset(verts) - X
-        if X and Y and (X, Y) not in seen:
-            seen.add((X, Y))
-            yield Bipartition(X, Y)
+def _gate_structure(
+    gate: _Gate,
+    G: MultiGraph,
+    P: Bipartition | None,
+    need: int,
+    seed: int,
+    intra_ok: Callable[[int], bool],
+    search: tuple[str, str],
+    given: tuple[str, str, str],
+    window_ok: Callable[[Bipartition], bool] | None = None,
+) -> Bipartition | None:
+    """The bipartition the almost-bipartite and bi-large theorems run on.
 
-
-def _intra_counts(G: MultiGraph, P: Bipartition) -> tuple[int, int]:
-    ex = sum(1 for _, u, v in G.edges if u in P.X and v in P.X)
-    ey = sum(1 for _, u, v in G.edges if u in P.Y and v in P.Y)
-    return ex, ey
+    A given P is gated: its intra-part count must pass intra_ok and its
+    cross factor must be need-tree-connected; `given` holds the intra
+    hypothesis, the intra detail that follows the count, and the cross
+    hypothesis.  Otherwise the searched candidates are tried in order, each
+    in the first of its two orientations that passes window_ok, and the
+    first with a passing intra count and a need-tree-connected cross factor
+    is returned; when none is, `search` (hypothesis, detail) names the
+    refusal, or None is returned under assume_hypotheses.
+    """
+    if P is None:
+        rng = random.Random(child_seed(seed, 0))
+        for cand in _bipartition_candidates(G, rng):
+            # with Y = V - X every boundary edge of X is a cross edge
+            if not intra_ok(G.num_edges - partition_stats(G, cand.X)[0]):
+                continue
+            Q = next(
+                (Q for Q in (cand, cand.swapped()) if window_ok is None or window_ok(Q)),
+                None,
+            )
+            if Q is None:
+                continue
+            cross = induced_bipartite_factor(G, cand)
+            if isinstance(spanning_tree_packing(cross.as_graph(), need), TreePacking):
+                return Q
+        gate.require(False, *search)
+        return None
+    P.validate_for(G)
+    intra = G.num_edges - partition_stats(G, P.X)[0]
+    gate.require(intra_ok(intra), given[0], f"{intra} {given[1]}")
+    cross = induced_bipartite_factor(G, P)
+    packing = spanning_tree_packing(cross.as_graph(), need, seed=seed)
+    gate.require(
+        isinstance(packing, TreePacking),
+        given[2],
+        f"no {need} disjoint spanning trees in G[X,Y]",
+        certificate=packing if isinstance(packing, PackingRefusal) else None,
+    )
+    return P
 
 
 def gf_factor_almost_bipartite(
@@ -508,57 +545,33 @@ def gf_factor_almost_bipartite(
     gate = _Gate(assume_hypotheses)
     need = 4 * k * k + 2 * k
 
-    if P is None:
-        rng = random.Random(child_seed(seed, 0))
-        found = None
-        for cand in _structure_candidates(G, rng):
-            ex, ey = _intra_counts(G, cand)
-            if ex + ey > k - 1:
-                continue
-            s = sum(h[v] for v in cand.X) - sum(h[v] for v in cand.Y)
-            if not 0 <= s <= 2 * ex + 1:
-                continue
-            cross = induced_bipartite_factor(G, cand)
-            if isinstance(
-                spanning_tree_packing(cross.as_graph(), need), TreePacking
-            ):
-                found = cand
-                break
-        gate.require(
-            found is not None,
+    def window_ok(Q: Bipartition) -> bool:
+        diff = sum(h[v] for v in Q.X) - sum(h[v] for v in Q.Y)
+        return 0 <= diff <= 2 * partition_stats(G, Q.X)[1] + 1
+
+    P = _gate_structure(
+        gate, G, P, need, seed,
+        intra_ok=lambda intra: intra <= k - 1,
+        search=(
             "almost-bipartite structure",
             f"no bipartition with ({need})-tree-connected cross factor, "
             f"at most {k - 1} intra edges, and the h window",
-        )
-        if found is None:
-            return None
-        P = found
-    else:
-        P.validate_for(G)
-        ex, ey = _intra_counts(G, P)
-        gate.require(
-            ex + ey <= k - 1,
+        ),
+        given=(
             "e(X)+e(Y) <= k-1",
-            f"{ex + ey} intra-part edges exceed {k - 1}",
-        )
-        cross = induced_bipartite_factor(G, P)
-        packing = spanning_tree_packing(cross.as_graph(), need, seed=seed)
-        gate.require(
-            isinstance(packing, TreePacking),
+            f"intra-part edges exceed {k - 1}",
             "(4k^2+2k)-tree-connected cross factor",
-            f"no {need} disjoint spanning trees in G[X,Y]",
-            certificate=packing if isinstance(packing, PackingRefusal) else None,
-        )
-
-    window_bad = [v for v in G.vertices if not 2 * g[v] <= G.degree(v) <= 2 * f[v]]
-    gate.require(
-        not window_bad,
-        "g <= d/2 <= f",
-        f"violated at vertex {window_bad[0]}" if window_bad else "",
+        ),
+        window_ok=window_ok,
     )
+    if P is None:
+        return None
+
+    _require_window(gate, G, g, f, "g <= d/2 <= f")
     total_h = sum(h[v] for v in G.vertices)
     gate.require(total_h % 2 == 0, "sum h even", f"sum h = {total_h}")
-    ex, ey = _intra_counts(G, P)
+    ex = partition_stats(G, P.X)[1]
+    ey = partition_stats(G, P.Y)[1]
     s = sum(h[v] for v in P.X) - sum(h[v] for v in P.Y)
     gate.require(
         0 <= s <= 2 * ex + 1,
@@ -701,51 +714,24 @@ def gf_factor_bi_large(
         )
 
     need = 3 * k * k
-    if P is None:
-        rng = random.Random(child_seed(seed, 0))
-        found = None
-        for cand in _structure_candidates(G, rng):
-            ex, ey = _intra_counts(G, cand)
-            if ex + ey < k - 1:
-                continue
-            cross = induced_bipartite_factor(G, cand)
-            if isinstance(
-                spanning_tree_packing(cross.as_graph(), need), TreePacking
-            ):
-                found = cand
-                break
-        gate.require(
-            found is not None,
+    P = _gate_structure(
+        gate, G, P, need, seed,
+        intra_ok=lambda intra: intra >= k - 1,
+        search=(
             "bi-large structure",
             f"no bipartition with {need}-tree-connected cross factor and "
             f"at least {k - 1} intra edges",
-        )
-        if found is None:
-            return None
-        P = found
-    else:
-        P.validate_for(G)
-        ex, ey = _intra_counts(G, P)
-        gate.require(
-            ex + ey >= k - 1,
+        ),
+        given=(
             "e(X)+e(Y) >= k-1",
-            f"{ex + ey} intra-part edges, need {k - 1}",
-        )
-        cross = induced_bipartite_factor(G, P)
-        packing = spanning_tree_packing(cross.as_graph(), need, seed=seed)
-        gate.require(
-            isinstance(packing, TreePacking),
+            f"intra-part edges, need {k - 1}",
             "3k^2-tree-connected cross factor",
-            f"no {need} disjoint spanning trees in G[X,Y]",
-            certificate=packing if isinstance(packing, PackingRefusal) else None,
-        )
-
-    window_bad = [v for v in G.vertices if not 2 * g[v] <= G.degree(v) <= 2 * f[v]]
-    gate.require(
-        not window_bad,
-        "g <= d/2 <= f",
-        f"violated at vertex {window_bad[0]}" if window_bad else "",
+        ),
     )
+    if P is None:
+        return None
+
+    _require_window(gate, G, g, f, "g <= d/2 <= f")
 
     odd_gap = [v for v in G.vertices if (f[v] - g[v]) % 2 == 1]
     z = min(odd_gap) if odd_gap else min(G.vertices)
@@ -847,25 +833,6 @@ def gf_factor_bi_large(
 # -- tree-connected versions ----------------------------------------------
 
 
-def _eulerian_pairing(
-    G: MultiGraph, trees: tuple[Factor, ...]
-) -> Factor:
-    """Union over pairs (T_a, T_b) of T_a plus the parity forest of T_b.
-
-    Each pair yields a connected spanning even factor, so the union of j
-    pairs is a 2j-edge-connected Eulerian factor.
-    """
-    if len(trees) % 2:
-        raise InputError("pairing needs an even number of trees")
-    ids: set[int] = set()
-    for a in range(0, len(trees), 2):
-        ta, tb = trees[a], trees[a + 1]
-        targets = {v: ta.degree(v) % 2 for v in G.vertices}
-        fix = parity_forest(tb, targets)
-        ids |= ta.edge_ids | fix.edge_ids
-    return Factor(G, frozenset(ids))
-
-
 def tree_connected_gf_bipartite(
     G: MultiGraph,
     P: Bipartition,
@@ -899,15 +866,12 @@ def tree_connected_gf_bipartite(
         "|f-g| <= k",
         f"gap exceeds {k} at vertex {gap_bad[0]}" if gap_bad else "",
     )
-    window_bad = [
-        v
-        for v in G.vertices
-        if not 2 * (g[v] + m0) <= G.degree(v) <= 2 * (f[v] - m)
-    ]
-    gate.require(
-        not window_bad,
+    _require_window(
+        gate,
+        G,
+        {v: g[v] + m0 for v in G.vertices},
+        {v: f[v] - m for v in G.vertices},
         "g+m0 <= d/2 <= f-m",
-        f"violated at vertex {window_bad[0]}" if window_bad else "",
     )
     need = 2 * m + 2 * m0 + 4 * k * k
     packing = spanning_tree_packing(G, need, seed=child_seed(seed, 0))
@@ -934,7 +898,13 @@ def tree_connected_gf_bipartite(
         # assume_hypotheses with too few trees: nothing to build from
         return None
 
-    g1f = _eulerian_pairing(G, packing.trees[: 2 * (m + m0)])
+    # each (T_a, T_b) pair gives a connected spanning even factor, so the
+    # union of m+m0 pairs is 2(m+m0)-edge-connected and Eulerian
+    trees = packing.trees
+    g1f = Factor(G, frozenset().union(*(
+        _even_closure(trees[a], trees[a + 1]).edge_ids
+        for a in range(0, 2 * (m + m0), 2)
+    )))
     g2f = g1f.complement()
     g1_graph = g1f.as_graph()
     if not g1_graph.is_eulerian() or not g1_graph.is_connected():
@@ -1027,15 +997,12 @@ def tree_connected_gf(
         "|f-g| <= k",
         f"gap exceeds {k} at vertex {gap_bad[0]}" if gap_bad else "",
     )
-    window_bad = [
-        v
-        for v in G.vertices
-        if not 2 * (g[v] + m0) <= G.degree(v) <= 2 * (f[v] - m)
-    ]
-    gate.require(
-        not window_bad,
+    _require_window(
+        gate,
+        G,
+        {v: g[v] + m0 for v in G.vertices},
+        {v: f[v] - m for v in G.vertices},
         "g+m0 <= d/2 <= f-m",
-        f"violated at vertex {window_bad[0]}" if window_bad else "",
     )
     need = 2 * m + 2 * m0 + 6 * k * k
     packing = spanning_tree_packing(G, need, seed=child_seed(seed, 0))

@@ -136,3 +136,50 @@ def test_factor_refusal_exits_zero(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["outcome"] in ("refusal", "none")
+
+
+def _odd_ring(tmp_path, n=18):
+    # an n-cycle with one chord closing a triangle: not bipartite
+    edges = [(v, v % n + 1) for v in range(1, n + 1)] + [(1, 3)]
+    path = tmp_path / "ring.txt"
+    path.write_text(
+        f"p multigraph {n} {len(edges)}\n"
+        + "".join(f"e {u} {v}\n" for u, v in edges)
+    )
+    return path
+
+
+def test_toughness_above_cap_is_a_refusal(tmp_path, capsys):
+    path = _odd_ring(tmp_path)
+    code, out, err = run(capsys, "toughness", "--graph", str(path), "--format", "json")
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["outcome"] == "refusal"
+    assert payload["hypothesis"] == "toughness exact cap"
+
+
+def test_decompose_nonbipartite_above_cap_uses_local_search(tmp_path, capsys):
+    path = _odd_ring(tmp_path)
+    code, out, err = run(
+        capsys, "decompose", "--graph", str(path),
+        "--m1", "1", "--m2", "1", "--format", "json",
+    )
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["outcome"] == "refusal"
+    assert payload["hypothesis"] == "(m1+m2+1)-tree-connected cross factor"
+
+
+def test_gen_with_empty_window_is_a_refusal(capsys):
+    code, out, err = run(
+        capsys, "gen", "--n", "6", "--trees", "1", "--k", "1", "--m", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["outcome"] == "refusal"
+    assert payload["hypothesis"] == "nonempty degree window at every vertex"
+

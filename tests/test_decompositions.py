@@ -7,18 +7,16 @@ import random
 import pytest
 
 from factorkit.connectivity import (
-    bipartite_index,
     edge_connectivity,
     is_tree_connected,
     spanning_tree_packing,
     PackingRefusal,
 )
 from factorkit.decompositions import (
+    _even_closure,
     decompose_eulerian,
     decompose_keep_bi,
-    matching_raising_bi,
     parity_forest,
-    spanning_eulerian_subgraph,
     split_tree_connected_complement,
 )
 from factorkit.errors import HypothesisError, is_unknown
@@ -74,6 +72,7 @@ def test_parity_forest_refuses_odd_sum():
 
 
 def test_spanning_eulerian_subgraph():
+    # one packed tree closed by the parity forest of a second one
     rng = random.Random(61)
     built = 0
     while built < 40:
@@ -81,11 +80,11 @@ def test_spanning_eulerian_subgraph():
         verts = list(range(1, n + 1))
         edges = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(n, 14))]
         G = MultiGraph(verts, edges)
-        try:
-            F = spanning_eulerian_subgraph(G, seed=built)
-        except HypothesisError:
+        packing = spanning_tree_packing(G, 2, seed=built)
+        if isinstance(packing, PackingRefusal):
             continue
         built += 1
+        F = _even_closure(*packing.trees)
         H = F.as_graph()
         assert H.is_connected()
         assert all(F.degree(v) % 2 == 0 for v in G.vertices)
@@ -185,21 +184,3 @@ def test_split_tree_connected_complement_window():
         for v in G.vertices:
             d = G.degree(v)
             assert d // 2 - m0 <= h.degree(v) <= (d + 1) // 2 + m
-
-
-def test_matching_raising_bi_raises_the_index():
-    # K_{2,3} tripled plus an intra edge: cross factor is 3-tree-connected
-    edges = [(1, 2)]
-    for u in (1, 2):
-        for v in (3, 4, 5):
-            edges += [(u, v)] * 3
-    G = MultiGraph([1, 2, 3, 4, 5], edges)
-    cross_ids = frozenset(
-        eid for eid, u, v in G.edges if (u in (1, 2)) != (v in (1, 2))
-    )
-    F = Factor(G, cross_ids)
-    got = matching_raising_bi(G, F, 2, seed=5)
-    assert not is_unknown(got)
-    merged = F.union(got).as_graph()
-    value, _ = bipartite_index(merged)
-    assert value >= 1  # k - 1

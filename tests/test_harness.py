@@ -25,18 +25,23 @@ def test_oracle_campaigns_have_zero_hard_errors():
 
 
 def test_pipeline_campaigns_have_zero_hard_errors():
-    for tid, trials in (
-        ("eulerian-half", 15),
-        ("bipartite-gf", 15),
-        ("bi-large", 15),
-        ("tree-gf-bipartite", 8),
-        ("tree-gf", 8),
+    # (successes, nones, unknowns, refusals) per campaign, pinned so that a
+    # refactor cannot shift outcomes unnoticed
+    for tid, trials, outcomes in (
+        ("eulerian-half", 15, (15, 0, 0, {})),
+        ("bipartite-gf", 15, (15, 0, 0, {})),
+        ("bi-large", 15, (15, 0, 0, {})),
+        ("tree-gf-bipartite", 8, (8, 0, 0, {})),
+        ("tree-gf", 8, (8, 0, 0, {})),
     ):
         report = verify_theorem(tid, trials, master_seed=9)
         assert report.hard_errors == 0, report.render()
         assert report.successes + report.nones + report.unknowns + sum(
             report.refusals.values()
         ) == trials
+        assert (
+            report.successes, report.nones, report.unknowns, report.refusals
+        ) == outcomes, report.render()
 
 
 def test_campaign_bytes_are_deterministic():

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from factorkit.connectivity import spanning_tree_packing
 from factorkit.errors import HypothesisError, InputError, is_unknown
 from factorkit.factors import factor_exists
 from factorkit.graph import Bipartition, MultiGraph
@@ -277,6 +278,27 @@ def test_certificate_tampering_detected():
         derivation=cert.derivation,
     )
     assert not tampered.verify()
+    # packings that verify on their own but span other parts of the host
+    G8 = k23(8)
+    d8 = G8.degrees()
+    g8 = {v: d8[v] // 2 for v in G8.vertices}
+    f8 = {v: d8[v] // 2 + 1 for v in G8.vertices}
+    cert = tree_connected_gf_bipartite(
+        G8, P23, g8, f8, params=TheoremParams(k=1, m=1, m0=0), seed=5
+    )
+    assert cert.verify()
+    swapped = {"factor": cert.packings["complement"], "complement": cert.packings["factor"]}
+    edge = MultiGraph([1, 2], [(1, 2)])
+    foreign = spanning_tree_packing(edge, 1)
+    assert foreign.verify()
+    for packings in (swapped, {"factor": foreign, "complement": foreign}):
+        tampered = FactorCertificate(
+            factor=cert.factor,
+            degree_report=cert.degree_report,
+            packings=packings,
+            derivation=cert.derivation,
+        )
+        assert not tampered.verify()
 
 
 def test_no_factor_certificate_rejects_wrong_claims():
@@ -289,6 +311,12 @@ def test_no_factor_certificate_rejects_wrong_claims():
         f_total=sum(f.values()),
     )
     assert not bogus.verify(G, g, f)  # gaps are not all even here
+    # all gaps even and sum f = 1 is odd: only the true total is accepted
+    H = MultiGraph([1, 2], [(1, 2)])
+    one = {1: 1, 2: 0}
+    reason = "all gaps f-g are even and sum f is odd"
+    assert NoFactorCertificate(reason, f_total=1).verify(H, one, one)
+    assert not NoFactorCertificate(reason, f_total=7).verify(H, one, one)
 
 
 def test_tough_hypothesis_check_reports_rows():
