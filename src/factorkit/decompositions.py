@@ -5,7 +5,8 @@ Two of the operations here (decompose_keep_bi, split_tree_connected_
 complement) implement lemmas whose proofs live outside the source
 material, so they run verified randomized searches over proof-shaped
 candidates: every returned object has had its postconditions re-checked
-from scratch, and budget exhaustion returns UNKNOWN instead of a guess.
+against the carried trees it was built from, and budget exhaustion
+returns UNKNOWN instead of a guess.
 """
 from __future__ import annotations
 
@@ -95,6 +96,17 @@ def _even_closure(core: Factor, donor: Factor) -> Factor:
     return Factor(core.host, core.edge_ids | parity_forest(donor, targets).edge_ids)
 
 
+def _carried_packing(host: MultiGraph, trees: tuple[Factor, ...]) -> TreePacking:
+    """trees packed on a graph with host's edge ids, re-hosted on host; an
+    O(|E|) AssertionError check in place of packing host again."""
+    ids = frozenset(host.edge_ids)
+    # a tree edge missing from host leaves that tree short of n - 1 edges
+    packing = TreePacking(host, tuple(Factor(host, t.edge_ids & ids) for t in trees))
+    if not packing.verify():
+        raise AssertionError("carried trees are not a packing of their host")
+    return packing
+
+
 def decompose_eulerian(
     G: MultiGraph,
     P: Bipartition,
@@ -106,8 +118,8 @@ def decompose_eulerian(
     m2-tree-connected), given an (m1+m2+1)-tree-connected cross factor.
 
     All intra-part edges go to G2; one packed tree donates the parity
-    forest that makes G2 even.  Every postcondition is re-verified by
-    independent runs of the packer before returning.
+    forest that makes G2 even.  Every postcondition is re-verified before
+    returning, the tree counts against the packed trees each part keeps.
     """
     if m1 < 0 or m2 < 0:
         raise InputError("tree counts must be nonnegative")
@@ -126,15 +138,14 @@ def decompose_eulerian(
     g2 = _even_closure(Factor(G, h2_ids | intra_ids), packing.trees[0])
     g1 = g2.complement()
 
-    if not g1.as_graph().is_bipartite_with(P):
+    g1_graph = g1.as_graph()
+    if not g1_graph.is_bipartite_with(P):
         raise AssertionError("G1 kept an intra-part edge")
-    if not isinstance(spanning_tree_packing(g1.as_graph(), m1), TreePacking):
-        raise AssertionError("G1 lost its tree packing")
+    _carried_packing(g1_graph, packing.trees[1 : 1 + m1])
     g2_graph = g2.as_graph()
     if not g2_graph.is_eulerian():
         raise AssertionError("G2 is not even")
-    if not isinstance(spanning_tree_packing(g2_graph, m2), TreePacking):
-        raise AssertionError("G2 lost its tree packing")
+    _carried_packing(g2_graph, packing.trees[1 + m1 :])
     _assert_part_sum_identity(g2_graph, P)
     return g1, g2
 
@@ -169,13 +180,6 @@ def decompose_keep_bi(
         raise InputError("need m2 >= k0 >= 0")
     if m1 < 0:
         raise InputError("m1 must be nonnegative")
-    base = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=seed)
-    if isinstance(base, PackingRefusal):
-        raise HypothesisError(
-            "(2m1+2m2)-tree-connected",
-            f"graph is not {2 * m1 + 2 * m2}-tree-connected",
-            certificate=base,
-        )
     if k0 == 0:
         intra_target = 0
     else:
@@ -188,7 +192,12 @@ def decompose_keep_bi(
     for trial in range(budget):
         packing = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=rng.randrange(1 << 30))
         if isinstance(packing, PackingRefusal):
-            continue
+            # the packer is exact: the first trial refuses or none does
+            raise HypothesisError(
+                "(2m1+2m2)-tree-connected",
+                f"graph is not {2 * m1 + 2 * m2}-tree-connected",
+                certificate=packing,
+            )
         trees = packing.trees
         if m1 == 0:
             g1 = Factor(G, frozenset())
@@ -210,9 +219,9 @@ def decompose_keep_bi(
                 continue
             g1_graph = g1.as_graph()
             if not g1_graph.is_eulerian():
-                continue
-            if m1 > 0 and edge_connectivity(g1_graph) < 2 * m1:
-                continue
+                raise AssertionError("G1 is not even")
+            # 2m1 edge-disjoint spanning trees make G1 2m1-edge-connected
+            _carried_packing(g1_graph, trees[: 2 * m1])
             return g1, g2, P
     return UNKNOWN
 
@@ -223,13 +232,14 @@ def split_tree_connected_complement(
     m0: int,
     seed: int = 0,
     budget: int = 40,
-) -> tuple[Factor, Factor] | Unknown:
-    """Factor H with H m-tree-connected, G - E(H) m0-tree-connected, and
-    floor(d/2) - m0 <= d_H(v) <= ceil(d/2) + m everywhere.
+) -> tuple[Factor, Factor, TreePacking, TreePacking] | Unknown:
+    """Factor H with floor(d/2) - m0 <= d_H(v) <= ceil(d/2) + m everywhere,
+    returned as (H, G - E(H), m trees of H, m0 trees of G - E(H)).
 
     Verified randomized search (external proof): m packed trees seed H,
-    an interval factor over the leftover edges balances the degrees,
-    postconditions re-checked exactly, UNKNOWN on exhaustion.
+    an interval factor over the leftover edges balances the degrees, so
+    the other m0 trees stay in the complement; postconditions re-checked
+    exactly, UNKNOWN on exhaustion.
     """
     if m < 0 or m0 < 0 or m + m0 == 0:
         raise InputError("need m, m0 >= 0 and m + m0 > 0")
@@ -276,9 +286,7 @@ def split_tree_connected_complement(
         rest = h.complement()
         if any(not lo[v] <= h.degree(v) <= hi[v] for v in G.vertices):
             continue
-        if not isinstance(spanning_tree_packing(h.as_graph(), m), TreePacking):
-            continue
-        if not isinstance(spanning_tree_packing(rest.as_graph(), m0), TreePacking):
-            continue
-        return h, rest
+        pack_h = _carried_packing(h.as_graph(), packing.trees[:m])
+        pack_c = _carried_packing(rest.as_graph(), packing.trees[m:])
+        return h, rest, pack_h, pack_c
     return UNKNOWN

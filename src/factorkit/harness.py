@@ -376,7 +376,7 @@ def _trial_tree_gf_bipartite(index: int, seed: int, params: TheoremParams) -> Ou
     res = tree_connected_gf_bipartite(G, P, g, f, params=params, seed=seed)
     if res is None:
         return "none", "", "no balanced selector"
-    return _classify_factor_result(res, G, g, f, want_packings=("factor", "complement"))
+    return _classify_factor_result(res, G, g, f)
 
 
 def _trial_tree_gf(index: int, seed: int, params: TheoremParams) -> Outcome:
@@ -388,7 +388,7 @@ def _trial_tree_gf(index: int, seed: int, params: TheoremParams) -> Outcome:
     params = TheoremParams(k=1, m=1, m0=0)
     g, f = gen_functions(G, k=1, m=1, m0=0, seed=seed)
     res = tree_connected_gf(G, g, f, params=params, seed=seed)
-    return _classify_factor_result(res, G, g, f, want_packings=("factor", "complement"))
+    return _classify_factor_result(res, G, g, f)
 
 
 def _trial_tough_check(index: int, seed: int, params: TheoremParams) -> Outcome:
@@ -410,7 +410,6 @@ def _classify_factor_result(
     G: MultiGraph,
     g: dict[int, int],
     f: dict[int, int],
-    want_packings: tuple[str, ...] = (),
 ) -> tuple[str, str, str]:
     if is_unknown(res):
         return "unknown", "", "search budget exhausted"
@@ -431,11 +430,6 @@ def _classify_factor_result(
         return "hard-error", "", "certificate failed re-verification"
     if any(res.factor.degree(v) not in (g[v], f[v]) for v in G.vertices):
         return "hard-error", "", "factor degree outside {g, f}"
-    for key in want_packings:
-        if key not in res.packings:
-            return "hard-error", "", "certificate is missing the %s packing" % key
-        if not res.packings[key].verify():
-            return "hard-error", "", "the %s packing failed re-verification" % key
     return "success", "", ""
 
 

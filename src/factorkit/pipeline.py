@@ -28,6 +28,7 @@ from .connectivity import (
     toughness,
 )
 from .decompositions import (
+    _carried_packing,
     _even_closure,
     decompose_eulerian,
     decompose_keep_bi,
@@ -79,12 +80,14 @@ class TheoremParams:
 
 @dataclass(frozen=True)
 class FactorCertificate:
-    """A produced factor plus everything needed to re-check it."""
+    """A produced factor plus everything needed to re-check it; tree_counts
+    holds how many spanning trees the theorem promises each packed part."""
 
     factor: Factor
     degree_report: dict[int, tuple[int, tuple[int, ...]]]
     packings: dict[str, TreePacking] = field(default_factory=dict)
     derivation: tuple[tuple[str, object], ...] = ()
+    tree_counts: dict[str, int] = field(default_factory=dict)
 
     def verify(self) -> bool:
         host = self.factor.host
@@ -104,6 +107,9 @@ class FactorCertificate:
             if set(packing.host.edges) != set(part.edges()):
                 return False
             if not packing.verify():
+                return False
+        for name, count in self.tree_counts.items():
+            if name not in self.packings or self.packings[name].m < count:
                 return False
         return True
 
@@ -131,19 +137,14 @@ def parity_criterion(G: MultiGraph, g: VertexMap, f: VertexMap) -> bool:
 
 
 class _Gate:
-    """Hypothesis checker; the assume flag downgrades refusals to a record."""
+    """Hypothesis checker; the assume flag lets failed hypotheses pass."""
 
     def __init__(self, assume: bool):
         self.assume = assume
-        self.skipped: list[str] = []
 
     def require(self, ok: bool, name: str, message: str = "", certificate=None):
-        if ok:
-            return
-        if self.assume:
-            self.skipped.append(name)
-            return
-        raise HypothesisError(name, message, certificate=certificate)
+        if not ok and not self.assume:
+            raise HypothesisError(name, message, certificate=certificate)
 
 
 def _validate_gf(G: MultiGraph, g: VertexMap, f: VertexMap) -> None:
@@ -194,9 +195,11 @@ def _certify(
     allowed: Mapping[int, tuple[int, ...]],
     packings: dict[str, TreePacking] | None = None,
     derivation: tuple[tuple[str, object], ...] = (),
+    tree_counts: dict[str, int] | None = None,
 ) -> FactorCertificate:
     cert = FactorCertificate(
-        factor, _degree_report(factor, allowed), packings or {}, derivation
+        factor, _degree_report(factor, allowed), packings or {}, derivation,
+        tree_counts or {},
     )
     if not cert.verify():
         raise TheoremViolationError(
@@ -426,6 +429,21 @@ def gf_factor_bipartite(
             return None
     else:
         _check_selector(G, P, g, f, h)
+    return _pinned_bipartite(G, P, g, f, h, z, assume_hypotheses, seed)
+
+
+def _pinned_bipartite(
+    G: MultiGraph,
+    P: Bipartition,
+    g: VertexMap,
+    f: VertexMap,
+    h: VertexMap,
+    z: int | None,
+    assume: bool,
+    seed: int,
+) -> FactorCertificate | None | Unknown:
+    """gf_factor_bipartite past its gates, which the caller has proved, for
+    a balanced selector h."""
     if z is None:
         z = min(P.X)
     else:
@@ -447,7 +465,7 @@ def gf_factor_bipartite(
     if is_unknown(D):
         return UNKNOWN
     if D is None:
-        if assume_hypotheses:
+        if assume:
             return None
         raise TheoremViolationError(
             "no pinned two-point orientation although a balanced selector "
@@ -580,11 +598,11 @@ def gf_factor_almost_bipartite(
     )
 
     if k == 1:
-        # zero intra edges: the graph is bipartite and the window forces
-        # an exactly balanced h
-        return gf_factor_bipartite(
-            G, P, g, f, h=h, assume_hypotheses=assume_hypotheses, seed=seed
-        )
+        # zero intra edges: the graph is bipartite, its cross factor carries
+        # the 4k^2 trees, and the window forces an exactly balanced h
+        if assume_hypotheses:
+            _check_selector(G, P, g, f, h)
+        return _pinned_bipartite(G, P, g, f, h, None, assume_hypotheses, seed)
 
     try:
         g1f, g2f = decompose_eulerian(
@@ -630,16 +648,7 @@ def gf_factor_almost_bipartite(
 
     # the z shift may push the half-degree window off at z itself; the
     # orientation engine is exact, so run it with gating suppressed there
-    sub = gf_factor_bipartite(
-        G=g1_graph,
-        P=P,
-        g=g1,
-        f=f1,
-        h=h1,
-        z=z,
-        assume_hypotheses=True,
-        seed=child_seed(seed, 2),
-    )
+    sub = _pinned_bipartite(g1_graph, P, g1, f1, h1, z, True, child_seed(seed, 2))
     if is_unknown(sub):
         return UNKNOWN
     if sub is None:
@@ -833,6 +842,33 @@ def gf_factor_bi_large(
 # -- tree-connected versions ----------------------------------------------
 
 
+def _certify_tree_connected(
+    G: MultiGraph,
+    g: VertexMap,
+    f: VertexMap,
+    params: TheoremParams,
+    g1f: Factor,
+    split: tuple[Factor, Factor, TreePacking, TreePacking],
+    sub: FactorCertificate,
+) -> FactorCertificate:
+    """H = hprime + sub's factor, certified with the trees of the split
+    (hprime, rest, trees of hprime, trees of rest) of the Eulerian part g1f:
+    H contains hprime, and its complement contains rest."""
+    hprime, _, split_h, split_c = split
+    H = Factor(G, hprime.edge_ids | sub.factor.edge_ids)
+    packings = {
+        "factor": _carried_packing(H.as_graph(), split_h.trees),
+        "complement": _carried_packing(H.complement().as_graph(), split_c.trees),
+    }
+    allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
+    derivation = (
+        ("eulerian-part", tuple(sorted(g1f.edge_ids))),
+        ("balancer", tuple(sorted(hprime.edge_ids))),
+    ) + sub.derivation
+    counts = {"factor": params.m, "complement": params.m0}
+    return _certify(H, allowed, packings, derivation, counts)
+
+
 def tree_connected_gf_bipartite(
     G: MultiGraph,
     P: Bipartition,
@@ -890,9 +926,8 @@ def tree_connected_gf_bipartite(
         _check_selector(G, P, g, f, h)
 
     if m + m0 == 0:
-        return gf_factor_bipartite(
-            G, P, g, f, h=h, z=z,
-            assume_hypotheses=assume_hypotheses, seed=child_seed(seed, 1),
+        return _pinned_bipartite(
+            G, P, g, f, h, z, assume_hypotheses, child_seed(seed, 1)
         )
     if not isinstance(packing, TreePacking):
         # assume_hypotheses with too few trees: nothing to build from
@@ -912,17 +947,15 @@ def tree_connected_gf_bipartite(
     if edge_connectivity(g1_graph) < 2 * (m + m0):
         raise AssertionError("paired Eulerian factor lost edge connectivity")
     g2_graph = g2f.as_graph()
-    if not isinstance(
-        spanning_tree_packing(g2_graph, 4 * k * k), TreePacking
-    ):
-        raise AssertionError("two-point part lost its tree packing")
+    # the pairs use only the first 2(m+m0) trees, so G2 keeps the rest
+    _carried_packing(g2_graph, trees[2 * (m + m0) :])
 
     split = split_tree_connected_complement(
         g1_graph, m, m0, seed=child_seed(seed, 2)
     )
     if is_unknown(split):
         return UNKNOWN
-    hprime, rest1 = split
+    hprime = split[0]
 
     dH = {v: hprime.degree(v) for v in G.vertices}
     g2 = {v: g[v] - dH[v] for v in G.vertices}
@@ -934,15 +967,11 @@ def tree_connected_gf_bipartite(
                 f"shifted window g' <= d_G2/2 <= f' failed at vertex {v}"
             )
 
-    sub = gf_factor_bipartite(
-        G=g2_graph,
-        P=P,
-        g=g2,
-        f=f2,
-        h=h2,
-        z=z,
-        assume_hypotheses=assume_hypotheses,
-        seed=child_seed(seed, 3),
+    if assume_hypotheses:
+        # h2 is balanced only when G is bipartite, which was not gated
+        _check_selector(g2_graph, P, g2, f2, h2)
+    sub = _pinned_bipartite(
+        g2_graph, P, g2, f2, h2, z, assume_hypotheses, child_seed(seed, 3)
     )
     if is_unknown(sub):
         return UNKNOWN
@@ -953,24 +982,7 @@ def tree_connected_gf_bipartite(
             "bipartite stage failed although a balanced selector exists"
         )
 
-    H = Factor(G, hprime.edge_ids | sub.factor.edge_ids)
-    complement = H.complement()
-    pack_h = spanning_tree_packing(H.as_graph(), m)
-    pack_c = spanning_tree_packing(complement.as_graph(), m0)
-    if not isinstance(pack_h, TreePacking) or not isinstance(
-        pack_c, TreePacking
-    ):
-        raise TheoremViolationError(
-            "final factor or complement lost its tree packing"
-        )
-    allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
-    derivation = (
-        ("eulerian-part", tuple(sorted(g1f.edge_ids))),
-        ("balancer", tuple(sorted(hprime.edge_ids))),
-    ) + sub.derivation
-    return _certify(
-        H, allowed, {"factor": pack_h, "complement": pack_c}, derivation
-    )
+    return _certify_tree_connected(G, g, f, params, g1f, split, sub)
 
 
 def tree_connected_gf(
@@ -1051,7 +1063,7 @@ def tree_connected_gf(
     )
     if is_unknown(split):
         return UNKNOWN
-    hprime, rest1 = split
+    hprime = split[0]
 
     dH = {v: hprime.degree(v) for v in G.vertices}
     g2 = {v: g[v] - dH[v] for v in G.vertices}
@@ -1083,24 +1095,7 @@ def tree_connected_gf(
             "bi-large stage refused although its hypotheses were arranged"
         )
 
-    H = Factor(G, hprime.edge_ids | sub.factor.edge_ids)
-    complement = H.complement()
-    pack_h = spanning_tree_packing(H.as_graph(), m)
-    pack_c = spanning_tree_packing(complement.as_graph(), m0)
-    if not isinstance(pack_h, TreePacking) or not isinstance(
-        pack_c, TreePacking
-    ):
-        raise TheoremViolationError(
-            "final factor or complement lost its tree packing"
-        )
-    allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
-    derivation = (
-        ("eulerian-part", tuple(sorted(g1f.edge_ids))),
-        ("balancer", tuple(sorted(hprime.edge_ids))),
-    ) + sub.derivation
-    return _certify(
-        H, allowed, {"factor": pack_h, "complement": pack_c}, derivation
-    )
+    return _certify_tree_connected(G, g, f, params, g1f, split, sub)
 
 
 # -- toughness regime: hypothesis report only -----------------------------

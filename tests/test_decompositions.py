@@ -13,6 +13,7 @@ from factorkit.connectivity import (
     PackingRefusal,
 )
 from factorkit.decompositions import (
+    _carried_packing,
     _even_closure,
     decompose_eulerian,
     decompose_keep_bi,
@@ -90,6 +91,17 @@ def test_spanning_eulerian_subgraph():
         assert all(F.degree(v) % 2 == 0 for v in G.vertices)
 
 
+def test_carried_packing_needs_every_tree_edge_in_its_host():
+    G = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (3, 1), (1, 2)])
+    packing = spanning_tree_packing(G, 1, seed=0)
+    ids = packing.trees[0].edge_ids
+    carried = _carried_packing(G.subgraph_of_edges(ids), packing.trees)
+    assert carried.m == 1 and carried.verify()
+    short = G.subgraph_of_edges(set(G.edge_ids) - {min(ids)})
+    with pytest.raises(AssertionError):
+        _carried_packing(short, packing.trees)
+
+
 def test_decompose_eulerian_postconditions():
     rng = random.Random(67)
     done = 0
@@ -156,6 +168,16 @@ def test_decompose_keep_bi_keeps_intra_edges():
         assert intra >= 1
 
 
+def test_decompose_keep_bi_refuses_hosts_without_the_trees():
+    # K_{2,3} has 6 edges, too few for the 2m1+2m2 = 4 spanning trees
+    G = MultiGraph([1, 2, 3, 4, 5], [(u, v) for u in (1, 2) for v in (3, 4, 5)])
+    with pytest.raises(HypothesisError) as exc:
+        decompose_keep_bi(G, 1, 1, 0, seed=3)
+    assert exc.value.hypothesis == "(2m1+2m2)-tree-connected"
+    assert isinstance(exc.value.certificate, PackingRefusal)
+    assert exc.value.certificate.verify()
+
+
 def test_split_tree_connected_complement_window():
     rng = random.Random(73)
     done = 0
@@ -176,7 +198,7 @@ def test_split_tree_connected_complement_window():
         if is_unknown(res):
             done += 1
             continue
-        h, rest = res
+        h, rest, pack_h, pack_c = res
         done += 1
         assert h.edge_ids | rest.edge_ids == frozenset(G.edge_ids)
         assert h.edge_ids & rest.edge_ids == frozenset()
@@ -184,3 +206,7 @@ def test_split_tree_connected_complement_window():
         for v in G.vertices:
             d = G.degree(v)
             assert d // 2 - m0 <= h.degree(v) <= (d + 1) // 2 + m
+        # the returned trees prove both halves, each on its own edges
+        for part, packing, count in ((h, pack_h, m), (rest, pack_c, m0)):
+            assert packing.m == count and packing.verify()
+            assert set(packing.host.edges) == set(part.edges())

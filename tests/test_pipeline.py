@@ -1,11 +1,13 @@
 """Theorem pipelines: constructions, refusals, and certificates."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
-from factorkit.connectivity import spanning_tree_packing
+from factorkit import decompositions, pipeline
+from factorkit.connectivity import TreePacking, spanning_tree_packing
 from factorkit.errors import HypothesisError, InputError, is_unknown
 from factorkit.factors import factor_exists
 from factorkit.graph import Bipartition, MultiGraph
@@ -227,11 +229,48 @@ def test_tree_connected_gf_bipartite_carries_packings():
     assert cert.packings["factor"].verify()
 
 
-def test_tree_connected_gf_on_nonbipartite_host():
+def _k5_times_4():
     edges = []
     for u, v in itertools.combinations(range(1, 6), 2):
         edges += [(u, v)] * 4
-    G = MultiGraph(list(range(1, 6)), edges)
+    return MultiGraph(list(range(1, 6)), edges)
+
+
+def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
+    # postconditions check the trees the construction holds: the packer
+    # never runs on G2, on the factor or on its complement
+    hosts = []
+
+    def packer(G, m, seed=None):
+        hosts.append(frozenset(G.edge_ids))
+        return spanning_tree_packing(G, m, seed=seed)
+
+    for module in (pipeline, decompositions):
+        monkeypatch.setattr(module, "spanning_tree_packing", packer)
+    params = TheoremParams(k=1, m=1, m0=0)
+    # tree_connected_gf packs G twice: at its gate and in the one trial of
+    # decompose_keep_bi, which draws its trees from another seed
+    for G, run, g_packings in (
+        (k23(8), lambda G, g, f: tree_connected_gf_bipartite(
+            G, P23, g, f, params=params, seed=5), 1),
+        (_k5_times_4(), lambda G, g, f: tree_connected_gf(
+            G, g, f, params=params, seed=3), 2),
+    ):
+        hosts.clear()
+        d = G.degrees()
+        g = {v: d[v] // 2 for v in G.vertices}
+        f = {v: d[v] // 2 + 1 for v in G.vertices}
+        cert = run(G, g, f)
+        assert isinstance(cert, FactorCertificate) and cert.verify()
+        edges = frozenset(G.edge_ids)
+        g1 = frozenset(dict(cert.derivation)["eulerian-part"])
+        assert hosts.count(edges) == g_packings
+        for part in (edges - g1, cert.factor.edge_ids, edges - cert.factor.edge_ids):
+            assert part not in hosts
+
+
+def test_tree_connected_gf_on_nonbipartite_host():
+    G = _k5_times_4()
     d = G.degrees()
     g = {v: d[v] // 2 for v in G.vertices}
     f = {v: d[v] // 2 + 1 for v in G.vertices}
@@ -299,6 +338,14 @@ def test_certificate_tampering_detected():
             derivation=cert.derivation,
         )
         assert not tampered.verify()
+    # packings of the right parts with fewer trees than the theorem promises
+    h_graph = cert.factor.as_graph()
+    c_graph = cert.factor.complement().as_graph()
+    for packings in (
+        {"factor": TreePacking(h_graph, ()), "complement": TreePacking(c_graph, ())},
+        {"complement": cert.packings["complement"]},
+    ):
+        assert not dataclasses.replace(cert, packings=packings).verify()
 
 
 def test_no_factor_certificate_rejects_wrong_claims():
