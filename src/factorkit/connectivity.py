@@ -8,6 +8,14 @@ evicting an edge of the cycle it would close, which then re-enters some
 other forest, and so on).  When the graph is not m-tree-connected the
 labeled edges of the failed searches yield a partition P of the vertices
 with fewer than m(|P| - 1) crossing edges, which is the exact obstruction.
+
+Each forest is kept rooted, with a parent link, a depth and a root label
+per vertex.  "No path" is one comparison of root labels, and a cycle is
+read off by walking the two root paths up to where they meet.  An
+augmenting chain applies its removals before its adds, so every forest
+only grows towards its final edge set and no add meets a cycle.  A search
+also skips the forests in which an edge's ends are already joined by
+labeled edges, since such a path has nothing left to label.
 """
 from __future__ import annotations
 
@@ -138,71 +146,131 @@ class PackingRefusal:
 
 
 class _ForestState:
-    """m edge-disjoint forests over indexed vertices, with path queries."""
+    """m edge-disjoint forests over the vertices 0..n-1, each kept rooted.
+
+    In forest fi every vertex v has a parent link up[fi][v] = (eid, parent),
+    None at a root, a depth and a root label, and each root has the size of
+    its tree.  Two vertices are connected iff their root labels agree, and
+    the path between them is the two root paths walked up to where they
+    meet.  add() re-roots the smaller of the two trees it joins and hangs it
+    below the other endpoint; remove() relabels the subtree it cuts off.
+    add() refuses an edge whose ends share a root, so a caller that
+    exchanges edges applies its removals before its adds.
+    """
 
     def __init__(self, n: int, m: int):
-        self.n = n
         self.m = m
-        self.adj: list[dict[int, list[tuple[int, int]]]] = [
-            {v: [] for v in range(n)} for _ in range(m)
-        ]
+        self.adj: list[list[dict[int, int]]] = [
+            [{} for _ in range(n)] for _ in range(m)
+        ]  # adj[fi][v]: eid -> other endpoint
+        self.up: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(m)]
+        self.depth = [[0] * n for _ in range(m)]
+        self.root = [list(range(n)) for _ in range(m)]
+        self.size = [[1] * n for _ in range(m)]  # read at roots only
         self.members: list[set[int]] = [set() for _ in range(m)]
         self.where: dict[int, int] = {}  # eid -> forest index
 
+    def _hang(self, fi: int, top: int, link: tuple[int, int] | None, label: int) -> int:
+        """Give top the parent link `link` and relabel the tree below it,
+        which top's adjacency defines; return that tree's vertex count."""
+        adj, up, depth, root = self.adj[fi], self.up[fi], self.depth[fi], self.root[fi]
+        up[top] = link
+        depth[top] = depth[link[1]] + 1 if link else 0
+        root[top] = label
+        stack = [top]
+        count = 0
+        while stack:
+            x = stack.pop()
+            count += 1
+            skip = up[x][0] if up[x] else None
+            below = depth[x] + 1
+            for eid, w in adj[x].items():
+                if eid != skip:
+                    up[w] = (eid, x)
+                    depth[w] = below
+                    root[w] = label
+                    stack.append(w)
+        return count
+
     def add(self, fi: int, eid: int, u: int, v: int) -> None:
-        self.adj[fi][u].append((eid, v))
-        self.adj[fi][v].append((eid, u))
+        root, size = self.root[fi], self.size[fi]
+        ru, rv = root[u], root[v]
+        if ru == rv:
+            raise AssertionError("edge closes a cycle in its forest")
+        if size[ru] > size[rv]:
+            u, v, ru, rv = v, u, rv, ru
+        size[rv] += self._hang(fi, u, (eid, v), rv)
+        self.adj[fi][u][eid] = v
+        self.adj[fi][v][eid] = u
         self.members[fi].add(eid)
         self.where[eid] = fi
 
     def remove(self, fi: int, eid: int, u: int, v: int) -> None:
-        self.adj[fi][u].remove((eid, v))
-        self.adj[fi][v].remove((eid, u))
+        del self.adj[fi][u][eid]
+        del self.adj[fi][v][eid]
         self.members[fi].discard(eid)
         del self.where[eid]
+        link = self.up[fi][u]
+        child = u if link and link[0] == eid else v
+        size = self.size[fi]
+        old_root = self.root[fi][child]
+        size[child] = self._hang(fi, child, None, child)
+        size[old_root] -= size[child]
 
     def path(self, fi: int, a: int, b: int) -> list[int] | None:
-        """Edge ids of the unique a-b path in forest fi, or None."""
+        """Edge ids of the unique a-b path in forest fi, from b towards a,
+        or None when a and b lie in different trees."""
         if a == b:
             return []
-        prev: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        q = deque([a])
-        while q:
-            v = q.popleft()
-            for eid, w in self.adj[fi][v]:
-                if w not in prev:
-                    prev[w] = (eid, v)
-                    if w == b:
-                        path = []
-                        cur = b
-                        while cur != a:
-                            eid2, p = prev[cur]
-                            path.append(eid2)
-                            cur = p
-                        return path
-                    q.append(w)
-        return None
+        if self.root[fi][a] != self.root[fi][b]:
+            return None
+        up, depth = self.up[fi], self.depth[fi]
+        from_a: list[int] = []
+        from_b: list[int] = []
+        da, db = depth[a], depth[b]
+        while db > da:
+            eid, b = up[b]
+            from_b.append(eid)
+            db -= 1
+        while da > db:
+            eid, a = up[a]
+            from_a.append(eid)
+            da -= 1
+        while a != b:
+            eid, b = up[b]
+            from_b.append(eid)
+            eid, a = up[a]
+            from_a.append(eid)
+        from_a.reverse()
+        return from_b + from_a
 
     def acyclic_and_sized(self) -> bool:
+        """Every forest is acyclic with its member count of edges, and its
+        parent links, depths and root labels describe exactly those edges.
+
+        Depths rise by one along each link, so no vertex has two links on
+        one cycle; once the links account for every adjacency entry, the
+        forest is the link forest and has no cycle.
+        """
         for fi in range(self.m):
-            parent = list(range(self.n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            count = 0
-            for v in range(self.n):
-                for eid, w in self.adj[fi][v]:
-                    if v < w or (v == w):
-                        count += 1
-                        ra, rb = find(v), find(w)
-                        if ra == rb:
-                            return False
-                        parent[ra] = rb
-            if count != len(self.members[fi]):
+            adj, up = self.adj[fi], self.up[fi]
+            depth, root = self.depth[fi], self.root[fi]
+            linked = 0
+            for v, link in enumerate(up):
+                if link is None:
+                    if root[v] != v or depth[v] != 0:
+                        return False
+                    continue
+                eid, p = link
+                if (
+                    adj[v].get(eid) != p
+                    or adj[p].get(eid) != v
+                    or depth[v] != depth[p] + 1
+                    or root[v] != root[p]
+                ):
+                    return False
+                linked += 1
+            if not sum(map(len, adj)) == 2 * linked == 2 * len(self.members[fi]):
                 return False
         return True
 
@@ -239,34 +307,52 @@ def spanning_tree_packing(
 
     def try_augment(e0: int, mutate: bool = True) -> tuple[bool, set[int]]:
         labels: dict[int, tuple[int, int] | None] = {e0: None}
+        # cluster[fi][v]: v's component in the labeled edges of forest fi,
+        # as a vertex label, with grouped[fi][label] listing the clusters of
+        # two or more; a path within one cluster is labeled already
+        cluster = [list(range(n)) for _ in range(m)]
+        grouped: list[dict[int, list[int]]] = [{} for _ in range(m)]
         q = deque([e0])
         while q:
             x = q.popleft()
             xu, xv = by_id[x]
             for fi in range(m):
+                cl = cluster[fi]
+                if cl[xu] == cl[xv]:
+                    continue
                 path = state.path(fi, xu, xv)
                 if path is None:
                     if not mutate:
                         raise AssertionError("probe found an augmentation")
                     # each chain edge leaves the forest where it blocked its
                     # predecessor and enters the one it was probed against
-                    cur, target = x, fi
-                    while True:
-                        cu, cv = by_id[cur]
-                        par = labels[cur]
-                        if par is not None:
-                            state.remove(par[1], cur, cu, cv)
-                        state.add(target, cur, cu, cv)
-                        if par is None:
-                            break
-                        cur, target = par
+                    chain = [(x, fi)]
+                    while labels[chain[-1][0]] is not None:
+                        chain.append(labels[chain[-1][0]])
+                    # removals first: every forest then only grows towards
+                    # its final edge set, so no add can close a cycle
+                    for (cur, _), (_, source) in zip(chain, chain[1:]):
+                        state.remove(source, cur, *by_id[cur])
+                    for cur, target in chain:
+                        state.add(target, cur, *by_id[cur])
                     if not state.acyclic_and_sized():
                         raise AssertionError("augmentation chain left a non-forest")
                     return True, set()
+                groups = grouped[fi]
                 for y in path:
                     if y not in labels:
                         labels[y] = (x, fi)
                         q.append(y)
+                        # merge the smaller cluster of y's ends into the other
+                        yu, yv = by_id[y]
+                        cu, cv = cl[yu], cl[yv]
+                        gu, gv = groups.pop(cu, [cu]), groups.pop(cv, [cv])
+                        if len(gu) > len(gv):
+                            cu, cv, gu, gv = cv, cu, gv, gu
+                        for w in gu:
+                            cl[w] = cv
+                        gv += gu
+                        groups[cv] = gv
         return False, set(labels)
 
     unused: list[int] = []
@@ -484,16 +570,17 @@ def odd_cycle_packing_bound(
     packing = spanning_tree_packing(cross.as_graph(), k)
     if not isinstance(packing, TreePacking):
         return False, None
+    idx = {v: i for i, v in enumerate(G.vertices)}
     cycles = []
-    state = None
     for i in range(k):
         eid, u, v = intra[i]
         if u == v:
             cycles.append((eid,))
             continue
-        tree = packing.trees[i].as_graph()
-        path = _tree_path_edges(tree, u, v)
-        cycles.append(tuple(path) + (eid,))
+        forest = _ForestState(len(idx), 1)
+        for teid, a, b in packing.trees[i].edges():
+            forest.add(0, teid, idx[a], idx[b])
+        cycles.append(tuple(forest.path(0, idx[u], idx[v])) + (eid,))
     for cyc in cycles:
         if len(cyc) % 2 == 0:
             raise AssertionError("even cycle in an odd-cycle certificate")
@@ -501,28 +588,6 @@ def odd_cycle_packing_bound(
     if len(allids) != len(set(allids)):
         raise AssertionError("odd-cycle certificate reuses an edge")
     return True, tuple(cycles)
-
-
-def _tree_path_edges(T: MultiGraph, a: int, b: int) -> list[int]:
-    prev: dict[int, tuple[int, int]] = {a: (-1, -1)}
-    q = deque([a])
-    while q:
-        v = q.popleft()
-        if v == b:
-            break
-        for eid, w in T.incident(v):
-            if w not in prev:
-                prev[w] = (eid, v)
-                q.append(w)
-    if b not in prev:
-        raise InputError("endpoints not connected in the tree")
-    path = []
-    cur = b
-    while cur != a:
-        eid, p = prev[cur]
-        path.append(eid)
-        cur = p
-    return path
 
 
 # -- toughness -----------------------------------------------------------

@@ -250,6 +250,14 @@ def split_tree_connected_complement(
             "2(m+m0)-edge-connected",
             f"edge connectivity {lam} is below {need}",
         )
+    return _split_complement(G, m, m0, seed, budget)
+
+
+def _split_complement(
+    G: MultiGraph, m: int, m0: int, seed: int, budget: int = 40
+) -> tuple[Factor, Factor, TreePacking, TreePacking] | Unknown:
+    """split_tree_connected_complement past its gate, for a G whose
+    2(m+m0)-edge-connectivity the caller has proved."""
     lo = {v: G.degree(v) // 2 - m0 for v in G.vertices}
     hi = {v: (G.degree(v) + 1) // 2 + m for v in G.vertices}
 

@@ -30,9 +30,9 @@ from .connectivity import (
 from .decompositions import (
     _carried_packing,
     _even_closure,
+    _split_complement,
     decompose_eulerian,
     decompose_keep_bi,
-    split_tree_connected_complement,
 )
 from .errors import (
     HypothesisError,
@@ -950,9 +950,7 @@ def tree_connected_gf_bipartite(
     # the pairs use only the first 2(m+m0) trees, so G2 keeps the rest
     _carried_packing(g2_graph, trees[2 * (m + m0) :])
 
-    split = split_tree_connected_complement(
-        g1_graph, m, m0, seed=child_seed(seed, 2)
-    )
+    split = _split_complement(g1_graph, m, m0, child_seed(seed, 2))
     if is_unknown(split):
         return UNKNOWN
     hprime = split[0]
@@ -1058,9 +1056,8 @@ def tree_connected_gf(
     g1_graph = g1f.as_graph()
     g2_graph = g2f.as_graph()
 
-    split = split_tree_connected_complement(
-        g1_graph, m, m0, seed=child_seed(seed, 3)
-    )
+    # decompose_keep_bi proved G1 2(m+m0)-edge-connected with its trees
+    split = _split_complement(g1_graph, m, m0, child_seed(seed, 3))
     if is_unknown(split):
         return UNKNOWN
     hprime = split[0]

@@ -6,14 +6,18 @@ bound (exhaustive over set partitions), edge connectivity against all
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from factorkit.connectivity import (
     PackingRefusal,
+    TreePacking,
+    _ForestState,
     bipartite_index,
     bipartite_index_bounds,
     edge_connectivity,
@@ -24,6 +28,7 @@ from factorkit.connectivity import (
     tree_connectivity,
 )
 from factorkit.errors import SizeRefusal
+from factorkit.generators import GenSpec, gen_tree_connected
 from factorkit.graph import MultiGraph
 
 
@@ -135,6 +140,120 @@ def test_packing_trees_are_disjoint_spanning_trees():
             seen |= tree.edge_ids
             T = tree.as_graph()
             assert T.is_connected() and tree.num_edges == G.num_vertices - 1
+
+
+def _bfs_path(forest, a, b):
+    """Edge ids of the a-b path in the forest {eid: (u, v)}, from b towards
+    a, by a plain BFS from a; None when b is out of reach."""
+    adj = {}
+    for eid, (u, v) in forest.items():
+        adj.setdefault(u, []).append((eid, v))
+        adj.setdefault(v, []).append((eid, u))
+    prev = {a: None}
+    q = deque([a])
+    while q:
+        x = q.popleft()
+        for eid, w in adj.get(x, ()):
+            if w not in prev:
+                prev[w] = (eid, x)
+                q.append(w)
+    if b not in prev:
+        return None
+    path = []
+    while b != a:
+        eid, b = prev[b]
+        path.append(eid)
+    return path
+
+
+def test_forest_state_paths_match_bfs():
+    # random adds and removes; after each step the rooted forests answer
+    # every path query from sampled sources as a BFS over the edge list does
+    rng = random.Random(41)
+    for _ in range(10):
+        n = rng.randint(2, 60)
+        m = rng.randint(1, 4)
+        state = _ForestState(n, m)
+        forests = [{} for _ in range(m)]
+        for eid in range(3 * n):
+            fi = rng.randrange(m)
+            forest = forests[fi]
+            if forest and rng.random() < 0.35:
+                old = rng.choice(sorted(forest))
+                state.remove(fi, old, *forest.pop(old))
+            else:
+                u, v = rng.sample(range(n), 2)
+                if _bfs_path(forest, u, v) is None:
+                    state.add(fi, eid, u, v)
+                    forest[eid] = (u, v)
+                else:
+                    with pytest.raises(AssertionError):
+                        state.add(fi, eid, u, v)
+            assert state.acyclic_and_sized()
+            assert state.members[fi] == set(forest)
+            for a in rng.sample(range(n), min(n, 4)):
+                for b in range(n):
+                    assert state.path(fi, a, b) == _bfs_path(forest, a, b)
+
+
+def test_forest_state_check_rejects_cycles_and_stale_labels():
+    def path_of_four():
+        state = _ForestState(4, 1)
+        for eid, (u, v) in enumerate([(0, 1), (1, 2), (2, 3)]):
+            state.add(0, eid, u, v)
+        assert state.acyclic_and_sized()
+        return state
+
+    # an edge closing a cycle, slipped in past add()
+    state = path_of_four()
+    state.adj[0][3][9] = 0
+    state.adj[0][0][9] = 3
+    state.members[0].add(9)
+    assert not state.acyclic_and_sized()
+    # a member missing from the adjacency
+    state = path_of_four()
+    state.members[0].add(9)
+    assert not state.acyclic_and_sized()
+    # a depth or a root label left stale
+    for field in ("depth", "root"):
+        state = path_of_four()
+        linked = next(v for v in range(4) if state.up[0][v])
+        getattr(state, field)[0][linked] += 1
+        assert not state.acyclic_and_sized()
+
+
+def _digest(packing):
+    trees = [sorted(t.edge_ids) for t in packing.trees]
+    return hashlib.sha256(repr(trees).encode()).hexdigest()[:16]
+
+
+def test_packer_returns_the_pinned_trees_and_refusal():
+    # tree edge-id sets, in order, as the packer chose them when it found
+    # paths by BFS; a faster path structure must not change the trees
+    for n, trees, digest in (
+        (40, 4, "e8e112e56b62e2df"),
+        (40, 8, "ee24c7ec17487749"),
+        (80, 4, "9c07d2c2012f1c00"),
+    ):
+        G = gen_tree_connected(GenSpec(n=n, trees=trees, extra_edges=n, seed=3))
+        packing = spanning_tree_packing(G, trees, seed=7)
+        assert isinstance(packing, TreePacking) and packing.verify()
+        assert _digest(packing) == digest
+    # two 4-tree-connected halves joined by 3 edges; enough edges overall
+    # that the packer runs its full augmentation before it refuses
+    halves = [
+        gen_tree_connected(GenSpec(n=10, trees=4, extra_edges=3, seed=s))
+        for s in (1, 2)
+    ]
+    edges = [
+        (u + 10 * j, v + 10 * j) for j, H in enumerate(halves) for _, u, v in H.edges
+    ]
+    G = MultiGraph(range(1, 21), edges + [(1, 11), (2, 12), (3, 13)])
+    assert G.num_edges >= 4 * 19
+    refusal = spanning_tree_packing(G, 4, seed=7)
+    assert isinstance(refusal, PackingRefusal) and refusal.verify()
+    assert refusal.parts == (frozenset(range(1, 11)), frozenset(range(11, 21)))
+    assert refusal.cross_edges == 3
 
 
 def test_single_vertex_packs_any_m():

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from factorkit import decompositions, pipeline
-from factorkit.connectivity import TreePacking, spanning_tree_packing
+from factorkit.connectivity import TreePacking, edge_connectivity, spanning_tree_packing
 from factorkit.errors import HypothesisError, InputError, is_unknown
 from factorkit.factors import factor_exists
 from factorkit.graph import Bipartition, MultiGraph
@@ -267,6 +267,35 @@ def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
         assert hosts.count(edges) == g_packings
         for part in (edges - g1, cert.factor.edge_ids, edges - cert.factor.edge_ids):
             assert part not in hosts
+
+
+def test_tree_connected_pipelines_trust_the_proved_g1_connectivity(monkeypatch):
+    # G1's 2(m+m0)-edge-connectivity is proved once: by the bipartite
+    # pipeline's own postcondition, and in tree_connected_gf by the trees
+    # decompose_keep_bi carries; the split does not run Stoer-Wagner again
+    hosts = []
+
+    def spy(G):
+        hosts.append(frozenset(G.edge_ids))
+        return edge_connectivity(G)
+
+    for module in (pipeline, decompositions):
+        monkeypatch.setattr(module, "edge_connectivity", spy)
+    params = TheoremParams(k=1, m=1, m0=0)
+    for G, run, g1_calls in (
+        (k23(8), lambda G, g, f: tree_connected_gf_bipartite(
+            G, P23, g, f, params=params, seed=5), 1),
+        (_k5_times_4(), lambda G, g, f: tree_connected_gf(
+            G, g, f, params=params, seed=3), 0),
+    ):
+        hosts.clear()
+        d = G.degrees()
+        g = {v: d[v] // 2 for v in G.vertices}
+        f = {v: d[v] // 2 + 1 for v in G.vertices}
+        cert = run(G, g, f)
+        assert isinstance(cert, FactorCertificate) and cert.verify()
+        g1 = frozenset(dict(cert.derivation)["eulerian-part"])
+        assert hosts.count(g1) == g1_calls
 
 
 def test_tree_connected_gf_on_nonbipartite_host():
