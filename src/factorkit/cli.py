@@ -283,7 +283,3 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolationError as exc:
         print(f"hard error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -106,14 +106,16 @@ class TreePacking:
             if seen & tree.edge_ids:
                 return False
             seen |= tree.edge_ids
-            if n <= 1:
-                if tree.num_edges != 0:
+            if tree.num_edges != max(n - 1, 0):
+                return False
+            # n - 1 edges span a tree iff none closes a cycle (loops included)
+            parent = {v: v for v in self.host.vertices}
+            for eid in tree.edge_ids:
+                u, v = self.host.endpoints(eid)
+                ru, rv = _find(parent, u), _find(parent, v)
+                if ru == rv:
                     return False
-                continue
-            if tree.num_edges != n - 1:
-                return False
-            if not tree.as_graph().is_connected():
-                return False
+                parent[ru] = rv
         return True
 
 
@@ -244,15 +246,16 @@ class _ForestState:
         from_a.reverse()
         return from_b + from_a
 
-    def acyclic_and_sized(self) -> bool:
-        """Every forest is acyclic with its member count of edges, and its
-        parent links, depths and root labels describe exactly those edges.
+    def acyclic_and_sized(self, forests: Iterable[int]) -> bool:
+        """Each of the given forests is acyclic with its member count of
+        edges, and its parent links, depths and root labels describe exactly
+        those edges.  An augmentation passes the forests its chain changed.
 
         Depths rise by one along each link, so no vertex has two links on
         one cycle; once the links account for every adjacency entry, the
         forest is the link forest and has no cycle.
         """
-        for fi in range(self.m):
+        for fi in forests:
             adj, up = self.adj[fi], self.up[fi]
             depth, root = self.depth[fi], self.root[fi]
             linked = 0
@@ -335,7 +338,7 @@ def spanning_tree_packing(
                         state.remove(source, cur, *by_id[cur])
                     for cur, target in chain:
                         state.add(target, cur, *by_id[cur])
-                    if not state.acyclic_and_sized():
+                    if not state.acyclic_and_sized({f for _, f in chain}):
                         raise AssertionError("augmentation chain left a non-forest")
                     return True, set()
                 groups = grouped[fi]
@@ -388,21 +391,14 @@ def spanning_tree_packing(
         _, labs = try_augment(eid, mutate=False)
         labeled |= labs
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for eid in labeled:
         u, v = by_id[eid]
-        ra, rb = find(u), find(v)
+        ra, rb = _find(parent, u), _find(parent, v)
         if ra != rb:
             parent[ra] = rb
     groups: dict[int, set[int]] = {}
     for v in verts:
-        groups.setdefault(find(idx[v]), set()).add(v)
+        groups.setdefault(_find(parent, idx[v]), set()).add(v)
     parts = tuple(frozenset(g) for g in sorted(groups.values(), key=min))
     lookup = {v: i for i, part in enumerate(parts) for v in part}
     cross = sum(1 for eid, u, v in nonloop if lookup[verts[u]] != lookup[verts[v]])
@@ -410,6 +406,15 @@ def spanning_tree_packing(
     if not refusal.verify():
         raise AssertionError("refusal certificate failed its own recount")
     return refusal
+
+
+def _find(parent, x: int) -> int:
+    """Union-find root of x, where parent maps each element to its parent
+    (a list over 0..n-1 or a dict); halves the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def is_tree_connected(G: MultiGraph, m: int, seed: int | None = None) -> bool:

@@ -3,7 +3,8 @@ exhaustive oracle.
 
 The finder stack is: blossom matching (matching.py) under a vertex gadget
 for exact target degrees, a collector gadget on top for interval targets,
-and selector enumeration on top of that for two-point targets.  The
+and for two-point targets a selector enumeration over the gaps f - g of 2
+or more on top of that (a gap of at most 1 is an interval).  The
 oracle (enumerate_factors) shares none of that machinery; it walks all
 edge subsets in Gray-code order so the two routes stay independent
 witnesses against each other.
@@ -366,44 +367,40 @@ def find_two_point_factor(
     g: VertexMap,
     f: VertexMap,
     pin: tuple[int, int] | None = None,
-    cap_free: int = 16,
-    budget: int = 512,
     seed: int = 0,
 ) -> Factor | None | Unknown:
     """Factor with d_F(v) in {g(v), f(v)} everywhere, or None, or UNKNOWN.
 
-    Complete while the number of strict g < f vertices is at most cap_free:
-    a two-point factor exists iff it is an h-factor for some selector h, so
-    enumerating selectors (with the parity filter) and solving each exactly
-    decides the question.  Beyond the cap a seeded sample of selectors is
+    Complete while at most 16 vertices have a gap f - g of 2 or more: a gap
+    of at most 1 is the interval [g, f], each gap of 2 or more is pinned to
+    g or f by a selector, and each selector is decided exactly by one
+    interval-factor call.  Beyond the cap a seeded sample of selectors is
     tried and exhaustion reports UNKNOWN rather than none.
     """
     validate_vertex_map(G, g, "g")
     validate_vertex_map(G, f, "f")
     if any(g[v] > f[v] for v in G.vertices):
         raise InputError("need g <= f")
-    base = {v: g[v] for v in G.vertices}
+    lo = {v: g[v] for v in G.vertices}
+    hi = {v: f[v] for v in G.vertices}
     if pin is not None:
         z, val = pin
         G._check_vertex(z)
         if val not in (g[z], f[z]):
             raise InputError(f"pinned value {val} is neither g({z}) nor f({z})")
-        base[z] = val
-    free = [v for v in G.vertices if g[v] < f[v] and (pin is None or v != pin[0])]
-    gaps = [(v, f[v] - g[v]) for v in free]
-    # only selectors with an even degree total can have an h-factor
-    parity = sum(base.values()) % 2
-    totals = range(parity, sum(w for _, w in gaps) + 1, 2)
+        lo[z] = hi[z] = val
+    wide = [(v, hi[v] - lo[v]) for v in G.vertices if hi[v] - lo[v] >= 2]
+    for v, _ in wide:
+        hi[v] = lo[v]
 
     def attempt(selected: set[int]) -> Factor | None:
-        h = dict(base)
+        a, b = dict(lo), dict(hi)
         for v in selected:
-            h[v] = f[v]
-        if any(not 0 <= h[v] <= G.degree(v) for v in G.vertices):
-            return None
-        return find_f_factor(G, h)
+            a[v] = b[v] = f[v]
+        return find_interval_factor(G, a, b)
 
-    return _selector_search(gaps, totals, attempt, cap_free, budget, seed)
+    totals = range(sum(w for _, w in wide) + 1)
+    return _selector_search(wide, totals, attempt, cap_free=16, budget=512, seed=seed)
 
 
 # -- selector search -----------------------------------------------------
@@ -443,10 +440,12 @@ def _selector_search(
     """First non-None attempt(S) over the vertex sets S whose gaps sum to
     one of `totals`.
 
-    Complete while there are at most cap_free gaps: every such S is tried,
-    grouped by total in the order given.  Beyond the cap, `budget` seeded
-    random subsets are drawn, those with an admissible total are tried, and
-    exhaustion reports UNKNOWN rather than none.
+    The two-point finders pass only the gaps of 2 or more; with none, the
+    one set S = {} is tried when 0 is a total.  Complete while there are
+    at most cap_free gaps: every such S is tried, grouped by total in the
+    order given.  Beyond the cap, `budget` seeded random subsets are drawn,
+    those with an admissible total are tried, and exhaustion reports
+    UNKNOWN rather than none.
     """
     if len(gaps) <= cap_free:
         for total in totals:

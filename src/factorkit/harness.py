@@ -324,17 +324,7 @@ def _trial_almost_bipartite(index: int, seed: int, params: TheoremParams) -> Out
     d0 = G.degree(v0)
     g[v0], f[v0] = d0 // 2 - 1, d0 // 2 + 1
 
-    xs, ys = sorted(P.X), sorted(P.Y)
-    verts = xs + ys
-    choices = None
-    for mask in range(1 << len(verts)):
-        h = {
-            v: (f[v] if mask >> j & 1 else g[v]) for j, v in enumerate(verts)
-        }
-        s = sum(h[v] for v in xs) - sum(h[v] for v in ys)
-        if sum(h.values()) % 2 == 0 and 0 <= s <= 3:
-            choices = h
-            break
+    choices = _almost_selector(P, 3, g, f)  # 2 e(X) + 1 with e(X) = 1
     if choices is None:
         return "none", "", "no admissible selector"
     cert = gf_factor_almost_bipartite(G, g, f, choices, P=P, seed=seed)
@@ -443,26 +433,26 @@ def _run_bipartite_gf(G, g, f, params, assume, seed):
 
 
 def _run_almost_bipartite(G, g, f, params, assume, seed):
-    h = _almost_selector(G, g, f)
+    # small hosts only: the exact index caps them at 16 vertices
+    try:
+        ex_ey, P = bipartite_index(G, cap=16)
+    except HypothesisError:
+        return None
+    h = _almost_selector(P, 2 * ex_ey + 1, g, f)
     if h is None:
         return None
     return gf_factor_almost_bipartite(G, g, f, h, assume_hypotheses=assume, seed=seed)
 
 
-def _almost_selector(G: MultiGraph, g, f):
-    # small hosts only: enumerate h in {g, f}^V meeting the balance gates
-    try:
-        ex_ey, P = bipartite_index(G, cap=16)
-    except HypothesisError:
-        return None
+def _almost_selector(P: Bipartition, window: int, g, f):
+    """First h in {g, f}^V, by mask over X then Y in sorted order, with an
+    even sum and 0 <= h(X) - h(Y) <= window; None when there is none."""
     xs, ys = sorted(P.X), sorted(P.Y)
     verts = xs + ys
-    if len(verts) > 20:
-        return None
     for mask in range(1 << len(verts)):
         h = {v: (f[v] if mask >> j & 1 else g[v]) for j, v in enumerate(verts)}
         s = sum(h[v] for v in xs) - sum(h[v] for v in ys)
-        if sum(h.values()) % 2 == 0 and 0 <= s <= 2 * ex_ey + 1:
+        if sum(h.values()) % 2 == 0 and 0 <= s <= window:
             return h
     return None
 

@@ -3,11 +3,11 @@
 Out-degree convention: a loop contributes exactly 1 to the out-degree of
 its vertex, so the out-degrees of any orientation sum to |E|.
 
-The two-point and defective finders search over out-degree selectors
-(subset-sum over the per-vertex gaps) and decide each candidate exactly
-with a lower/upper-bounded flow; that makes them complete below the
-selector cap, because any orientation's out-degree function is itself a
-selector that the sweep will reach.
+The two-point and defective finders keep each vertex whose gap q - p is
+at most 1 as flow bounds [p, q]; a selector pins each gap of 2 or more to
+p or q, and one lower/upper-bounded flow decides it exactly.  Any answer
+pins some selector, so the search is complete while at most 20 vertices
+have a gap of 2 or more; with none, one flow call decides.
 """
 from __future__ import annotations
 
@@ -151,24 +151,27 @@ def _two_point_search(
     p: VertexMap,
     q: VertexMap,
     fixed: dict[int, int],
-    cap_free: int,
-    budget: int,
     seed: int,
 ) -> Orientation | None | Unknown:
-    base = {v: fixed.get(v, p[v]) for v in G.vertices}
-    free = [v for v in G.vertices if v not in fixed and p[v] < q[v]]
-    target = G.num_edges - sum(base.values())
+    lo = {v: fixed.get(v, p[v]) for v in G.vertices}
+    hi = {v: fixed.get(v, q[v]) for v in G.vertices}
+    # a gap of at most 1 is an interval; only gaps of 2 or more are selectors
+    wide = [(v, hi[v] - lo[v]) for v in G.vertices if hi[v] - lo[v] >= 2]
+    for v, _ in wide:
+        hi[v] = lo[v]
+    target = G.num_edges - sum(lo.values())
     if target < 0:
         return None
+    slack = sum(hi.values()) - sum(lo.values())
 
     def attempt(selected: set[int]) -> Orientation | None:
-        t = dict(base)
+        a, b = dict(lo), dict(hi)
         for v in selected:
-            t[v] = q[v]
-        return interval_orientation(G, t, t)
+            a[v] = b[v] = q[v]
+        return interval_orientation(G, a, b)
 
-    gaps = [(v, q[v] - p[v]) for v in free]
-    return _selector_search(gaps, (target,), attempt, cap_free, budget, seed)
+    totals = range(target, max(0, target - slack) - 1, -1)
+    return _selector_search(wide, totals, attempt, cap_free=20, budget=2000, seed=seed)
 
 
 def two_point_orientation(
@@ -176,14 +179,13 @@ def two_point_orientation(
     p: VertexMap,
     q: VertexMap,
     pin: tuple[int, int] | None = None,
-    cap_free: int = 20,
-    budget: int = 2000,
     seed: int = 0,
 ) -> Orientation | None | Unknown:
     """Orientation with d+(v) in {p(v), q(v)} everywhere, or None, or UNKNOWN.
 
-    pin = (z, value) additionally fixes d+(z) = value.  Complete below the
-    selector cap.
+    pin = (z, value) additionally fixes d+(z) = value.  Complete while at
+    most 20 vertices have a gap q - p of 2 or more; with none, one exact
+    flow call decides.
     """
     validate_vertex_map(G, p, "p")
     validate_vertex_map(G, q, "q")
@@ -196,7 +198,7 @@ def two_point_orientation(
         if val not in (p[z], q[z]):
             raise InputError(f"pinned value {val} is neither p({z}) nor q({z})")
         fixed[z] = val
-    return _two_point_search(G, p, q, fixed, cap_free, budget, seed)
+    return _two_point_search(G, p, q, fixed, seed)
 
 
 def z_defective_orientation(
@@ -206,8 +208,6 @@ def z_defective_orientation(
     z: int,
     k: int,
     x: Fraction | int = 0,
-    cap_free: int = 20,
-    budget: int = 2000,
     seed: int = 0,
 ) -> Orientation | None | Unknown:
     """Orientation with d+(v) in {p(v), q(v)} off z and
@@ -233,7 +233,7 @@ def z_defective_orientation(
         val += 1
     vals.sort(key=lambda t: abs(Fraction(t) - half))
     for val in vals:
-        got = _two_point_search(G, p, q, {z: val}, cap_free, budget, seed)
+        got = _two_point_search(G, p, q, {z: val}, seed)
         if got is UNKNOWN:
             return UNKNOWN
         if got is not None:

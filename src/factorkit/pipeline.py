@@ -403,7 +403,8 @@ def gf_factor_bipartite(
     d_F(z) = h(z), where h is a balanced selector (computed when omitted).
 
     Returns None when no balanced selector exists (that direction is an
-    equivalence), UNKNOWN past the selector search cap.
+    equivalence), UNKNOWN past the selector search cap: more than 20
+    vertices with a gap f - g of 2 or more, so never when k = 1.
     """
     _validate_gf(G, g, f)
     P.validate_for(G)

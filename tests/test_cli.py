@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import factorkit
 from factorkit.cli import main
 from factorkit.graph import parse_graph
 
@@ -183,3 +187,14 @@ def test_gen_with_empty_window_is_a_refusal(capsys):
     assert payload["outcome"] == "refusal"
     assert payload["hypothesis"] == "nonempty degree window at every vertex"
 
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(factorkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "factorkit", "verify", "--theorem", "bijection", "--trials", "2"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "bijection" in done.stdout

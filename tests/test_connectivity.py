@@ -29,7 +29,7 @@ from factorkit.connectivity import (
 )
 from factorkit.errors import SizeRefusal
 from factorkit.generators import GenSpec, gen_tree_connected
-from factorkit.graph import MultiGraph
+from factorkit.graph import Factor, MultiGraph
 
 
 def random_multigraph(rng, n_lo=2, n_hi=6, max_edges=12, loops=False):
@@ -166,6 +166,28 @@ def _bfs_path(forest, a, b):
     return path
 
 
+def test_tree_packing_verify_rejects_non_trees():
+    # K4 plus a loop at 1; every candidate tree has n - 1 = 3 edges
+    G = MultiGraph(
+        [1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4), (1, 1)]
+    )
+    ids = {frozenset(G.endpoints(eid)): eid for eid in G.edge_ids}
+
+    def packing(*trees):
+        return TreePacking(
+            G, tuple(Factor(G, frozenset(ids[frozenset(e)] for e in t)) for t in trees)
+        )
+
+    assert packing([(1, 2), (2, 3), (3, 4)], [(1, 3), (2, 4), (1, 4)]).verify()
+    assert not packing([(1, 2), (2, 3), (1, 3)]).verify()  # cycle, 4 left out
+    assert not packing([(1, 2), (2, 3), (1, 1)]).verify()  # a loop
+    assert not packing([(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 4), (1, 4)]).verify()
+    assert not packing([(1, 2), (2, 3)]).verify()
+    one = MultiGraph([5], [(5, 5)])
+    assert TreePacking(one, (Factor(one, frozenset()),) * 2).verify()
+    assert not TreePacking(one, (Factor(one, one.edge_ids),)).verify()
+
+
 def test_forest_state_paths_match_bfs():
     # random adds and removes; after each step the rooted forests answer
     # every path query from sampled sources as a BFS over the edge list does
@@ -189,7 +211,7 @@ def test_forest_state_paths_match_bfs():
                 else:
                     with pytest.raises(AssertionError):
                         state.add(fi, eid, u, v)
-            assert state.acyclic_and_sized()
+            assert state.acyclic_and_sized(range(m))
             assert state.members[fi] == set(forest)
             for a in rng.sample(range(n), min(n, 4)):
                 for b in range(n):
@@ -197,29 +219,39 @@ def test_forest_state_paths_match_bfs():
 
 
 def test_forest_state_check_rejects_cycles_and_stale_labels():
+    # each defect goes into forest 1 of two; the check looks at the forests
+    # it is given, and catches the defect whenever forest 1 is among them
     def path_of_four():
-        state = _ForestState(4, 1)
+        state = _ForestState(4, 2)
+        state.add(0, 8, 0, 2)
         for eid, (u, v) in enumerate([(0, 1), (1, 2), (2, 3)]):
-            state.add(0, eid, u, v)
-        assert state.acyclic_and_sized()
+            state.add(1, eid, u, v)
+        assert state.acyclic_and_sized({0, 1})
         return state
+
+    def caught(state):
+        return (
+            state.acyclic_and_sized({0})
+            and not state.acyclic_and_sized({1})
+            and not state.acyclic_and_sized({0, 1})
+        )
 
     # an edge closing a cycle, slipped in past add()
     state = path_of_four()
-    state.adj[0][3][9] = 0
-    state.adj[0][0][9] = 3
-    state.members[0].add(9)
-    assert not state.acyclic_and_sized()
+    state.adj[1][3][9] = 0
+    state.adj[1][0][9] = 3
+    state.members[1].add(9)
+    assert caught(state)
     # a member missing from the adjacency
     state = path_of_four()
-    state.members[0].add(9)
-    assert not state.acyclic_and_sized()
+    state.members[1].add(9)
+    assert caught(state)
     # a depth or a root label left stale
     for field in ("depth", "root"):
         state = path_of_four()
-        linked = next(v for v in range(4) if state.up[0][v])
-        getattr(state, field)[0][linked] += 1
-        assert not state.acyclic_and_sized()
+        linked = next(v for v in range(4) if state.up[1][v])
+        getattr(state, field)[1][linked] += 1
+        assert caught(state)
 
 
 def _digest(packing):

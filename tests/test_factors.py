@@ -1,10 +1,13 @@
 """Factor finders and existence criteria against the exhaustive oracle.
 
 Every clever route (matching reduction, criterion sweep) is compared to
-enumerate_factors / factor_exists, which walk all edge subsets.
+enumerate_factors / factor_exists, which walk all edge subsets.  The
+two-point cases also run the orientation finder, which shares the
+selector search.
 """
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -22,6 +25,7 @@ from factorkit.factors import (
     omega_gf,
 )
 from factorkit.graph import MultiGraph
+from factorkit.orientations import two_point_orientation
 
 
 def random_multigraph(rng, n_lo=2, n_hi=5, max_edges=8):
@@ -103,6 +107,53 @@ def test_two_point_factor_respects_pin():
     assert got is not None and got.degree(1) == 2
     with pytest.raises(InputError):
         find_two_point_factor(G, g, f, pin=(1, 3))
+
+
+def _degrees(got):
+    return got.outdegrees() if hasattr(got, "outdegrees") else got.degrees()
+
+
+@pytest.mark.parametrize("finder", [two_point_orientation, find_two_point_factor])
+def test_two_point_finders_decide_gap_one_past_the_cap(finder):
+    # a star with 23 leaves: 24 free vertices, all of gap 1; a selector
+    # sample almost never hits the one admissible total
+    G = MultiGraph(list(range(1, 25)), [(1, v) for v in range(2, 25)])
+    lo = {v: 22 if v == 1 else 0 for v in G.vertices}
+    hi = {v: lo[v] + 1 for v in G.vertices}
+    got = finder(G, lo, hi)
+    assert got is not None and not is_unknown(got)
+    degs = _degrees(got)
+    assert all(degs[v] in (lo[v], hi[v]) for v in G.vertices)
+
+
+@pytest.mark.parametrize(
+    "finder, key, seed, digest",
+    [
+        (two_point_orientation, lambda D: sorted(D.directions.items()), 59, "c82ae72d2d39f467"),
+        (find_two_point_factor, lambda F: sorted(F.edge_ids), 61, "e047d67887ffee43"),
+    ],
+)
+def test_two_point_answers_without_gap_one_are_pinned(finder, key, seed, digest):
+    # answers recorded when every free vertex was a selector; with no gap
+    # of 1 the attempts and their order must be the same
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(300):
+        G = random_multigraph(rng, n_lo=3, n_hi=8, max_edges=14)
+        lo, hi = {}, {}
+        for v in G.vertices:
+            lo[v] = rng.randint(max(0, G.degree(v) // 2 - 3), G.degree(v) // 2 + 1)
+            hi[v] = lo[v] + rng.choice((0, 2, 2, 3))
+        pin = None
+        if rng.random() < 0.3:
+            z = rng.choice(list(G.vertices))
+            pin = (z, rng.choice((lo[z], hi[z])))
+        got = finder(G, lo, hi, pin=pin)
+        if is_unknown(got):
+            h.update(b"unknown")
+        else:
+            h.update(b"none" if got is None else repr(key(got)).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_lovasz_criterion_matches_existence():

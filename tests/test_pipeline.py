@@ -10,6 +10,7 @@ from factorkit import decompositions, pipeline
 from factorkit.connectivity import TreePacking, edge_connectivity, spanning_tree_packing
 from factorkit.errors import HypothesisError, InputError, is_unknown
 from factorkit.factors import factor_exists
+from factorkit.generators import GenSpec, balanced_bipartition_of, gen_functions, gen_tree_connected
 from factorkit.graph import Bipartition, MultiGraph
 from factorkit.pipeline import (
     FactorCertificate,
@@ -199,6 +200,22 @@ def test_gf_factor_bi_large_constructs():
     assert factor_exists(
         G, lambda degs: all(degs[v] in (g[v], f[v]) for v in G.vertices)
     )
+
+
+def test_gf_factor_bi_large_decides_gap_one_past_the_selector_cap():
+    # 24 vertices, every gap 0 or 1: the z-defective stage has more free
+    # vertices than the selector cap, yet one interval call decides it
+    G = gen_tree_connected(
+        GenSpec(n=24, trees=3, extra_edges=6, bipartite=True, seed=2)
+    )
+    a, b = sorted(balanced_bipartition_of(G).X)[:2]
+    G = G.with_added_edges([(a, b)])
+    g, f = gen_functions(G, k=1, seed=2)
+    assert all(f[v] - g[v] <= 1 for v in G.vertices)
+    cert = gf_factor_bi_large(G, g, f, seed=2)
+    assert isinstance(cert, FactorCertificate)
+    assert cert.verify()
+    assert all(cert.factor.degree(v) in (g[v], f[v]) for v in G.vertices)
 
 
 def test_gf_factor_bi_large_certifies_nonexistence():
