@@ -19,6 +19,7 @@ labeled edges, since such a path has nothing left to label.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
@@ -50,22 +51,27 @@ def edge_connectivity(G: MultiGraph) -> int | float:
             continue
         w[u][v] = w[u].get(v, 0) + 1
         w[v][u] = w[v].get(u, 0) + 1
-    groups = {v: {v} for v in G.vertices}
     active = list(G.vertices)
     best = None
     while len(active) > 1:
+        # maximum-adjacency order from a heap with lazy deletion: keys only
+        # grow, so a vertex's newest entry pops first and the rest are stale
         start = active[0]
         in_a = {start}
-        order = [start]
         attach = {v: w[start].get(v, 0) for v in active if v != start}
-        while len(order) < len(active):
-            sel = max((v for v in active if v not in in_a), key=lambda v: attach[v])
-            order.append(sel)
+        heap = [(-c, v) for v, c in attach.items()]
+        heapq.heapify(heap)
+        s = t = start
+        while heap:
+            _, sel = heapq.heappop(heap)
+            if sel in in_a:
+                continue
             in_a.add(sel)
+            s, t = t, sel
             for u2, c in w[sel].items():
                 if u2 not in in_a:
-                    attach[u2] = attach.get(u2, 0) + c
-        s, t = order[-2], order[-1]
+                    attach[u2] += c
+                    heapq.heappush(heap, (-attach[u2], u2))
         cut = attach[t]
         if best is None or cut < best:
             best = cut
@@ -78,7 +84,6 @@ def edge_connectivity(G: MultiGraph) -> int | float:
             del w[u2][t]
         w[s].pop(t, None)
         del w[t]
-        groups[s] |= groups.pop(t)
         active.remove(t)
     return best if best is not None else 0
 

@@ -217,9 +217,10 @@ def check_tutte_strict_form(
 def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
     """Factor with d_F(v) = f(v) for every v, or None.
 
-    Every edge is first subdivided twice (the new vertices carry target 1),
-    which preserves factor existence and leaves a simple graph; that graph
-    goes through the exact-degree vertex gadget into the matching engine.
+    The host's own edges go through the endpoint gadget of
+    _exact_degree_matching, which gives every edge end its own node, so
+    parallel edges and loops need no preparation; the chosen edges are
+    checked against f before they are returned.
     """
     validate_vertex_map(G, f, "f")
     for v in G.vertices:
@@ -230,30 +231,13 @@ def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
     if G.num_edges == 0:
         return Factor(G, frozenset()) if all(f[v] == 0 for v in G.vertices) else None
 
-    # subdivision: u - a - b - v per edge, targets 1 at a and b
-    nxt = max(G.vertices) + 1
-    sub_vertices = list(G.vertices)
-    sub_edges: list[tuple[int, int]] = []
-    probe_of_edge: dict[int, int] = {}  # original eid -> index of its (u, a) edge
-    targets: dict[int, int] = {v: f[v] for v in G.vertices}
-    for eid, u, v in G.edges:
-        a, b = nxt, nxt + 1
-        nxt += 2
-        sub_vertices += [a, b]
-        targets[a] = 1
-        targets[b] = 1
-        probe_of_edge[eid] = len(sub_edges)
-        sub_edges.append((u, a))
-        sub_edges.append((a, b))
-        sub_edges.append((b, v))
-
-    chosen = _exact_degree_matching(sub_vertices, sub_edges, targets)
+    ids = list(G.edge_ids)
+    chosen = _exact_degree_matching(
+        list(G.vertices), [G.endpoints(eid) for eid in ids], f
+    )
     if chosen is None:
         return None
-    picked = frozenset(
-        eid for eid, pos in probe_of_edge.items() if pos in chosen
-    )
-    result = Factor(G, picked)
+    result = Factor(G, frozenset(ids[i] for i in chosen))
     if result.degrees() != {v: f[v] for v in G.vertices}:
         raise AssertionError("factor reconstruction missed its targets")
     return result
@@ -267,48 +251,38 @@ def _exact_degree_matching(
     """Edge-index set of a subgraph hitting exact degrees, via the endpoint
     and slack-set gadget over perfect matching; None when infeasible.
 
-    The input graph must be simple and loopless (guaranteed by subdivision).
+    Edge i becomes the gadget edge between its end nodes 2i and 2i + 1, and
+    each vertex v gets d(v) - targets[v] slack nodes joined to every end
+    node at v.  A perfect matching takes edge i exactly when it matches
+    its two end nodes, and then covers targets[v] end nodes at each v.
+    Parallel edges have their own end nodes, and both end nodes of a loop
+    sit at its vertex, so a chosen loop adds 2 to its degree; the gadget
+    graph is simple and loopless for any input multigraph.
     """
     deg: dict[int, int] = {v: 0 for v in vertices}
-    for u, v in edges:
+    incident_nodes: dict[int, list[int]] = {v: [] for v in vertices}
+    gadget_edges: list[tuple[int, int]] = []
+    for i, (u, v) in enumerate(edges):
         deg[u] += 1
         deg[v] += 1
+        incident_nodes[u].append(2 * i)
+        incident_nodes[v].append(2 * i + 1)
+        gadget_edges.append((2 * i, 2 * i + 1))
     for v in vertices:
         if not 0 <= targets[v] <= deg[v]:
             return None
 
-    node_count = 0
-    endpoint: dict[tuple[int, int], int] = {}  # (edge index, side) -> node
-    slack_of: dict[int, list[int]] = {}
-    gadget_edges: list[tuple[int, int]] = []
-    incident_nodes: dict[int, list[int]] = {v: [] for v in vertices}
-    for i, (u, v) in enumerate(edges):
-        a = node_count
-        b = node_count + 1
-        node_count += 2
-        endpoint[(i, 0)] = a
-        endpoint[(i, 1)] = b
-        gadget_edges.append((a, b))
-        incident_nodes[u].append(a)
-        incident_nodes[v].append(b)
+    node_count = 2 * len(edges)
     for v in vertices:
-        slots = deg[v] - targets[v]
-        mine = list(range(node_count, node_count + slots))
-        node_count += slots
-        slack_of[v] = mine
-        for s in mine:
+        for s in range(node_count, node_count + deg[v] - targets[v]):
             for ep in incident_nodes[v]:
                 gadget_edges.append((s, ep))
+        node_count += deg[v] - targets[v]
 
     mate = perfect_matching(node_count, gadget_edges)
     if mate is None:
         return None
-    chosen = {
-        i
-        for i in range(len(edges))
-        if mate[endpoint[(i, 0)]] == endpoint[(i, 1)]
-    }
-    return chosen
+    return {i for i in range(len(edges)) if mate[2 * i] == 2 * i + 1}
 
 
 def find_interval_factor(

@@ -1,9 +1,13 @@
-"""Maximum cardinality matching in general simple graphs (blossom contraction).
+"""Maximum cardinality matching in general graphs (blossom contraction).
 
 This is the engine behind the factor searches.  It implements the classic
 augmenting-path algorithm with blossom shrinking on array labels: repeated
 BFS from each exposed vertex, contracting odd cycles to their base via the
-`base` array, O(V^3) overall.  Vertices are 0..n-1 here; callers translate.
+`base` array, O(V^3) overall.  A search keeps the list of vertices it has
+labeled: the next search resets only those, and a contraction relabels
+only those, since no other vertex can lie in a blossom.  Parallel edges
+are harmless and loops are ignored.  Vertices are 0..n-1 here; callers
+translate.
 """
 from __future__ import annotations
 
@@ -35,35 +39,42 @@ def maximum_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 
     p = [-1] * n
     base = list(range(n))
+    used = [False] * n
+    # every vertex the current search labeled (even or odd); only these
+    # have p, base or used entries to reset, and only these can lie in
+    # a blossom
+    tree: list[int] = []
 
     def lca(a: int, b: int) -> int:
-        used2 = [False] * n
+        on_path: set[int] = set()
         while True:
             a = base[a]
-            used2[a] = True
+            on_path.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if used2[b]:
+            if b in on_path:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        for i in range(n):
+        for i in tree:
             p[i] = -1
             base[i] = i
-        used = [False] * n
+            used[i] = False
+        tree.clear()
         used[root] = True
+        tree.append(root)
         q = deque([root])
         while q:
             v = q.popleft()
@@ -73,17 +84,18 @@ def maximum_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     # odd cycle: contract the blossom to its base
                     curbase = lca(v, to)
-                    blossom = [False] * n
+                    blossom: set[int] = set()
                     mark_path(v, curbase, to, blossom)
                     mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    for i in tree:
+                        if base[i] in blossom:
                             base[i] = curbase
                             if not used[i]:
                                 used[i] = True
                                 q.append(i)
                 elif p[to] == -1:
                     p[to] = v
+                    tree.append(to)
                     if match[to] == -1:
                         # augment along root..to
                         while to != -1:
@@ -94,6 +106,7 @@ def maximum_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
                             to = ppv
                         return True
                     used[match[to]] = True
+                    tree.append(match[to])
                     q.append(match[to])
         return False
 

@@ -312,6 +312,33 @@ def test_edge_connectivity_matches_brute_cuts():
         assert edge_connectivity(G) == brute_edge_connectivity(G)
 
 
+def test_edge_connectivity_matches_networkx_stoer_wagner():
+    # past the brute-force cut oracle: multigraphs with loops up to 40
+    # vertices, the parallel edges as weights of one simple edge
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for _ in range(120):
+        n = rng.randint(2, 40)
+        verts = list(range(1, n + 1))
+        # most hosts get a random spanning tree, so that most are connected
+        edges = [(v, rng.randint(1, v - 1)) for v in verts[1:] if rng.random() < 0.9]
+        for _ in range(rng.randint(0, 5 * n)):
+            if rng.random() < 0.1:
+                v = rng.choice(verts)
+                edges.append((v, v))
+            else:
+                edges.append(tuple(rng.sample(verts, 2)))
+        G = MultiGraph(verts, edges)
+        H = nx.Graph()
+        H.add_nodes_from(G.vertices)
+        for _, u, v in G.edges:
+            if u != v:
+                w = H[u][v]["weight"] + 1 if H.has_edge(u, v) else 1
+                H.add_edge(u, v, weight=w)
+        expect = nx.stoer_wagner(H)[0] if nx.is_connected(H) else 0
+        assert edge_connectivity(G) == expect, G.edges
+
+
 def test_bipartite_index_matches_brute_max_cut():
     rng = random.Random(29)
     for _ in range(150):

@@ -4,6 +4,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
+from factorkit import factors
+from factorkit.graph import MultiGraph
 from factorkit.matching import maximum_matching, perfect_matching
 
 
@@ -72,3 +76,59 @@ def test_petersen_graph_has_perfect_matching():
     got = perfect_matching(10, outer + inner + spokes)
     assert got is not None
     assert matching_size(got) == 5
+
+
+def _check_against_networkx(nx, n, edges):
+    mate = maximum_matching(n, edges)
+    host = {frozenset(e) for e in edges}
+    for v, w in enumerate(mate):
+        if w != -1:
+            assert mate[w] == v
+            assert frozenset((v, w)) in host
+    H = nx.Graph()
+    H.add_nodes_from(range(n))
+    H.add_edges_from((u, v) for u, v in edges if u != v)
+    expect = len(nx.max_weight_matching(H, maxcardinality=True))
+    assert matching_size(mate) == expect, (n, edges)
+
+
+def test_matching_size_matches_networkx_past_the_brute_force_cap():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    for _ in range(120):
+        n = rng.randint(2, 60)
+        p = rng.choice((0.03, 0.06, 0.1, 0.2))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(edges)
+        _check_against_networkx(nx, n, edges)
+
+
+def test_factor_gadget_matchings_match_networkx(monkeypatch):
+    # the graphs the matcher really sees: endpoint gadgets of multigraphs
+    # with loops and parallel edges
+    nx = pytest.importorskip("networkx")
+    gadgets = []
+    real = factors.perfect_matching
+
+    def spy(n, edges):
+        gadgets.append((n, list(edges)))
+        return real(n, edges)
+
+    monkeypatch.setattr(factors, "perfect_matching", spy)
+    rng = random.Random(43)
+    while len(gadgets) < 150:
+        verts = list(range(1, rng.randint(2, 7) + 1))
+        edges = []
+        for _ in range(rng.randint(1, 16)):
+            if rng.random() < 0.15:
+                v = rng.choice(verts)
+                edges.append((v, v))
+            else:
+                edges.append(tuple(rng.sample(verts, 2)))
+        G = MultiGraph(verts, edges)
+        f = {v: rng.randint(0, G.degree(v)) for v in G.vertices}
+        if sum(f.values()) % 2 == 0:
+            factors.find_f_factor(G, f)
+    for n, edges in gadgets:
+        _check_against_networkx(nx, n, edges)
