@@ -232,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--m0", type=int, default=0)
     p.add_argument("--assume-hypotheses", action="store_true",
-                   help="skip hypothesis gates (refusals become silent)")
+                   help="skip hypothesis gates; a stage they no longer "
+                   "guarantee then answers none")
     common(p)
     p.set_defaults(func=_cmd_factor)
 

@@ -219,8 +219,7 @@ def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
 
     The host's own edges go through the endpoint gadget of
     _exact_degree_matching, which gives every edge end its own node, so
-    parallel edges and loops need no preparation; the chosen edges are
-    checked against f before they are returned.
+    parallel edges and loops need no preparation.
     """
     validate_vertex_map(G, f, "f")
     for v in G.vertices:
@@ -237,10 +236,7 @@ def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
     )
     if chosen is None:
         return None
-    result = Factor(G, frozenset(ids[i] for i in chosen))
-    if result.degrees() != {v: f[v] for v in G.vertices}:
-        raise AssertionError("factor reconstruction missed its targets")
-    return result
+    return Factor(G, frozenset(ids[i] for i in chosen))
 
 
 def _exact_degree_matching(
@@ -257,7 +253,8 @@ def _exact_degree_matching(
     its two end nodes, and then covers targets[v] end nodes at each v.
     Parallel edges have their own end nodes, and both end nodes of a loop
     sit at its vertex, so a chosen loop adds 2 to its degree; the gadget
-    graph is simple and loopless for any input multigraph.
+    graph is simple and loopless for any input multigraph.  The chosen
+    edges are checked against the targets before they are returned.
     """
     deg: dict[int, int] = {v: 0 for v in vertices}
     incident_nodes: dict[int, list[int]] = {v: [] for v in vertices}
@@ -282,7 +279,15 @@ def _exact_degree_matching(
     mate = perfect_matching(node_count, gadget_edges)
     if mate is None:
         return None
-    return {i for i in range(len(edges)) if mate[2 * i] == 2 * i + 1}
+    chosen = {i for i in range(len(edges)) if mate[2 * i] == 2 * i + 1}
+    got = {v: 0 for v in vertices}
+    for i in chosen:
+        u, v = edges[i]
+        got[u] += 1
+        got[v] += 1
+    if got != {v: targets[v] for v in vertices}:
+        raise AssertionError("factor reconstruction missed its targets")
+    return chosen
 
 
 def find_interval_factor(
@@ -290,10 +295,11 @@ def find_interval_factor(
 ) -> Factor | None:
     """Factor with g(v) <= d_F(v) <= f(v) everywhere, or None.
 
-    Slack capacity f(v) - g(v) per vertex is realized as parallel edges to
-    one shared collector vertex whose own target absorbs any slack profile;
-    loops at the collector (plus a one-edge parity pad) free the total
-    parity, which a per-vertex satellite could not do.
+    Slack capacity f(v) - g(v) per vertex is realized as parallel gadget
+    edges to one shared collector vertex whose own target absorbs any slack
+    profile; loops at the collector (plus a one-edge parity pad) free the
+    total parity, which a per-vertex satellite could not do.  G's edges come
+    first in the gadget, in G's edge order, so their indices are G's.
     """
     validate_vertex_map(G, g, "g")
     validate_vertex_map(G, f, "f")
@@ -312,24 +318,18 @@ def find_interval_factor(
     collector = max(G.vertices) + 1
     fz = s_total + ((s_total - sum_f) % 2)
     n_loops = (fz + 1) // 2
-    extra: list[tuple[int, int]] = []
+    ids = list(G.edge_ids)
+    edges = [G.endpoints(eid) for eid in ids]
     for v in G.vertices:
-        extra.extend((v, collector) for _ in range(caps[v]))
-    extra.extend((collector, collector) for _ in range(n_loops))
+        edges.extend((v, collector) for _ in range(caps[v]))
+    edges.extend((collector, collector) for _ in range(n_loops))
 
-    base_ids = set(G.edge_ids)
-    host = MultiGraph(
-        list(G.vertices) + [collector],
-        list(G.edges) + [
-            (max(base_ids, default=0) + 1 + i, u, v) for i, (u, v) in enumerate(extra)
-        ],
-    )
     targets = dict(f_eff)
     targets[collector] = fz
-    lifted = find_f_factor(host, targets)
-    if lifted is None:
+    chosen = _exact_degree_matching(list(G.vertices) + [collector], edges, targets)
+    if chosen is None:
         return None
-    result = Factor(G, lifted.edge_ids & base_ids)
+    result = Factor(G, frozenset(ids[i] for i in chosen if i < len(ids)))
     for v in G.vertices:
         if not g_eff[v] <= result.degree(v) <= f_eff[v]:
             raise AssertionError("interval factor outside its window")

@@ -39,27 +39,31 @@ class Dinic:
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(v: int, pushed: int) -> int:
-                if v == t:
-                    return pushed
-                while it[v] < len(self.graph[v]):
-                    arc = self.graph[v][it[v]]
-                    to, cap, rev = arc
-                    if cap > 0 and level[v] < level[to]:
-                        d = dfs(to, min(pushed, cap))
-                        if d > 0:
-                            arc[1] -= d
-                            self.graph[to][rev][1] += d
-                            return d
-                    it[v] += 1
-                return 0
-
             while True:
-                pushed = dfs(s, 1 << 60)
+                pushed = self._augment(s, t, 1 << 60, level, it)
                 if pushed == 0:
                     break
                 flow += pushed
+
+    def _augment(self, v: int, t: int, pushed: int, level: list[int], it: list[int]) -> int:
+        """Push at most `pushed` units from v to t along one path up the level
+        graph; it[u] is u's next untried arc in this phase.  The phase state
+        is passed in, not closed over, so max_flow leaves no reference cycle
+        that would keep the network alive until the cyclic collector runs."""
+        if v == t:
+            return pushed
+        graph = self.graph
+        while it[v] < len(graph[v]):
+            arc = graph[v][it[v]]
+            to, cap, rev = arc
+            if cap > 0 and level[v] < level[to]:
+                d = self._augment(to, t, min(pushed, cap), level, it)
+                if d > 0:
+                    arc[1] -= d
+                    graph[to][rev][1] += d
+                    return d
+            it[v] += 1
+        return 0
 
 
 def feasible_flow(

@@ -1,17 +1,31 @@
 """Factor-existence theorems as executable constructions.
 
-Each operation checks its hypotheses (refusing with a named, certified
-HypothesisError when one fails), runs the construction the corresponding
-proof describes, re-verifies the result, and returns a certificate.  A
-construction failure under verified hypotheses raises
-TheoremViolationError: that is never an expected outcome, it means a bug
-or a counterexample.
+Each public entry checks its hypotheses, runs the construction the
+corresponding proof describes, re-verifies the result, and returns a
+certificate.  It ends in one of these ways:
 
-Searches capped by size or budget return UNKNOWN; parity obstructions
-return a NoFactorCertificate whose refutation argument is self-checking.
+* a refusal: one of the entry's own hypotheses fails, and it raises a
+  named HypothesisError, with a certificate where one exists;
+* an answer: a FactorCertificate; a NoFactorCertificate for a parity
+  obstruction, whose refutation argument is self-checking; or None where
+  the statement is an equivalence whose condition fails;
+* a failed stage: a later stage refuses or finds nothing, which the
+  verified hypotheses rule out.  That means a bug or a counterexample and
+  raises TheoremViolationError.  Under assume_hypotheses the gates let
+  failed hypotheses pass, so a failed stage returns None instead;
+* UNKNOWN, only from the three searches that give up at a budget: the
+  selector sampling past the cap, decompose_keep_bi and the split lemma.
+
+Stages raise and each entry translates once: _stage turns a nested
+refusal or None into _StageFailed and UNKNOWN into _GaveUp, and the
+_entry decorator turns those into the outcomes above.  A broken invariant
+that no hypothesis guards, such as an Eulerian part with an odd degree or
+a certificate failing its own check, raises under both settings.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +55,6 @@ from .errors import (
     TheoremViolationError,
     UNKNOWN,
     Unknown,
-    is_unknown,
 )
 from .factors import find_f_factor
 from .graph import (
@@ -146,6 +159,52 @@ class _Gate:
         if not ok and not self.assume:
             raise HypothesisError(name, message, certificate=certificate)
 
+    def require_trees(self, packing: TreePacking | PackingRefusal, name: str, message: str):
+        refused = isinstance(packing, PackingRefusal)
+        self.require(not refused, name, message, certificate=packing if refused else None)
+
+
+class _StageFailed(TheoremViolationError):
+    """A stage refused or found nothing, which the gates rule out."""
+
+
+class _GaveUp(Exception):
+    """A stage's search ran out of budget and returned UNKNOWN."""
+
+
+def _stage(what: str, call: Callable, *args, **kwargs):
+    """call(*args, **kwargs) run as a stage of a construction: a refusal or
+    None raises _StageFailed, UNKNOWN raises _GaveUp."""
+    try:
+        result = call(*args, **kwargs)
+    except HypothesisError as exc:
+        raise _StageFailed(f"{what} refused under verified hypotheses: {exc}") from exc
+    if result is None:
+        raise _StageFailed(f"{what} found nothing under verified hypotheses")
+    if result is UNKNOWN:
+        raise _GaveUp(what)
+    return result
+
+
+def _entry(construction):
+    """The one exit path of a theorem entry: UNKNOWN for a give-up, and for
+    a failed stage None under assume_hypotheses, TheoremViolationError
+    otherwise."""
+    signature = inspect.signature(construction)
+
+    @functools.wraps(construction)
+    def entry(*args, **kwargs):
+        try:
+            return construction(*args, **kwargs)
+        except _GaveUp:
+            return UNKNOWN
+        except _StageFailed:
+            if signature.bind(*args, **kwargs).arguments.get("assume_hypotheses"):
+                return None
+            raise
+
+    return entry
+
 
 def _validate_gf(G: MultiGraph, g: VertexMap, f: VertexMap) -> None:
     validate_vertex_map(G, g, "g")
@@ -161,6 +220,46 @@ def _require_window(
     """Gate lo(v) <= d(v)/2 <= hi(v) at every vertex, naming the first miss."""
     bad = [v for v in G.vertices if not 2 * lo[v] <= G.degree(v) <= 2 * hi[v]]
     gate.require(not bad, name, f"violated at vertex {bad[0]}" if bad else "")
+
+
+def _shifted(
+    host: MultiGraph, by: VertexMap, g: VertexMap, f: VertexMap, *more: VertexMap,
+    skip: int | None = None,
+) -> list[dict[int, int]]:
+    """g, f and any further maps lowered by `by`.  The gated window puts
+    d_host/2 between the lowered g and f at every vertex but skip."""
+    out = [{v: m[v] - by[v] for v in host.vertices} for m in (g, f, *more)]
+    g2, f2 = out[0], out[1]
+    bad = [
+        v for v in host.vertices
+        if v != skip and not 2 * g2[v] <= host.degree(v) <= 2 * f2[v]
+    ]
+    if bad:
+        raise _StageFailed(f"shifted window g' <= d/2 <= f' failed at vertex {bad[0]}")
+    return out
+
+
+def _half_degrees(part: Factor) -> dict[int, int]:
+    """d_part(v)/2 at every vertex of an Eulerian part."""
+    degrees = part.degrees()
+    if any(d % 2 for d in degrees.values()):
+        raise AssertionError("Eulerian part has an odd degree")
+    return {v: d // 2 for v, d in degrees.items()}
+
+
+def _outdegree_window(
+    G: MultiGraph, X, lo: VertexMap, hi: VertexMap
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Out-degree bounds (p, q) under which the X-to-Y edges of an
+    orientation have degrees in [lo, hi]: d_F = d+ on X and d - d+ on Y."""
+    p = {}
+    q = {}
+    for v in G.vertices:
+        if v in X:
+            p[v], q[v] = lo[v], hi[v]
+        else:
+            p[v], q[v] = G.degree(v) - hi[v], G.degree(v) - lo[v]
+    return p, q
 
 
 def _bi_at_least(G: MultiGraph, threshold: int, seed: int = 0) -> bool:
@@ -211,6 +310,7 @@ def _certify(
 # -- Eulerian half-degree factors ----------------------------------------
 
 
+@_entry
 def eulerian_half_factor(
     G: MultiGraph,
     i: VertexMap,
@@ -251,13 +351,11 @@ def eulerian_half_factor(
         f"bipartite index below {t - 1}",
     )
     return _build_half_factor(
-        G,
-        i,
-        assume_hypotheses,
-        derivation=(("shift", {v: i[v] for v in G.vertices}),),
+        G, i, derivation=(("shift", {v: i[v] for v in G.vertices}),)
     )
 
 
+@_entry
 def eulerian_half_factor_at(
     G: MultiGraph,
     z: int,
@@ -280,12 +378,10 @@ def eulerian_half_factor_at(
             "half-degree factors can fail componentwise",
         )
     else:
-        packing = spanning_tree_packing(G, 2 * abs(t), seed=seed)
-        gate.require(
-            isinstance(packing, TreePacking),
+        gate.require_trees(
+            spanning_tree_packing(G, 2 * abs(t), seed=seed),
             "2|t|-tree-connected",
             f"no {2 * abs(t)} disjoint spanning trees",
-            certificate=packing if isinstance(packing, PackingRefusal) else None,
         )
     gate.require(
         t % 2 == G.num_edges % 2,
@@ -298,36 +394,19 @@ def eulerian_half_factor_at(
         f"bipartite index below {abs(t) - 1}",
     )
     i = {v: (t if v == z else 0) for v in G.vertices}
-    return _build_half_factor(
-        G, i, assume_hypotheses, derivation=(("shift-at", (z, t)),)
-    )
+    return _build_half_factor(G, i, derivation=(("shift-at", (z, t)),))
 
 
 def _build_half_factor(
     G: MultiGraph,
     i: VertexMap,
-    assume: bool,
     derivation: tuple[tuple[str, object], ...],
-) -> FactorCertificate | None:
-    f = {}
-    for v in G.vertices:
-        val = G.degree(v) // 2 + i[v]
-        if not 0 <= val <= G.degree(v):
-            if assume:
-                return None
-            raise TheoremViolationError(
-                f"target degree {val} at vertex {v} left [0, d] despite "
-                "verified hypotheses"
-            )
-        f[v] = val
-    factor = find_f_factor(G, f)
-    if factor is None:
-        if assume:
-            return None
-        raise TheoremViolationError(
-            "guaranteed half-degree factor does not exist; "
-            f"targets {f}"
-        )
+) -> FactorCertificate:
+    f = {v: G.degree(v) // 2 + i[v] for v in G.vertices}
+    bad = [v for v in G.vertices if not 0 <= f[v] <= G.degree(v)]
+    if bad:
+        raise _StageFailed(f"target degree {f[bad[0]]} at vertex {bad[0]} left [0, d]")
+    factor = _stage(f"half-degree factor for targets {f}", find_f_factor, G, f)
     return _certify(factor, {v: (f[v],) for v in G.vertices}, None, derivation)
 
 
@@ -389,6 +468,7 @@ def _check_selector(
 # -- the bipartite two-point theorem --------------------------------------
 
 
+@_entry
 def gf_factor_bipartite(
     G: MultiGraph,
     P: Bipartition,
@@ -415,12 +495,10 @@ def gf_factor_bipartite(
         "an edge stays inside one part",
     )
     k = max(1, max((f[v] - g[v] for v in G.vertices), default=0))
-    packing = spanning_tree_packing(G, 4 * k * k, seed=seed)
-    gate.require(
-        isinstance(packing, TreePacking),
+    gate.require_trees(
+        spanning_tree_packing(G, 4 * k * k, seed=seed),
         "4k^2-tree-connected",
         f"no {4 * k * k} disjoint spanning trees (k = {k})",
-        certificate=packing if isinstance(packing, PackingRefusal) else None,
     )
     _require_window(gate, G, g, f, "g <= d/2 <= f")
 
@@ -430,7 +508,7 @@ def gf_factor_bipartite(
             return None
     else:
         _check_selector(G, P, g, f, h)
-    return _pinned_bipartite(G, P, g, f, h, z, assume_hypotheses, seed)
+    return _pinned_bipartite(G, P, g, f, h, z, seed)
 
 
 def _pinned_bipartite(
@@ -440,38 +518,25 @@ def _pinned_bipartite(
     f: VertexMap,
     h: VertexMap,
     z: int | None,
-    assume: bool,
     seed: int,
-) -> FactorCertificate | None | Unknown:
+) -> FactorCertificate:
     """gf_factor_bipartite past its gates, which the caller has proved, for
-    a balanced selector h."""
+    a selector h that the gates make balanced on a bipartite G."""
     if z is None:
         z = min(P.X)
     else:
         G._check_vertex(z)
+    if not G.is_bipartite_with(P):
+        raise _StageFailed("an edge stays inside one part")
+    if sum(h[v] for v in P.X) != sum(h[v] for v in P.Y):
+        raise _StageFailed("the selector h lost its balance")
     Pn = P if z in P.X else P.swapped()
-
-    p = {}
-    q = {}
-    for v in G.vertices:
-        if v in Pn.X:
-            p[v], q[v] = g[v], f[v]
-        else:
-            p[v], q[v] = G.degree(v) - f[v], G.degree(v) - g[v]
+    p, q = _outdegree_window(G, Pn.X, g, f)
     target_z = h[z]
-
-    D = two_point_orientation(
-        G, p, q, pin=(z, target_z), seed=child_seed(seed, 1)
+    D = _stage(
+        f"pinned two-point orientation (z = {z}, target {target_z})",
+        two_point_orientation, G, p, q, pin=(z, target_z), seed=child_seed(seed, 1),
     )
-    if is_unknown(D):
-        return UNKNOWN
-    if D is None:
-        if assume:
-            return None
-        raise TheoremViolationError(
-            "no pinned two-point orientation although a balanced selector "
-            f"exists (z = {z}, target {target_z})"
-        )
     F = factor_from_orientation(G, Pn, D)
     if F.degree(z) != h[z]:
         raise TheoremViolationError("factor missed its pinned degree")
@@ -497,7 +562,7 @@ def _gate_structure(
     search: tuple[str, str],
     given: tuple[str, str, str],
     window_ok: Callable[[Bipartition], bool] | None = None,
-) -> Bipartition | None:
+) -> Bipartition:
     """The bipartition the almost-bipartite and bi-large theorems run on.
 
     A given P is gated: its intra-part count must pass intra_ok and its
@@ -507,7 +572,7 @@ def _gate_structure(
     in the first of its two orientations that passes window_ok, and the
     first with a passing intra count and a need-tree-connected cross factor
     is returned; when none is, `search` (hypothesis, detail) names the
-    refusal, or None is returned under assume_hypotheses.
+    refusal, or the stage fails under assume_hypotheses.
     """
     if P is None:
         rng = random.Random(child_seed(seed, 0))
@@ -525,21 +590,20 @@ def _gate_structure(
             if isinstance(spanning_tree_packing(cross.as_graph(), need), TreePacking):
                 return Q
         gate.require(False, *search)
-        return None
+        raise _StageFailed(f"{search[0]}: {search[1]}")
     P.validate_for(G)
     intra = G.num_edges - partition_stats(G, P.X)[0]
     gate.require(intra_ok(intra), given[0], f"{intra} {given[1]}")
     cross = induced_bipartite_factor(G, P)
-    packing = spanning_tree_packing(cross.as_graph(), need, seed=seed)
-    gate.require(
-        isinstance(packing, TreePacking),
+    gate.require_trees(
+        spanning_tree_packing(cross.as_graph(), need, seed=seed),
         given[2],
         f"no {need} disjoint spanning trees in G[X,Y]",
-        certificate=packing if isinstance(packing, PackingRefusal) else None,
     )
     return P
 
 
+@_entry
 def gf_factor_almost_bipartite(
     G: MultiGraph,
     g: VertexMap,
@@ -583,8 +647,6 @@ def gf_factor_almost_bipartite(
         ),
         window_ok=window_ok,
     )
-    if P is None:
-        return None
 
     _require_window(gate, G, g, f, "g <= d/2 <= f")
     total_h = sum(h[v] for v in G.vertices)
@@ -601,79 +663,31 @@ def gf_factor_almost_bipartite(
     if k == 1:
         # zero intra edges: the graph is bipartite, its cross factor carries
         # the 4k^2 trees, and the window forces an exactly balanced h
-        if assume_hypotheses:
-            _check_selector(G, P, g, f, h)
-        return _pinned_bipartite(G, P, g, f, h, None, assume_hypotheses, seed)
+        return _pinned_bipartite(G, P, g, f, h, None, seed)
 
-    try:
-        g1f, g2f = decompose_eulerian(
-            G, P, 4 * k * k, 2 * k - 1, seed=child_seed(seed, 1)
-        )
-    except HypothesisError as exc:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            f"decomposition refused under verified hypotheses: {exc}"
-        ) from exc
+    g1f, g2f = _stage(
+        "decomposition", decompose_eulerian,
+        G, P, 4 * k * k, 2 * k - 1, seed=child_seed(seed, 1),
+    )
     t = s - ex + ey
-    if abs(t) > ex + ey or ex + ey > k - 1:
-        if not assume_hypotheses:
-            raise AssertionError(
-                f"t = {t} escaped the proof window |t| <= {ex + ey} <= {k - 1}"
-            )
+    if not assume_hypotheses and (abs(t) > ex + ey or ex + ey > k - 1):
+        raise AssertionError(
+            f"t = {t} escaped the proof window |t| <= {ex + ey} <= {k - 1}"
+        )
     z = _pick_shift_vertex(G, P.X, g, f, t)
-
-    half2 = {}
-    for v in G.vertices:
-        d2 = g2f.degree(v)
-        if d2 % 2:
-            raise AssertionError("Eulerian part has an odd degree")
-        half2[v] = d2 // 2
-    g1 = {v: g[v] - half2[v] for v in G.vertices}
-    f1 = {v: f[v] - half2[v] for v in G.vertices}
-    h1 = {v: h[v] - half2[v] for v in G.vertices}
+    # the z shift may push the half-degree window off at z itself; the
+    # orientation engine is exact, so z is left out of the window check
+    g1_graph = g1f.as_graph()
+    g1, f1, h1 = _shifted(g1_graph, _half_degrees(g2f), g, f, h, skip=z)
     g1[z] -= t
     f1[z] -= t
     h1[z] -= t
-    g1_graph = g1f.as_graph()
-    for v in G.vertices:
-        if v == z:
-            continue
-        if not 2 * g1[v] <= g1_graph.degree(v) <= 2 * f1[v]:
-            raise AssertionError(
-                f"shifted window g' <= d_G1/2 <= f' failed at vertex {v}"
-            )
-    bal = sum(h1[v] for v in P.X) - sum(h1[v] for v in P.Y)
-    if bal != 0:
-        raise AssertionError("shifted selector lost its balance")
-
-    # the z shift may push the half-degree window off at z itself; the
-    # orientation engine is exact, so run it with gating suppressed there
-    sub = _pinned_bipartite(g1_graph, P, g1, f1, h1, z, True, child_seed(seed, 2))
-    if is_unknown(sub):
-        return UNKNOWN
-    if sub is None:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            "bipartite stage found no factor under verified hypotheses"
-        )
-    try:
-        f2cert = eulerian_half_factor_at(
-            g2f.as_graph(),
-            z,
-            t,
-            assume_hypotheses=assume_hypotheses,
-            seed=child_seed(seed, 3),
-        )
-    except HypothesisError as exc:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            f"Eulerian stage refused under verified hypotheses: {exc}"
-        ) from exc
-    if f2cert is None:
-        return None
+    sub = _pinned_bipartite(g1_graph, P, g1, f1, h1, z, child_seed(seed, 2))
+    f2cert = _stage(
+        "Eulerian stage", eulerian_half_factor_at,
+        g2f.as_graph(), z, t, assume_hypotheses=assume_hypotheses,
+        seed=child_seed(seed, 3),
+    )
     F = Factor(G, sub.factor.edge_ids | f2cert.factor.edge_ids)
     allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
@@ -699,6 +713,7 @@ def _pick_shift_vertex(
 # -- the bi-index-large theorem -------------------------------------------
 
 
+@_entry
 def gf_factor_bi_large(
     G: MultiGraph,
     g: VertexMap,
@@ -738,8 +753,6 @@ def gf_factor_bi_large(
             "3k^2-tree-connected cross factor",
         ),
     )
-    if P is None:
-        return None
 
     _require_window(gate, G, g, f, "g <= d/2 <= f")
 
@@ -749,86 +762,39 @@ def gf_factor_bi_large(
 
     m1 = (3 * k + 2) * (k - 1) // 2
     m2 = 2 * k
-    try:
-        g1f, g2f = decompose_eulerian(G, Pn, m1, m2, seed=child_seed(seed, 1))
-    except HypothesisError as exc:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            f"decomposition refused under verified hypotheses: {exc}"
-        ) from exc
-
-    half2 = {}
-    for v in G.vertices:
-        d2 = g2f.degree(v)
-        if d2 % 2:
-            raise AssertionError("Eulerian part has an odd degree")
-        half2[v] = d2 // 2
-    g1 = {v: g[v] - half2[v] for v in G.vertices}
-    f1 = {v: f[v] - half2[v] for v in G.vertices}
+    g1f, g2f = _stage(
+        "decomposition", decompose_eulerian, G, Pn, m1, m2, seed=child_seed(seed, 1)
+    )
+    half2 = _half_degrees(g2f)
     g1_graph = g1f.as_graph()
-    for v in G.vertices:
-        if not 2 * g1[v] <= g1_graph.degree(v) <= 2 * f1[v]:
-            raise AssertionError(
-                f"shifted window g' <= d_G1/2 <= f' failed at vertex {v}"
-            )
-
-    p = {}
-    q = {}
-    for v in G.vertices:
-        if v in Pn.X:
-            p[v], q[v] = g1[v], f1[v]
-        else:
-            p[v], q[v] = g1_graph.degree(v) - f1[v], g1_graph.degree(v) - g1[v]
+    g1, f1 = _shifted(g1_graph, half2, g, f)
+    p, q = _outdegree_window(g1_graph, Pn.X, g1, f1)
 
     x = Fraction(G.degree(z), 2) - Fraction(g[z] + f[z], 2) + Fraction(k, 2)
     x = max(Fraction(0), min(x, k - Fraction(1, 2)))
-    D = z_defective_orientation(
-        g1_graph, p, q, z=z, k=k, x=x, seed=child_seed(seed, 2)
+    D = _stage(
+        "z-defective orientation", z_defective_orientation,
+        g1_graph, p, q, z=z, k=k, x=x, seed=child_seed(seed, 2),
     )
-    if is_unknown(D):
-        return UNKNOWN
-    if D is None:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            "z-defective orientation stage failed under verified hypotheses"
-        )
     F1 = factor_from_orientation(g1_graph, Pn, D)
     d1z = F1.degree(z)
 
     e2 = g2f.num_edges
-    candidates = []
-    for target in (g[z], f[z]):
-        t = target - d1z - half2[z]
-        if t % 2 == e2 % 2:
-            candidates.append(t)
+    candidates = [
+        t for t in (target - d1z - half2[z] for target in (g[z], f[z]))
+        if t % 2 == e2 % 2
+    ]
     if not candidates:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            "neither shift candidate matches the Eulerian part's parity"
-        )
+        raise _StageFailed("neither shift candidate matches the Eulerian part's parity")
     t = min(candidates, key=abs)
     if abs(t) > k:
-        raise AssertionError(f"|t| = {abs(t)} escaped the proof bound k = {k}")
+        raise _StageFailed(f"|t| = {abs(t)} escaped the proof bound k = {k}")
 
-    try:
-        f2cert = eulerian_half_factor_at(
-            g2f.as_graph(),
-            z,
-            t,
-            assume_hypotheses=assume_hypotheses,
-            seed=child_seed(seed, 3),
-        )
-    except HypothesisError as exc:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            f"Eulerian stage refused under verified hypotheses: {exc}"
-        ) from exc
-    if f2cert is None:
-        return None
+    f2cert = _stage(
+        "Eulerian stage", eulerian_half_factor_at,
+        g2f.as_graph(), z, t, assume_hypotheses=assume_hypotheses,
+        seed=child_seed(seed, 3),
+    )
     F = Factor(G, F1.edge_ids | f2cert.factor.edge_ids)
     allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
@@ -841,6 +807,40 @@ def gf_factor_bi_large(
 
 
 # -- tree-connected versions ----------------------------------------------
+
+
+def _gate_tree_connected(
+    gate: _Gate,
+    G: MultiGraph,
+    g: VertexMap,
+    f: VertexMap,
+    params: TheoremParams,
+    c: int,
+    seed: int,
+) -> TreePacking | PackingRefusal:
+    """The gates both tree-connected statements share: |f-g| <= k, the
+    window g+m0 <= d/2 <= f-m, and (2m+2m0+c k^2)-tree-connectivity, whose
+    packing is returned."""
+    k, m, m0 = params.k, params.m, params.m0
+    gap_bad = [v for v in G.vertices if f[v] - g[v] > k]
+    gate.require(
+        not gap_bad,
+        "|f-g| <= k",
+        f"gap exceeds {k} at vertex {gap_bad[0]}" if gap_bad else "",
+    )
+    _require_window(
+        gate,
+        G,
+        {v: g[v] + m0 for v in G.vertices},
+        {v: f[v] - m for v in G.vertices},
+        "g+m0 <= d/2 <= f-m",
+    )
+    need = 2 * m + 2 * m0 + c * k * k
+    packing = spanning_tree_packing(G, need, seed=child_seed(seed, 0))
+    gate.require_trees(
+        packing, f"(2m+2m0+{c}k^2)-tree-connected", f"no {need} disjoint spanning trees"
+    )
+    return packing
 
 
 def _certify_tree_connected(
@@ -870,6 +870,7 @@ def _certify_tree_connected(
     return _certify(H, allowed, packings, derivation, counts)
 
 
+@_entry
 def tree_connected_gf_bipartite(
     G: MultiGraph,
     P: Bipartition,
@@ -888,7 +889,7 @@ def tree_connected_gf_bipartite(
     packings for the factor and its complement.
     """
     params = params or TheoremParams()
-    k, m, m0 = params.k, params.m, params.m0
+    m, m0 = params.m, params.m0
     _validate_gf(G, g, f)
     P.validate_for(G)
     gate = _Gate(assume_hypotheses)
@@ -897,27 +898,7 @@ def tree_connected_gf_bipartite(
         "bipartite with the given bipartition",
         "an edge stays inside one part",
     )
-    gap_bad = [v for v in G.vertices if f[v] - g[v] > k]
-    gate.require(
-        not gap_bad,
-        "|f-g| <= k",
-        f"gap exceeds {k} at vertex {gap_bad[0]}" if gap_bad else "",
-    )
-    _require_window(
-        gate,
-        G,
-        {v: g[v] + m0 for v in G.vertices},
-        {v: f[v] - m for v in G.vertices},
-        "g+m0 <= d/2 <= f-m",
-    )
-    need = 2 * m + 2 * m0 + 4 * k * k
-    packing = spanning_tree_packing(G, need, seed=child_seed(seed, 0))
-    gate.require(
-        isinstance(packing, TreePacking),
-        "(2m+2m0+4k^2)-tree-connected",
-        f"no {need} disjoint spanning trees",
-        certificate=packing if isinstance(packing, PackingRefusal) else None,
-    )
+    packing = _gate_tree_connected(gate, G, g, f, params, 4, seed)
 
     if h is None:
         h = balanced_selector(G, P, g, f)
@@ -927,12 +908,9 @@ def tree_connected_gf_bipartite(
         _check_selector(G, P, g, f, h)
 
     if m + m0 == 0:
-        return _pinned_bipartite(
-            G, P, g, f, h, z, assume_hypotheses, child_seed(seed, 1)
-        )
-    if not isinstance(packing, TreePacking):
-        # assume_hypotheses with too few trees: nothing to build from
-        return None
+        return _pinned_bipartite(G, P, g, f, h, z, child_seed(seed, 1))
+    if isinstance(packing, PackingRefusal):
+        raise _StageFailed("too few spanning trees to pair")
 
     # each (T_a, T_b) pair gives a connected spanning even factor, so the
     # union of m+m0 pairs is 2(m+m0)-edge-connected and Eulerian
@@ -951,39 +929,15 @@ def tree_connected_gf_bipartite(
     # the pairs use only the first 2(m+m0) trees, so G2 keeps the rest
     _carried_packing(g2_graph, trees[2 * (m + m0) :])
 
-    split = _split_complement(g1_graph, m, m0, child_seed(seed, 2))
-    if is_unknown(split):
-        return UNKNOWN
-    hprime = split[0]
-
-    dH = {v: hprime.degree(v) for v in G.vertices}
-    g2 = {v: g[v] - dH[v] for v in G.vertices}
-    f2 = {v: f[v] - dH[v] for v in G.vertices}
-    h2 = {v: h[v] - dH[v] for v in G.vertices}
-    for v in G.vertices:
-        if not 2 * g2[v] <= g2_graph.degree(v) <= 2 * f2[v]:
-            raise AssertionError(
-                f"shifted window g' <= d_G2/2 <= f' failed at vertex {v}"
-            )
-
-    if assume_hypotheses:
-        # h2 is balanced only when G is bipartite, which was not gated
-        _check_selector(g2_graph, P, g2, f2, h2)
-    sub = _pinned_bipartite(
-        g2_graph, P, g2, f2, h2, z, assume_hypotheses, child_seed(seed, 3)
-    )
-    if is_unknown(sub):
-        return UNKNOWN
-    if sub is None:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            "bipartite stage failed although a balanced selector exists"
-        )
-
+    split = _stage("split", _split_complement, g1_graph, m, m0, child_seed(seed, 2))
+    # h2 stays balanced only on a bipartite G, which assume_hypotheses may
+    # leave ungated; _pinned_bipartite checks it
+    g2, f2, h2 = _shifted(g2_graph, split[0].degrees(), g, f, h)
+    sub = _pinned_bipartite(g2_graph, P, g2, f2, h2, z, child_seed(seed, 3))
     return _certify_tree_connected(G, g, f, params, g1f, split, sub)
 
 
+@_entry
 def tree_connected_gf(
     G: MultiGraph,
     g: VertexMap,
@@ -1002,27 +956,7 @@ def tree_connected_gf(
     k, m, m0 = params.k, params.m, params.m0
     _validate_gf(G, g, f)
     gate = _Gate(assume_hypotheses)
-    gap_bad = [v for v in G.vertices if f[v] - g[v] > k]
-    gate.require(
-        not gap_bad,
-        "|f-g| <= k",
-        f"gap exceeds {k} at vertex {gap_bad[0]}" if gap_bad else "",
-    )
-    _require_window(
-        gate,
-        G,
-        {v: g[v] + m0 for v in G.vertices},
-        {v: f[v] - m for v in G.vertices},
-        "g+m0 <= d/2 <= f-m",
-    )
-    need = 2 * m + 2 * m0 + 6 * k * k
-    packing = spanning_tree_packing(G, need, seed=child_seed(seed, 0))
-    gate.require(
-        isinstance(packing, TreePacking),
-        "(2m+2m0+6k^2)-tree-connected",
-        f"no {need} disjoint spanning trees",
-        certificate=packing if isinstance(packing, PackingRefusal) else None,
-    )
+    _gate_tree_connected(gate, G, g, f, params, 6, seed)
     gate.require(
         _bi_at_least(G, k - 1, seed=seed),
         "bi(G) >= k-1",
@@ -1036,63 +970,30 @@ def tree_connected_gf(
         )
 
     if m + m0 == 0:
-        return gf_factor_bi_large(
-            G, g, f, assume_hypotheses=assume_hypotheses,
-            seed=child_seed(seed, 1),
+        return _stage(
+            "bi-large stage", gf_factor_bi_large,
+            G, g, f, assume_hypotheses=assume_hypotheses, seed=child_seed(seed, 1),
         )
 
-    try:
-        keep = decompose_keep_bi(
-            G, m + m0, 3 * k * k, k - 1, seed=child_seed(seed, 2)
-        )
-    except HypothesisError as exc:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            f"decomposition refused under verified hypotheses: {exc}"
-        ) from exc
-    if is_unknown(keep):
-        return UNKNOWN
-    g1f, g2f, P = keep
+    g1f, g2f, P = _stage(
+        "decomposition", decompose_keep_bi,
+        G, m + m0, 3 * k * k, k - 1, seed=child_seed(seed, 2),
+    )
     g1_graph = g1f.as_graph()
     g2_graph = g2f.as_graph()
 
     # decompose_keep_bi proved G1 2(m+m0)-edge-connected with its trees
-    split = _split_complement(g1_graph, m, m0, child_seed(seed, 3))
-    if is_unknown(split):
-        return UNKNOWN
-    hprime = split[0]
-
-    dH = {v: hprime.degree(v) for v in G.vertices}
-    g2 = {v: g[v] - dH[v] for v in G.vertices}
-    f2 = {v: f[v] - dH[v] for v in G.vertices}
-    for v in G.vertices:
-        if not 2 * g2[v] <= g2_graph.degree(v) <= 2 * f2[v]:
-            raise AssertionError(
-                f"shifted window g' <= d_G2/2 <= f' failed at vertex {v}"
-            )
-
-    sub = gf_factor_bi_large(
-        g2_graph,
-        g2,
-        f2,
-        P=P,
-        assume_hypotheses=assume_hypotheses,
+    split = _stage("split", _split_complement, g1_graph, m, m0, child_seed(seed, 3))
+    g2, f2 = _shifted(g2_graph, split[0].degrees(), g, f)
+    sub = _stage(
+        "bi-large stage", gf_factor_bi_large,
+        g2_graph, g2, f2, P=P, assume_hypotheses=assume_hypotheses,
         seed=child_seed(seed, 4),
     )
-    if is_unknown(sub):
-        return UNKNOWN
     if isinstance(sub, NoFactorCertificate):
         raise TheoremViolationError(
             "shifted functions lost the parity criterion; shifts preserve it"
         )
-    if sub is None:
-        if assume_hypotheses:
-            return None
-        raise TheoremViolationError(
-            "bi-large stage refused although its hypotheses were arranged"
-        )
-
     return _certify_tree_connected(G, g, f, params, g1f, split, sub)
 
 

@@ -3,10 +3,12 @@ stages, with the hypothesis gates on and off."""
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from factorkit import pipeline
+from factorkit.cli import main
 from factorkit.errors import HypothesisError, TheoremViolationError, UNKNOWN
 from factorkit.generators import GenSpec, gen_functions, gen_tree_connected
 from factorkit.graph import Bipartition, MultiGraph
@@ -194,12 +196,6 @@ FORCED_STAGES = [
 ]
 
 
-@pytest.mark.parametrize("entry", sorted(_entries()))
-def test_entries_certify_on_the_forced_stage_hosts(entry):
-    for assume in (False, True):
-        assert _outcome(lambda: _entries()[entry](assume)).startswith("factor ")
-
-
 @pytest.mark.parametrize(
     "name, forced, entry",
     [(name, forced, e) for name, forced, entries in FORCED_STAGES for e in entries],
@@ -218,7 +214,58 @@ def test_a_forced_stage_exit_reaches_the_entry_once(monkeypatch, name, forced, e
 
 def test_a_certificate_failing_its_own_check_raises_under_assume(monkeypatch):
     monkeypatch.setattr(FactorCertificate, "verify", lambda self: False)
-    for entry, call in _entries().items():
+    for call in _entries().values():
         with pytest.raises(TheoremViolationError):
             call(True)
 
+
+@pytest.mark.parametrize("theorem, host", [
+    ("tree-gf-bipartite", ["--trees", "6", "--bipartite"]),
+    ("tree-gf", ["--trees", "8"]),
+])
+def test_assume_hypotheses_past_a_failed_window_answers_none(
+    tmp_path, capsys, theorem, host
+):
+    # windows drawn for m = 0 miss g+m0 <= d/2 <= f-m at m = 1, and so
+    # does the shifted window after the split
+    for seed in (1, 2):
+        assert main(["gen", "--n", "6", *host, "--k", "1", "--seed", str(seed)]) == 0
+        path = tmp_path / "h.txt"
+        path.write_text(capsys.readouterr().out)
+        argv = ["factor", "--theorem", theorem, "--m", "1", "--graph", str(path),
+                "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "refusal"
+        assert main(argv + ["--assume-hypotheses"]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "none"
+
+
+def test_a_refusal_inside_a_stage_is_a_theorem_violation(monkeypatch):
+    G = _doubled(gen_tree_connected(GenSpec(n=5, trees=4, seed=7)))
+    g, f = gen_functions(G, k=1, m=1, seed=7)
+    keep_bi = pipeline.decompose_keep_bi
+
+    def lopsided(H, *args, **kwargs):
+        g1f, g2f, _ = keep_bi(H, *args, **kwargs)
+        low = min(H.vertices)
+        return g1f, g2f, Bipartition(frozenset({low}), H.vertex_set - {low})
+
+    monkeypatch.setattr(pipeline, "decompose_keep_bi", lopsided)
+    # the bi-large stage refuses its cross factor, which is no hypothesis
+    # of tree_connected_gf
+    with pytest.raises(TheoremViolationError):
+        tree_connected_gf(G, g, f, params=TheoremParams(k=1, m=1), seed=7)
+
+
+def test_assume_hypotheses_on_a_non_bipartite_host_answers_none():
+    # the ungated bipartite hypothesis fails inside the construction
+    G = _k23(4, intra=[(1, 2)])
+    g, f = _near_half(G)
+    assert gf_factor_bipartite(G, P23, g, f, assume_hypotheses=True, seed=1) is None
+    with pytest.raises(HypothesisError):
+        gf_factor_bipartite(G, P23, g, f, seed=1)
+    G = _k23(8, intra=[(1, 2)])
+    g, f = _near_half(G)
+    assert tree_connected_gf_bipartite(
+        G, P23, g, f, params=TheoremParams(k=1, m=1), assume_hypotheses=True, seed=1
+    ) is None
