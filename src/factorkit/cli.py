@@ -22,7 +22,6 @@ from .errors import (
     GraphParseError,
     HypothesisError,
     InputError,
-    SizeRefusal,
     TheoremViolationError,
     is_unknown,
 )
@@ -132,10 +131,7 @@ def _cmd_decompose(args) -> int:
     if _is_bipartite(G):
         P = balanced_bipartition_of(G)
     else:
-        try:
-            _, P = bipartite_index(G, cap=16)
-        except SizeRefusal:
-            _, P = bipartite_index_upper(G, seed=args.seed)
+        _, P = bipartite_index_upper(G, seed=args.seed)
     g1, g2 = decompose_eulerian(G, P, args.m1, args.m2, seed=args.seed)
     _emit({
         "outcome": "decomposition",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import HypothesisError, InputError, SizeRefusal
+from .errors import InputError, SizeRefusal
 from .graph import (
     Bipartition,
     Factor,
@@ -444,12 +444,24 @@ def tree_connectivity(G: MultiGraph, max_m: int | None = None) -> int:
 
 # -- bipartite index -----------------------------------------------------
 
+# hosts up to this many vertices get the exact sweep; the bounded variants
+# search locally above it
+_EXACT_CAP = 20
+# seeded random halves the local search starts from
+_LOCAL_RESTARTS = 8
 
-def bipartite_index(G: MultiGraph, cap: int = 20) -> tuple[int, Bipartition]:
+
+def bipartite_index(G: MultiGraph, cap: int = _EXACT_CAP) -> tuple[int, Bipartition]:
     """Exact bi(G): the minimum of e(X) + e(Y) over bipartitions, with witness.
 
-    Loops are never cut, so they always contribute.  Exhaustive over
-    2^(n-1) sides; refuses above the cap.
+    The first vertex stays in X, and bit i - 1 of a side mask puts vertex i
+    in Y.  The sweep visits all 2^(n-1) masks in Gray-code order, one vertex
+    flip per step, and moves the intra count by the flipped vertex's
+    neighbours on its new side minus those on its old side.  Its neighbour
+    count on side Y is read from two per-vertex lookup tables, one for each
+    half of the mask, which count parallel edges with their multiplicity.
+    Loops are never cut, so they are added once at the end.  Among the
+    minimisers the smallest mask wins.  Refuses above the cap.
     """
     n = G.num_vertices
     if n > cap:
@@ -462,43 +474,67 @@ def bipartite_index(G: MultiGraph, cap: int = 20) -> tuple[int, Bipartition]:
     if n <= 1:
         return G.num_edges, Bipartition(frozenset(verts), frozenset())
     idx = {v: i for i, v in enumerate(verts)}
-    nonloop = [(idx[u], idx[v]) for _, u, v in G.edges if u != v]
+    bits = n - 1
+    # weight[i][b]: edges between vertex i and the vertex of bit b
+    weight = [[0] * bits for _ in range(n)]
+    degree = [0] * n
+    for _, u, v in G.edges:
+        if u != v:
+            i, j = idx[u], idx[v]
+            if j:
+                weight[i][j - 1] += 1
+            if i:
+                weight[j][i - 1] += 1
+            degree[i] += 1
+            degree[j] += 1
+    half = bits // 2
+    low = (1 << half) - 1
+    lo = [_subset_sums(weight[b + 1][:half]) for b in range(bits)]
+    hi = [_subset_sums(weight[b + 1][half:]) for b in range(bits)]
+    deg = degree[1:]
 
-    import numpy as np
-
-    masks = np.arange(1 << (n - 1), dtype=np.uint64)
-    same = np.zeros(len(masks), dtype=np.int64)
-
-    def side(i: int):
-        if i == 0:
-            return np.zeros(len(masks), dtype=np.uint64)
-        return (masks >> np.uint64(i - 1)) & np.uint64(1)
-
-    for ui, vi in nonloop:
-        same += (side(ui) == side(vi)).astype(np.int64)
-    at = int(same.argmin())
-    best = int(same[at]) + loops
-    X = frozenset(
-        v for v in verts if idx[v] == 0 or not ((at >> (idx[v] - 1)) & 1)
-    )
-    return best, Bipartition(X, frozenset(verts) - X)
+    # mask 0 puts every vertex in X, so every non-loop edge is intra
+    intra = best = sum(degree) // 2
+    mask = best_mask = 0
+    for k in range(1, 1 << bits):
+        b = (k & -k).bit_length() - 1
+        in_y = lo[b][mask & low] + hi[b][mask >> half]
+        bit = 1 << b
+        if mask & bit:
+            intra += deg[b] - 2 * in_y
+        else:
+            intra += 2 * in_y - deg[b]
+        mask ^= bit
+        if intra <= best and (intra < best or mask < best_mask):
+            best, best_mask = intra, mask
+    Y = frozenset(verts[b + 1] for b in range(bits) if best_mask >> b & 1)
+    return best + loops, Bipartition(frozenset(verts) - Y, Y)
 
 
-def bipartite_index_upper(
-    G: MultiGraph, seed: int = 0, restarts: int = 8
-) -> tuple[int, Bipartition]:
-    """(upper, witness): an upper bound on bi(G) by local search, at any size.
+def _subset_sums(weights: list[int]) -> list[int]:
+    """sums[m]: the total of weights[i] over the bits i set in m."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
-    Each restart starts from a seeded random half and flips any vertex with
-    more same-side than cross neighbours (the flip lowers the intra count
-    by their difference) until no flip helps.
+
+def bipartite_index_upper(G: MultiGraph, seed: int = 0) -> tuple[int, Bipartition]:
+    """(upper, witness): an upper bound on bi(G) at any size, exact up to
+    the cap of `bipartite_index`, whose value and witness it returns there.
+
+    Above the cap, a local search restarts from seeded random halves and
+    flips any vertex with more same-side than cross neighbours (the flip
+    lowers the intra count by their difference) until no flip helps.
     """
+    if G.num_vertices <= _EXACT_CAP:
+        return bipartite_index(G)
     rng = random.Random(seed)
     verts = list(G.vertices)
     nbrs = {v: [w for _, w in G.incident(v) if w != v] for v in verts}
     best_val = None
     best_part = None
-    for _ in range(max(1, restarts)):
+    for _ in range(_LOCAL_RESTARTS):
         X = {v for v in verts if rng.random() < 0.5}
         improved = True
         while improved:
@@ -517,15 +553,17 @@ def bipartite_index_upper(
     return best_val, best_part
 
 
-def bipartite_index_bounds(
-    G: MultiGraph, seed: int = 0, restarts: int = 8
-) -> tuple[int, int, Bipartition]:
-    """(lower, upper, witness) for bi(G) beyond the exact cap.
+def bipartite_index_bounds(G: MultiGraph, seed: int = 0) -> tuple[int, int, Bipartition]:
+    """(lower, upper, witness) for bi(G), with lower == upper up to the cap
+    of `bipartite_index`, where the witness is its exact one.
 
-    Upper bound from local search; lower bound from the odd-cycle packing
-    argument applied to the best witness found (0 when it does not apply).
+    Above the cap the upper bound and witness come from the local search of
+    `bipartite_index_upper`, and the lower bound from the odd-cycle packing
+    argument applied to that witness (0 when it does not apply).
     """
-    upper, witness = bipartite_index_upper(G, seed=seed, restarts=restarts)
+    upper, witness = bipartite_index_upper(G, seed=seed)
+    if G.num_vertices <= _EXACT_CAP:
+        return upper, upper, witness
     lower = 0
     for k in range(upper, 0, -1):
         ok, _ = odd_cycle_packing_bound(G, witness, k)
@@ -536,16 +574,13 @@ def bipartite_index_bounds(
 
 
 def _bipartition_candidates(G: MultiGraph, rng: random.Random):
-    """Bipartitions for the structure searches: the bipartite-index witness
-    (exact up to the cap, local search above it), then seeded random halves.
+    """Bipartitions for the structure searches: the witness of
+    `bipartite_index_upper`, then seeded random halves.
 
     A swapped bipartition has the same cross factor, so each unordered pair
     is yielded once; both sides are nonempty.
     """
-    try:
-        _, P = bipartite_index(G)
-    except SizeRefusal:
-        _, P = bipartite_index_upper(G)
+    _, P = bipartite_index_upper(G)
     verts = list(G.vertices)
     seen = set()
     for trial in range(_CANDIDATE_TRIES + 1):

@@ -17,12 +17,11 @@ from .connectivity import (
     PackingRefusal,
     TreePacking,
     _bipartition_candidates,
-    bipartite_index,
     bipartite_index_upper,
     edge_connectivity,
     spanning_tree_packing,
 )
-from .errors import HypothesisError, InputError, SizeRefusal, UNKNOWN, Unknown
+from .errors import HypothesisError, InputError, UNKNOWN, Unknown
 from .factors import find_interval_factor
 from .graph import (
     Bipartition,
@@ -183,10 +182,7 @@ def decompose_keep_bi(
     if k0 == 0:
         intra_target = 0
     else:
-        try:
-            intra_target = min(k0, bipartite_index(G)[0])
-        except SizeRefusal:
-            intra_target = min(k0, bipartite_index_upper(G, seed=seed)[0])
+        intra_target = min(k0, bipartite_index_upper(G, seed=seed)[0])
 
     rng = random.Random(seed)
     for trial in range(budget):

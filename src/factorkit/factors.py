@@ -389,18 +389,19 @@ def _selector_subsets(
     for i in range(len(gaps) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + gaps[i][1]
 
-    def rec(i: int, left: int, chosen: list[int]) -> Iterator[set[int]]:
+    # depth first, taking gaps[i] before leaving it out
+    stack = [(0, target, ())]
+    while stack:
+        i, left, chosen = stack.pop()
         if left == 0:
             # gaps are positive, so no proper superset can also hit the target
             yield set(chosen)
-            return
+            continue
         if i >= len(gaps) or left < 0 or left > suffix[i]:
-            return
+            continue
         v, w = gaps[i]
-        yield from rec(i + 1, left - w, chosen + [v])
-        yield from rec(i + 1, left, chosen)
-
-    yield from rec(0, target, [])
+        stack.append((i + 1, left, chosen))
+        stack.append((i + 1, left - w, chosen + (v,)))
 
 
 def _selector_search(

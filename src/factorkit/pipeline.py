@@ -35,7 +35,6 @@ from .connectivity import (
     PackingRefusal,
     TreePacking,
     _bipartition_candidates,
-    bipartite_index,
     bipartite_index_bounds,
     edge_connectivity,
     spanning_tree_packing,
@@ -266,18 +265,15 @@ def _bi_at_least(G: MultiGraph, threshold: int, seed: int = 0) -> bool:
     """Decide bi(G) >= threshold; SizeRefusal when genuinely undecided."""
     if threshold <= 0:
         return True
-    try:
-        return bipartite_index(G)[0] >= threshold
-    except SizeRefusal:
-        lower, upper, _ = bipartite_index_bounds(G, seed=seed)
-        if lower >= threshold:
-            return True
-        if upper < threshold:
-            return False
-        raise SizeRefusal(
-            "bipartite index bound",
-            f"cannot decide bi >= {threshold} at this size",
-        )
+    lower, upper, _ = bipartite_index_bounds(G, seed=seed)
+    if lower >= threshold:
+        return True
+    if upper < threshold:
+        return False
+    raise SizeRefusal(
+        "bipartite index bound",
+        f"cannot decide bi >= {threshold} at this size",
+    )
 
 
 def _degree_report(

@@ -163,8 +163,10 @@ def test_toughness_above_cap_is_a_refusal(tmp_path, capsys):
     assert payload["hypothesis"] == "toughness exact cap"
 
 
-def test_decompose_nonbipartite_above_cap_uses_local_search(tmp_path, capsys):
-    path = _odd_ring(tmp_path)
+@pytest.mark.parametrize("n", [18, 22])
+def test_decompose_nonbipartite_above_cap_uses_local_search(tmp_path, capsys, n):
+    # n=18 starts from the exact witness, n=22 from the local search
+    path = _odd_ring(tmp_path, n)
     code, out, err = run(
         capsys, "decompose", "--graph", str(path),
         "--m1", "1", "--m2", "1", "--format", "json",
@@ -174,6 +176,23 @@ def test_decompose_nonbipartite_above_cap_uses_local_search(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["outcome"] == "refusal"
     assert payload["hypothesis"] == "(m1+m2+1)-tree-connected cross factor"
+
+
+def test_almost_bipartite_above_its_cap_is_a_refusal(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "gen", "--n", "20", "--trees", "8", "--k", "1", "--seed", "1",
+    )
+    path = tmp_path / "g.txt"
+    path.write_text(out)
+    code, out, err = run(
+        capsys, "factor", "--theorem", "almost-bipartite", "--graph", str(path),
+        "--format", "json",
+    )
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["outcome"] == "refusal"
+    assert payload["hypothesis"] == "bipartite index exact cap"
 
 
 def test_gen_with_empty_window_is_a_refusal(capsys):

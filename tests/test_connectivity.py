@@ -8,18 +8,23 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
 
 import pytest
 
+import factorkit
 from factorkit.connectivity import (
     PackingRefusal,
     TreePacking,
     _ForestState,
     bipartite_index,
     bipartite_index_bounds,
+    bipartite_index_upper,
     edge_connectivity,
     is_tree_connected,
     odd_cycle_packing_bound,
@@ -351,6 +356,57 @@ def test_bipartite_index_matches_brute_max_cut():
             if u == v or (u in P.X) == (v in P.X)
         )
         assert intra == value
+
+
+def first_minimiser_by_mask(G):
+    """(intra, Y) of the first side mask, in increasing order, with the
+    fewest intra edges: the first vertex stays in X and bit i - 1 puts
+    vertex i in Y.  Loops are intra under every mask."""
+    verts = list(G.vertices)
+    best = None
+    for mask in range(1 << (len(verts) - 1)):
+        Y = frozenset(v for i, v in enumerate(verts[1:]) if mask >> i & 1)
+        intra = sum(1 for _, u, v in G.edges if (u in Y) == (v in Y))
+        if best is None or intra < best[0]:
+            best = (intra, Y)
+    return best
+
+
+def test_bipartite_index_is_the_first_minimiser_in_mask_order():
+    rng = random.Random(37)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        verts = list(range(1, n + 1))
+        # few distinct pairs, so parallel edges and tied minimisers are common
+        pairs = [tuple(rng.sample(verts, 2)) for _ in range(n)] if n > 1 else [(1, 1)]
+        edges = [rng.choice(pairs) for _ in range(rng.randint(0, 3 * n))]
+        edges += [(v, v) for v in rng.sample(verts, rng.randint(0, min(2, n)))]
+        G = MultiGraph(verts, edges)
+        value, P = bipartite_index(G)
+        assert (value, P.Y) == first_minimiser_by_mask(G), edges
+        assert P.X | P.Y == set(verts) and not P.X & P.Y
+        assert bipartite_index_upper(G, seed=3) == (value, P)
+        assert bipartite_index_bounds(G, seed=3) == (value, value, P)
+
+
+def test_bipartite_index_runs_without_numpy():
+    src = os.path.dirname(os.path.dirname(factorkit.__file__))
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from factorkit import MultiGraph, bipartite_index, verify_theorem\n"
+        "ring = [(v, v % 16 + 1) for v in range(1, 17)] + [(1, 3)]\n"
+        "value, _ = bipartite_index(MultiGraph(range(1, 17), ring))\n"
+        "assert value == 1, value\n"
+        "report = verify_theorem('bi-large', 3)\n"
+        "assert report.passed, report.render()\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_bipartite_index_refuses_large_and_bounds_bracket():

@@ -7,6 +7,7 @@ selector search.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -14,6 +15,7 @@ import pytest
 
 from factorkit.errors import InputError, SizeRefusal, is_unknown
 from factorkit.factors import (
+    _selector_subsets,
     check_lovasz_condition,
     check_tutte_strict_form,
     enumerate_factors,
@@ -220,3 +222,23 @@ def test_enumerate_factors_counts_subsets():
     assert len(enumerate_factors(G)) == 4
     even = enumerate_factors(G, lambda degs: degs[1] % 2 == 0)
     assert len(even) == 2
+
+
+def test_selector_subsets_leave_no_cyclic_garbage():
+    gaps = [(v, 2 + v % 3) for v in range(1, 10)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        subsets = list(_selector_subsets(gaps, 9))
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert subsets
+    assert all(sum(2 + v % 3 for v in S) == 9 for S in subsets)
+    assert garbage == []
