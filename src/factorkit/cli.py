@@ -29,7 +29,7 @@ from .generators import GenSpec, balanced_bipartition_of, gen_functions, gen_tre
 from .graph import MultiGraph, parse_graph, serialize_graph
 from .orientations import eulerian_orientation, two_point_orientation
 from .pipeline import FactorCertificate, NoFactorCertificate, TheoremParams
-from .harness import FACTOR_THEOREMS, THEOREM_IDS, THEOREMS, verify_theorem
+from .harness import FACTOR_THEOREMS, NO_SELECTOR, THEOREM_IDS, THEOREMS, verify_theorem
 
 
 def _load_graph(path: str, need_functions: bool = False):
@@ -67,11 +67,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _factor_result_payload(res, G) -> tuple[dict, int]:
+def _factor_result_payload(res, G, assume: bool) -> tuple[dict, int]:
     if is_unknown(res):
         return {"outcome": "unknown", "detail": "search budget exhausted"}, 0
-    if res is None:
+    if res is NO_SELECTOR:
         return {"outcome": "none", "detail": "no admissible selector"}, 0
+    if res is None:
+        # ungated, only the bipartite pipelines answer None: no balanced h
+        detail = ("a stage found nothing under the assumed hypotheses"
+                  if assume else "no balanced selector")
+        return {"outcome": "none", "detail": detail}, 0
     if isinstance(res, NoFactorCertificate):
         return {"outcome": "none", "detail": res.reason}, 0
     assert isinstance(res, FactorCertificate)
@@ -96,7 +101,7 @@ def _cmd_factor(args) -> int:
     except TheoremViolationError as exc:
         _emit({"outcome": "hard-error", "detail": str(exc)}, args.format)
         return 1
-    payload, code = _factor_result_payload(res, G)
+    payload, code = _factor_result_payload(res, G, args.assume_hypotheses)
     _emit(payload, args.format)
     return code
 

@@ -461,14 +461,12 @@ def bipartite_index(G: MultiGraph, cap: int = _EXACT_CAP) -> tuple[int, Bipartit
     count on side Y is read from two per-vertex lookup tables, one for each
     half of the mask, which count parallel edges with their multiplicity.
     Loops are never cut, so they are added once at the end.  Among the
-    minimisers the smallest mask wins.  Refuses above the cap.
+    minimisers the smallest mask wins.  Refuses above the cap; callers
+    that can use a bracket instead call bipartite_index_bounds.
     """
     n = G.num_vertices
     if n > cap:
-        raise SizeRefusal(
-            "bipartite index exact cap",
-            f"{n} vertices exceeds cap {cap}; use bipartite_index_bounds",
-        )
+        raise SizeRefusal("bipartite index exact cap", f"{n} vertices exceeds cap {cap}")
     verts = list(G.vertices)
     loops = sum(1 for _, u, v in G.edges if u == v)
     if n <= 1:

@@ -1,13 +1,13 @@
 """Degree-constrained factors: deficiency criteria, exact finders, and the
 exhaustive oracle.
 
-The finder stack is: blossom matching (matching.py) under a vertex gadget
-for exact target degrees, a collector gadget on top for interval targets,
-and for two-point targets a selector enumeration over the gaps f - g of 2
-or more on top of that (a gap of at most 1 is an interval).  The
-oracle (enumerate_factors) shares none of that machinery; it walks all
-edge subsets in Gray-code order so the two routes stay independent
-witnesses against each other.
+The finder stack is: blossom matching (matching.py) under one window
+gadget for degree windows g <= d_F <= f, linear in the summed window
+width, whose exact targets are the windows with g = f; and for two-point
+targets a selector enumeration over the gaps f - g of 2 or more on top of
+that (a gap of at most 1 is an interval).  The oracle (enumerate_factors)
+shares none of that machinery; it walks all edge subsets in Gray-code
+order so the two routes stay independent witnesses against each other.
 """
 from __future__ import annotations
 
@@ -217,9 +217,11 @@ def check_tutte_strict_form(
 def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
     """Factor with d_F(v) = f(v) for every v, or None.
 
-    The host's own edges go through the endpoint gadget of
-    _exact_degree_matching, which gives every edge end its own node, so
-    parallel edges and loops need no preparation.
+    The window gadget of _window_matching with lo = hi = f: no ports and
+    no chain, so each vertex v gets d(v) - f(v) must nodes and nothing
+    else.  The host's own edges go in, in G's edge order; every edge end
+    has its own gadget node, so parallel edges and loops need no
+    preparation.
     """
     validate_vertex_map(G, f, "f")
     for v in G.vertices:
@@ -227,34 +229,47 @@ def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
             raise InputError(f"need 0 <= f({v}) <= d({v})")
     if sum(f[v] for v in G.vertices) % 2 == 1:
         return None
-    if G.num_edges == 0:
-        return Factor(G, frozenset()) if all(f[v] == 0 for v in G.vertices) else None
-
     ids = list(G.edge_ids)
-    chosen = _exact_degree_matching(
-        list(G.vertices), [G.endpoints(eid) for eid in ids], f
-    )
+    chosen = _window_matching(list(G.vertices), [G.endpoints(eid) for eid in ids], f, f)
     if chosen is None:
         return None
     return Factor(G, frozenset(ids[i] for i in chosen))
 
 
-def _exact_degree_matching(
+def _window_matching(
     vertices: list[int],
     edges: list[tuple[int, int]],
-    targets: Mapping[int, int],
+    lo: Mapping[int, int],
+    hi: Mapping[int, int],
 ) -> set[int] | None:
-    """Edge-index set of a subgraph hitting exact degrees, via the endpoint
-    and slack-set gadget over perfect matching; None when infeasible.
+    """Edge-index set of a subgraph F with lo(v) <= d_F(v) <= hi(v) at
+    every vertex, via the window gadget over perfect matching; None when
+    there is none.
 
-    Edge i becomes the gadget edge between its end nodes 2i and 2i + 1, and
-    each vertex v gets d(v) - targets[v] slack nodes joined to every end
-    node at v.  A perfect matching takes edge i exactly when it matches
-    its two end nodes, and then covers targets[v] end nodes at each v.
-    Parallel edges have their own end nodes, and both end nodes of a loop
-    sit at its vertex, so a chosen loop adds 2 to its degree; the gadget
-    graph is simple and loopless for any input multigraph.  The chosen
-    edges are checked against the targets before they are returned.
+    Edge i becomes the gadget edge between its end nodes 2i and 2i + 1.
+    Each vertex v gets d(v) - hi(v) must nodes and then hi(v) - lo(v)
+    optional nodes, each joined to every end node at v.  Every optional
+    node is a port on one chain x1 y1 x2 y2 ...: port i is joined to x_i
+    and y_i, and the chain has the edges x_i - y_i and y_i - x_(i+1).  A
+    perfect matching takes edge i exactly when it matches 2i to 2i + 1.
+
+    Exactness.  Must nodes see only end nodes, so all of them take an end
+    node at v, which gives d_F(v) <= hi(v); at most d(v) - lo(v) end
+    nodes at v can go to slack, which gives d_F(v) >= lo(v).  The ports
+    no end node takes are free, and the chain matches any even set of
+    free ports: they alternate taking x then y, and the chain nodes left
+    between them pair up along the chain.  At v, d_F(v) - lo(v) ports are
+    free, so the free count is congruent to the sum of lo (mod 2); when
+    that sum is odd one more port, on the chain only, is always free.
+    Hence a window factor gives a perfect matching and back.
+
+    Size: sum of d(v) (d(v) - lo(v)) slack edges, one edge per host edge,
+    and four per port, so the gadget is linear in the summed window
+    width.  With lo == hi there is no port and no chain.  Parallel edges
+    have their own end nodes, and both end nodes of a loop sit at its
+    vertex, so a chosen loop adds 2 to its degree; the gadget graph is
+    simple and loopless for any input multigraph.  The chosen edges are
+    checked against the windows before they are returned.
     """
     deg: dict[int, int] = {v: 0 for v in vertices}
     incident_nodes: dict[int, list[int]] = {v: [] for v in vertices}
@@ -266,15 +281,28 @@ def _exact_degree_matching(
         incident_nodes[v].append(2 * i + 1)
         gadget_edges.append((2 * i, 2 * i + 1))
     for v in vertices:
-        if not 0 <= targets[v] <= deg[v]:
+        if not 0 <= lo[v] <= hi[v] <= deg[v]:
             return None
 
     node_count = 2 * len(edges)
+    ports: list[int] = []
     for v in vertices:
-        for s in range(node_count, node_count + deg[v] - targets[v]):
+        must = deg[v] - hi[v]
+        slack = deg[v] - lo[v]
+        for s in range(node_count, node_count + slack):
             for ep in incident_nodes[v]:
                 gadget_edges.append((s, ep))
-        node_count += deg[v] - targets[v]
+        ports.extend(range(node_count + must, node_count + slack))
+        node_count += slack
+    if sum(lo[v] for v in vertices) % 2 == 1:
+        ports.append(node_count)
+        node_count += 1
+    for i, port in enumerate(ports):
+        x, y = node_count + 2 * i, node_count + 2 * i + 1
+        gadget_edges.extend(((port, x), (port, y), (x, y)))
+        if i:
+            gadget_edges.append((x - 1, x))
+    node_count += 2 * len(ports)
 
     mate = perfect_matching(node_count, gadget_edges)
     if mate is None:
@@ -285,8 +313,8 @@ def _exact_degree_matching(
         u, v = edges[i]
         got[u] += 1
         got[v] += 1
-    if got != {v: targets[v] for v in vertices}:
-        raise AssertionError("factor reconstruction missed its targets")
+    if any(not lo[v] <= got[v] <= hi[v] for v in vertices):
+        raise AssertionError("factor reconstruction missed its windows")
     return chosen
 
 
@@ -295,45 +323,26 @@ def find_interval_factor(
 ) -> Factor | None:
     """Factor with g(v) <= d_F(v) <= f(v) everywhere, or None.
 
-    Slack capacity f(v) - g(v) per vertex is realized as parallel gadget
-    edges to one shared collector vertex whose own target absorbs any slack
-    profile; loops at the collector (plus a one-edge parity pad) free the
-    total parity, which a per-vertex satellite could not do.  G's edges come
-    first in the gadget, in G's edge order, so their indices are G's.
+    The window is first clipped to [max(0, g(v)), min(d(v), f(v))]; an
+    empty clipped window means no factor.  Then one call of
+    _window_matching decides, on a gadget linear in the summed window
+    width: each unit of f - g is one optional slack node on the shared
+    parity chain.  G's edges go in, in G's edge order, so the chosen
+    indices map back to G's edge ids.
     """
     validate_vertex_map(G, g, "g")
     validate_vertex_map(G, f, "f")
     if any(g[v] > f[v] for v in G.vertices):
         raise InputError("need g <= f")
-    g_eff = {v: max(0, g[v]) for v in G.vertices}
-    f_eff = {v: min(G.degree(v), f[v]) for v in G.vertices}
-    if any(g_eff[v] > f_eff[v] for v in G.vertices):
+    lo = {v: max(0, g[v]) for v in G.vertices}
+    hi = {v: min(G.degree(v), f[v]) for v in G.vertices}
+    if any(lo[v] > hi[v] for v in G.vertices):
         return None
-    if all(g_eff[v] == f_eff[v] for v in G.vertices):
-        return find_f_factor(G, f_eff)
-
-    caps = {v: f_eff[v] - g_eff[v] for v in G.vertices}
-    s_total = sum(caps.values())
-    sum_f = sum(f_eff.values())
-    collector = max(G.vertices) + 1
-    fz = s_total + ((s_total - sum_f) % 2)
-    n_loops = (fz + 1) // 2
     ids = list(G.edge_ids)
-    edges = [G.endpoints(eid) for eid in ids]
-    for v in G.vertices:
-        edges.extend((v, collector) for _ in range(caps[v]))
-    edges.extend((collector, collector) for _ in range(n_loops))
-
-    targets = dict(f_eff)
-    targets[collector] = fz
-    chosen = _exact_degree_matching(list(G.vertices) + [collector], edges, targets)
+    chosen = _window_matching(list(G.vertices), [G.endpoints(eid) for eid in ids], lo, hi)
     if chosen is None:
         return None
-    result = Factor(G, frozenset(ids[i] for i in chosen if i < len(ids)))
-    for v in G.vertices:
-        if not g_eff[v] <= result.degree(v) <= f_eff[v]:
-            raise AssertionError("interval factor outside its window")
-    return result
+    return Factor(G, frozenset(ids[i] for i in chosen))
 
 
 def find_two_point_factor(

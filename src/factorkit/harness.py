@@ -424,7 +424,12 @@ def _classify_factor_result(
 
 
 # -- pipeline runners for `factorkit factor` ------------------------------
-# each runner takes (G, g, f, params, assume_hypotheses, seed)
+# each runner takes (G, g, f, params, assume_hypotheses, seed) and answers
+# what its pipeline answers, or NO_SELECTOR
+
+# the almost-bipartite runner's none: no h in {g, f}^V is admissible, so
+# no pipeline stage ran
+NO_SELECTOR = object()
 
 
 def _run_bipartite_gf(G, g, f, params, assume, seed):
@@ -438,7 +443,7 @@ def _run_almost_bipartite(G, g, f, params, assume, seed):
     ex_ey, P = bipartite_index(G, cap=16)
     h = _almost_selector(P, 2 * ex_ey + 1, g, f)
     if h is None:
-        return None
+        return NO_SELECTOR
     return gf_factor_almost_bipartite(G, g, f, h, assume_hypotheses=assume, seed=seed)
 
 

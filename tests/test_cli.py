@@ -10,7 +10,8 @@ import pytest
 
 import factorkit
 from factorkit.cli import main
-from factorkit.graph import parse_graph
+from factorkit.generators import gen_functions
+from factorkit.graph import MultiGraph, parse_graph, serialize_graph
 
 
 def run(capsys, *argv):
@@ -193,6 +194,37 @@ def test_almost_bipartite_above_its_cap_is_a_refusal(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["outcome"] == "refusal"
     assert payload["hypothesis"] == "bipartite index exact cap"
+    assert payload["detail"] == "bipartite index exact cap: 20 vertices exceeds cap 16"
+
+
+def test_a_none_names_what_found_nothing(tmp_path, capsys):
+    def factor(host: str, theorem: str, *extra: str) -> dict:
+        path = tmp_path / "g.txt"
+        path.write_text(host)
+        code, out, err = run(
+            capsys, "factor", "--theorem", theorem, "--graph", str(path),
+            "--format", "json", *extra,
+        )
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    # windows drawn for m = 0 miss the m = 1 window of tree-gf; with the
+    # gates skipped a stage finds nothing, and tree-gf has no selector
+    _, host, _ = run(capsys, "gen", "--n", "6", "--trees", "8", "--k", "1", "--seed", "1")
+    assert factor(host, "tree-gf", "--m", "1", "--assume-hypotheses") == {
+        "outcome": "none",
+        "detail": "a stage found nothing under the assumed hypotheses",
+    }
+    # K_{2,3} x2 plus one intra edge, gap 2 at vertex 3: no h in {g, f}^V
+    # has an even sum and h(X) - h(Y) in [0, 3], with or without the gates
+    G = MultiGraph(range(1, 6), [(1, 2)] + [(u, v) for u in (1, 2) for v in (3, 4, 5)] * 2)
+    g, f = gen_functions(G, k=2, seed=0)
+    g[3], f[3] = G.degree(3) // 2 - 1, G.degree(3) // 2 + 1
+    for assume in ((), ("--assume-hypotheses",)):
+        assert factor(serialize_graph(G, g, f), "almost-bipartite", *assume) == {
+            "outcome": "none",
+            "detail": "no admissible selector",
+        }
 
 
 def test_gen_with_empty_window_is_a_refusal(capsys):

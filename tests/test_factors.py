@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from factorkit import factors
 from factorkit.errors import InputError, SizeRefusal, is_unknown
 from factorkit.factors import (
     _selector_subsets,
@@ -30,11 +31,11 @@ from factorkit.graph import MultiGraph
 from factorkit.orientations import two_point_orientation
 
 
-def random_multigraph(rng, n_lo=2, n_hi=5, max_edges=8):
+def random_multigraph(rng, n_lo=2, n_hi=5, max_edges=8, min_edges=1):
     n = rng.randint(n_lo, n_hi)
     verts = list(range(1, n + 1))
     edges = []
-    for _ in range(rng.randint(1, max_edges)):
+    for _ in range(rng.randint(min_edges, max_edges)):
         if rng.random() < 0.08:
             v = rng.choice(verts)
             edges.append((v, v))
@@ -81,6 +82,54 @@ def test_interval_factor_agrees_with_oracle():
         assert (got is not None) == expect, (G.edges, g, f)
         if got is not None:
             assert all(g[v] <= got.degree(v) <= f[v] for v in G.vertices)
+
+
+def test_interval_factor_agrees_with_criterion_past_the_oracle_cap():
+    # 25 to 60 edges is past the 20-edge cap of factor_exists; the (A, B)
+    # sweep of the Lovasz criterion decides instead
+    rng = random.Random(31)
+    answers = set()
+    for _ in range(60):
+        G = random_multigraph(rng, n_lo=8, n_hi=10, max_edges=60, min_edges=25)
+        g, f = {}, {}
+        for v in G.vertices:
+            g[v] = rng.randint(0, G.degree(v))
+            f[v] = min(G.degree(v), g[v] + rng.choice((0, 0, 0, 1)))
+        got = find_interval_factor(G, g, f)
+        holds, witness = check_lovasz_condition(G, g, f)
+        assert (got is not None) == holds, (G.edges, g, f)
+        if got is not None:
+            assert all(g[v] <= got.degree(v) <= f[v] for v in G.vertices)
+        else:
+            assert lovasz_deficiency(G, *witness, g, f) < 0
+        answers.add(holds)
+    assert answers == {False, True}
+
+
+def test_window_gadget_is_linear_in_the_window_width(monkeypatch):
+    # a 40-leaf star with every edge doubled and windows [0, d]: the
+    # gadget has sum d (d - lo) slack edges, one per host edge and four
+    # per unit of window width, plus the parity pad's
+    sizes = []
+    real = factors.perfect_matching
+
+    def spy(n, edges):
+        sizes.append(len(edges))
+        return real(n, edges)
+
+    monkeypatch.setattr(factors, "perfect_matching", spy)
+    G = MultiGraph(range(1, 42), [(1, v) for v in range(2, 42)] * 2)
+    lo = {v: 0 for v in G.vertices}
+    hi = G.degrees()
+    got = find_interval_factor(G, lo, hi)
+    assert got is not None
+    bound = (
+        sum(hi[v] * (hi[v] - lo[v]) for v in G.vertices)
+        + G.num_edges
+        + 4 * sum(hi[v] - lo[v] for v in G.vertices)
+        + 4
+    )
+    assert len(sizes) == 1 and sizes[0] <= bound
 
 
 def test_two_point_factor_agrees_with_oracle():

@@ -104,9 +104,22 @@ def test_matching_size_matches_networkx_past_the_brute_force_cap():
         _check_against_networkx(nx, n, edges)
 
 
+def _multigraph_with_loops(rng):
+    verts = list(range(1, rng.randint(2, 7) + 1))
+    edges = []
+    for _ in range(rng.randint(1, 16)):
+        if rng.random() < 0.15:
+            v = rng.choice(verts)
+            edges.append((v, v))
+        else:
+            edges.append(tuple(rng.sample(verts, 2)))
+    return MultiGraph(verts, edges)
+
+
 def test_factor_gadget_matchings_match_networkx(monkeypatch):
-    # the graphs the matcher really sees: endpoint gadgets of multigraphs
-    # with loops and parallel edges
+    # the graphs the matcher really sees: window gadgets of multigraphs
+    # with loops and parallel edges, without ports for f-factors and with
+    # ports on a parity chain for interval factors
     nx = pytest.importorskip("networkx")
     gadgets = []
     real = factors.perfect_matching
@@ -118,17 +131,17 @@ def test_factor_gadget_matchings_match_networkx(monkeypatch):
     monkeypatch.setattr(factors, "perfect_matching", spy)
     rng = random.Random(43)
     while len(gadgets) < 150:
-        verts = list(range(1, rng.randint(2, 7) + 1))
-        edges = []
-        for _ in range(rng.randint(1, 16)):
-            if rng.random() < 0.15:
-                v = rng.choice(verts)
-                edges.append((v, v))
-            else:
-                edges.append(tuple(rng.sample(verts, 2)))
-        G = MultiGraph(verts, edges)
+        G = _multigraph_with_loops(rng)
         f = {v: rng.randint(0, G.degree(v)) for v in G.vertices}
         if sum(f.values()) % 2 == 0:
             factors.find_f_factor(G, f)
+    rng = random.Random(47)
+    while len(gadgets) < 300:
+        G = _multigraph_with_loops(rng)
+        g, f = {}, {}
+        for v in G.vertices:
+            a, b = rng.randint(0, G.degree(v)), rng.randint(0, G.degree(v))
+            g[v], f[v] = min(a, b), max(a, b)
+        factors.find_interval_factor(G, g, f)
     for n, edges in gadgets:
         _check_against_networkx(nx, n, edges)
