@@ -463,3 +463,44 @@ def test_toughness_witness_is_a_worst_cutset():
     comps = len(rest.components())
     assert comps >= 2
     assert Fraction(len(S), comps) == result.value
+
+
+def first_toughness_minimiser(G):
+    """(|S| / comps, S) of the first vertex set S, by increasing mask over
+    G.vertices, that minimises |S| / comps over the S leaving comps >= 2
+    components; (None, None) when no S does."""
+    verts = list(G.vertices)
+    best = (None, None)
+    for mask in range(1 << len(verts)):
+        S = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+        if len(S) == len(verts):
+            continue
+        comps = len(G.without_vertices(S).components())
+        if comps >= 2 and (best[0] is None or Fraction(len(S), comps) < best[0]):
+            best = (Fraction(len(S), comps), S)
+    return best
+
+
+def test_toughness_is_the_first_minimiser_in_mask_order():
+    rng = random.Random(47)
+    kinds = {"complete": 0, "disconnected": 0, "other": 0}
+    for trial in range(150):
+        n = rng.randint(1, 10)
+        verts = list(range(1, n + 1))
+        if trial % 10 == 0:
+            edges = [(u, v) for u in verts for v in verts if u < v]
+        else:
+            # few distinct pairs, so parallel edges and ties are common
+            pairs = [tuple(rng.sample(verts, 2)) for _ in range(n)] if n > 1 else []
+            edges = [rng.choice(pairs) for _ in range(rng.randint(0, 2 * n))] if pairs else []
+        edges += [(v, v) for v in rng.sample(verts, rng.randint(0, min(2, n)))]
+        G = MultiGraph(verts, edges)
+        result = toughness(G)
+        assert (result.value, result.witness) == first_toughness_minimiser(G), edges
+        if result.value is None:
+            kinds["complete"] += 1
+        elif result.value == 0:
+            kinds["disconnected"] += 1
+        else:
+            kinds["other"] += 1
+    assert min(kinds.values()) >= 15, kinds

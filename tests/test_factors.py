@@ -250,6 +250,73 @@ def test_strict_form_agrees_on_connected_even_sum():
         assert strict == expect, (G.edges, f)
 
 
+def sweep_order(G):
+    """Every disjoint (A, B) in the criterion sweep's order: S = A u B by
+    increasing mask over G.vertices, then A over the sub-masks of S from S
+    itself down to the empty set."""
+    verts = list(G.vertices)
+    for S in range(1 << len(verts)):
+        sub = S
+        while True:
+            A = frozenset(v for i, v in enumerate(verts) if sub >> i & 1)
+            B = frozenset(v for i, v in enumerate(verts) if (S ^ sub) >> i & 1)
+            yield A, B
+            if sub == 0:
+                break
+            sub = (sub - 1) & S
+
+
+def first_violation(G, g, f, below, skip_empty=False):
+    """First pair in sweep order whose deficiency is below `below`."""
+    for A, B in sweep_order(G):
+        if skip_empty and not A | B:
+            continue
+        if lovasz_deficiency(G, A, B, g, f) < below:
+            return A, B
+    return None
+
+
+def sweep_host(rng, n, connected=False):
+    """Multigraph on 1..n from a small pool of pairs, so parallel edges are
+    common, plus up to two loops; a random tree first when connected."""
+    verts = list(range(1, n + 1))
+    edges = [(v, rng.randint(1, v - 1)) for v in verts[1:]] if connected else []
+    if n > 1:
+        pairs = [tuple(rng.sample(verts, 2)) for _ in range(n)]
+        edges += [rng.choice(pairs) for _ in range(rng.randint(0, 2 * n))]
+    edges += [(v, v) for v in rng.sample(verts, rng.randint(0, min(2, n)))]
+    return MultiGraph(verts, edges)
+
+
+def test_lovasz_witness_is_the_first_violation_in_sweep_order():
+    rng = random.Random(41)
+    witnesses = 0
+    for _ in range(200):
+        G = sweep_host(rng, rng.randint(1, 6))
+        f = {v: rng.randint(0, G.degree(v)) for v in G.vertices}
+        # g = f on about half the vertices, so tight components are common
+        g = {v: f[v] if rng.random() < 0.5 else rng.randint(0, f[v]) for v in G.vertices}
+        expect = first_violation(G, g, f, 0)
+        assert check_lovasz_condition(G, g, f) == (expect is None, expect), (G.edges, g, f)
+        witnesses += expect is not None
+    assert 40 <= witnesses <= 160
+
+
+def test_strict_form_witness_is_the_first_violation_in_sweep_order():
+    rng = random.Random(43)
+    checked = witnesses = 0
+    while checked < 200:
+        G = sweep_host(rng, rng.randint(1, 6), connected=True)
+        f = {v: rng.randint(0, G.degree(v)) for v in G.vertices}
+        if sum(f.values()) % 2 == 1:
+            continue
+        checked += 1
+        expect = first_violation(G, f, f, -1, skip_empty=True)
+        assert check_tutte_strict_form(G, f) == (expect is None, expect), (G.edges, f)
+        witnesses += expect is not None
+    assert 40 <= witnesses <= 160
+
+
 def test_omega_counts_odd_components():
     # two g=f components, one with cross parity mismatch to B
     G = MultiGraph([1, 2, 3, 4], [(1, 2), (3, 4), (2, 3)])
