@@ -649,6 +649,15 @@ class Toughness:
 
 
 def toughness(G: MultiGraph, cap: int = 16) -> Toughness:
+    """Exact toughness: min |S| / comps over the vertex sets S whose removal
+    leaves comps >= 2 components; value None (infinite) when no S does.
+
+    The sweep walks all 2^n masks over G.vertices.  G - S has at most
+    n - |S| components, so an S with |S| / (n - |S|) >= best cannot win
+    and is skipped before its components are counted.  Only a strictly
+    smaller ratio replaces the best, so the witness is the first minimiser
+    in increasing mask order.
+    """
     n = G.num_vertices
     if n > cap:
         raise SizeRefusal(
@@ -662,22 +671,23 @@ def toughness(G: MultiGraph, cap: int = 16) -> Toughness:
             adj[idx[u]] |= 1 << idx[v]
             adj[idx[v]] |= 1 << idx[u]
     full = (1 << n) - 1
-    best: Fraction | None = None
+    # best ratio best_s / best_c, compared by cross-multiplication
+    best_s = best_c = 0
     best_set: int | None = None
     for S in range(1 << n):
         rest = full & ~S
         if rest == 0:
             continue
+        s = S.bit_count()
+        if best_set is not None and s * best_c >= best_s * (n - s):
+            continue
         comps = len(_mask_components(rest, adj))
-        if comps >= 2:
-            val = Fraction(bin(S).count("1"), comps)
-            if best is None or val < best:
-                best = val
-                best_set = S
-    if best is None:
+        if comps >= 2 and (best_set is None or s * best_c < best_s * comps):
+            best_s, best_c, best_set = s, comps, S
+    if best_set is None:
         return Toughness(None, None)
     witness = frozenset(verts[i] for i in range(n) if (best_set >> i) & 1)
-    return Toughness(best, witness)
+    return Toughness(Fraction(best_s, best_c), witness)
 
 
 def _mask_components(rest: int, adj: list[int]) -> list[int]:

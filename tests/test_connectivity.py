@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import factorkit
+from factorkit import connectivity
 from factorkit.connectivity import (
     PackingRefusal,
     TreePacking,
@@ -504,3 +505,23 @@ def test_toughness_is_the_first_minimiser_in_mask_order():
         else:
             kinds["other"] += 1
     assert min(kinds.values()) >= 15, kinds
+
+
+def test_toughness_skips_cut_sets_that_cannot_win(monkeypatch):
+    # G - S has at most n - |S| components; once 1/2 is found on the path,
+    # every S with |S| / (14 - |S|) >= 1/2 is hopeless: 1,471 of the
+    # 16,383 proper subsets still need their components counted
+    calls = 0
+    real = connectivity._mask_components
+
+    def counted(rest, adj):
+        nonlocal calls
+        calls += 1
+        return real(rest, adj)
+
+    monkeypatch.setattr(connectivity, "_mask_components", counted)
+    path = MultiGraph(range(1, 15), [(v, v + 1) for v in range(1, 14)])
+    result = toughness(path)
+    assert result.value == Fraction(1, 2)
+    assert result.witness == frozenset({2})
+    assert calls < 2000
