@@ -16,6 +16,16 @@ augmenting chain applies its removals before its adds, so every forest
 only grows towards its final edge set and no add meets a cycle.  A search
 also skips the forests in which an edge's ends are already joined by
 labeled edges, since such a path has nothing left to label.
+
+The two exact measures prune instead of enumerating.  `edge_connectivity`
+keeps lam, the smallest cut found, from the minimum degree down, and
+contracts every pair that no cut below lam can separate (Nagamochi and
+Ibaraki 1992, with the Padberg and Rinaldi 1990 tests), so it needs a few
+maximum-adjacency phases where Stoer and Wagner need n - 1.
+`bipartite_index` is a depth-first branch and bound whose leaves come in
+side-mask order, so it keeps the witness of a full sweep: the smallest
+mask among the minimisers.  Both run iteratively and build no closures,
+so a call leaves no reference cycles behind.
 """
 from __future__ import annotations
 
@@ -41,51 +51,118 @@ _CANDIDATE_TRIES = 6
 
 
 def edge_connectivity(G: MultiGraph) -> int | float:
-    """Global min cut size; loops never count.  One vertex: infinity sentinel."""
+    """Global min cut size; loops never count.  One vertex: infinity sentinel.
+
+    lam is the smallest cut found so far; it starts at the minimum degree.
+    Each round works on the current multigraph, whose parallel u-v edges
+    are one weight c(u, v), unions pairs in a union-find, and then
+    contracts every class at once.  A round unions
+    - u and v in one Padberg-Rinaldi pass when c(u, v) >= lam, or when
+      2c(u, v) >= d(u) and u is still alone in its class (or the same with
+      u and v swapped);
+    - x and y in one maximum-adjacency (MA) phase when scanning x leaves
+      y's attachment r(y) to the scanned set A at lam or more, since then
+      lambda(x, y) >= r(y) (Nagamochi and Ibaraki).
+    The phase lowers lam with each prefix cut, d(A + x) = d(A) + d(x) -
+    2r(x), and the minimum degree after the contraction lowers it again.
+
+    No cut below lam separates a pair of the first test or of the phase.
+    A vertex u of the second test has degree >= lam and at least half of
+    it on v, so moving u to v's side of a minimum cut below lam does not
+    raise the cut; u alone in its class keeps that true for each union in
+    turn.  So every contraction keeps a cut below lam if there is one, and
+    lam is the answer once one vertex is left.  The phase's last vertex
+    ends at r = d >= lam, so each phase unions a pair.  Returns 0 as soon
+    as lam is 0.
+    """
     n = G.num_vertices
     if n <= 1:
         return math.inf
-    w: dict[int, dict[int, int]] = {v: {} for v in G.vertices}
+    idx = {v: i for i, v in enumerate(G.vertices)}
+    w: list[dict[int, int]] = [{} for _ in range(n)]
     for _, u, v in G.edges:
-        if u == v:
+        if u != v:
+            i, j = idx[u], idx[v]
+            w[i][j] = w[i].get(j, 0) + 1
+            w[j][i] = w[j].get(i, 0) + 1
+    deg = [sum(nbrs.values()) for nbrs in w]
+    lam = min(deg)
+    active = list(range(n))
+    while lam and len(active) > 1:
+        parent = list(range(n))
+        alone = [True] * n  # not yet an end of a union in this pass
+        classes = len(active)
+        for u in active:
+            du = deg[u]
+            for v, c in w[u].items():
+                if v > u and (
+                    c >= lam or 2 * c >= du and alone[u] or 2 * c >= deg[v] and alone[v]
+                ):
+                    classes -= _union(parent, u, v)
+                    alone[u] = alone[v] = False
+        if classes > 1:
+            lam = _ma_phase(w, deg, active, lam, parent)
+            if not lam:
+                return 0
+        # merge each united vertex t into its class root s, as one vertex
+        for t in active:
+            s = _find(parent, t)
+            if s == t:
+                continue
+            ws, wt = w[s], w[t]
+            deg[s] += deg[t] - 2 * wt.pop(s, 0)
+            ws.pop(t, None)
+            for x, c in wt.items():
+                wx = w[x]
+                del wx[t]
+                wx[s] = ws[x] = ws.get(x, 0) + c
+            w[t] = {}
+        active = [u for u in active if parent[u] == u]
+        if len(active) > 1:
+            lam = min(lam, min(deg[u] for u in active))
+    return lam
+
+
+def _ma_phase(w, deg, active, lam, parent) -> int:
+    """One maximum-adjacency phase of `edge_connectivity` over the vertices
+    `active`, from a heap with lazy deletion: keys only grow, so a vertex's
+    newest entry pops first and the rest are stale.  Unions x and y when
+    scanning x lifts y's attachment to lam or more, and returns lam lowered
+    by the prefix cuts, or 0 at the first prefix cut of 0."""
+    start = active[0]
+    in_a = dict.fromkeys(active, False)
+    in_a[start] = True
+    attach = dict.fromkeys(active, 0)
+    heap = []
+    for y, c in w[start].items():
+        attach[y] = c
+        heap.append((-c, y))
+        if c >= lam:
+            _union(parent, start, y)
+    heapq.heapify(heap)
+    cut = deg[start]
+    left = len(active) - 1
+    while heap:
+        neg_r, x = heapq.heappop(heap)
+        if in_a[x]:
             continue
-        w[u][v] = w[u].get(v, 0) + 1
-        w[v][u] = w[v].get(u, 0) + 1
-    active = list(G.vertices)
-    best = None
-    while len(active) > 1:
-        # maximum-adjacency order from a heap with lazy deletion: keys only
-        # grow, so a vertex's newest entry pops first and the rest are stale
-        start = active[0]
-        in_a = {start}
-        attach = {v: w[start].get(v, 0) for v in active if v != start}
-        heap = [(-c, v) for v, c in attach.items()]
-        heapq.heapify(heap)
-        s = t = start
-        while heap:
-            _, sel = heapq.heappop(heap)
-            if sel in in_a:
-                continue
-            in_a.add(sel)
-            s, t = t, sel
-            for u2, c in w[sel].items():
-                if u2 not in in_a:
-                    attach[u2] += c
-                    heapq.heappush(heap, (-attach[u2], u2))
-        cut = attach[t]
-        if best is None or cut < best:
-            best = cut
-        # merge t into s
-        for u2, c in w[t].items():
-            if u2 == s:
-                continue
-            w[s][u2] = w[s].get(u2, 0) + c
-            w[u2][s] = w[u2].get(s, 0) + c
-            del w[u2][t]
-        w[s].pop(t, None)
-        del w[t]
-        active.remove(t)
-    return best if best is not None else 0
+        in_a[x] = True
+        left -= 1
+        if not left:
+            break  # A is every vertex: no cut
+        cut += deg[x] + 2 * neg_r
+        if cut < lam:
+            lam = cut
+            if not lam:
+                return 0
+        for y, c in w[x].items():
+            if not in_a[y]:
+                r = attach[y] + c
+                attach[y] = r
+                heapq.heappush(heap, (-r, y))
+                if r >= lam:
+                    _union(parent, x, y)
+    return lam
 
 
 # -- spanning tree packings ---------------------------------------------
@@ -422,6 +499,14 @@ def _find(parent, x: int) -> int:
     return x
 
 
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the union-find classes of a and b; False when they are one
+    class already."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    parent[ra] = rb
+    return ra != rb
+
+
 def is_tree_connected(G: MultiGraph, m: int, seed: int | None = None) -> bool:
     return isinstance(spanning_tree_packing(G, m, seed=seed), TreePacking)
 
@@ -444,7 +529,7 @@ def tree_connectivity(G: MultiGraph, max_m: int | None = None) -> int:
 
 # -- bipartite index -----------------------------------------------------
 
-# hosts up to this many vertices get the exact sweep; the bounded variants
+# hosts up to this many vertices get the exact search; the bounded variants
 # search locally above it
 _EXACT_CAP = 20
 # seeded random halves the local search starts from
@@ -455,14 +540,27 @@ def bipartite_index(G: MultiGraph, cap: int = _EXACT_CAP) -> tuple[int, Bipartit
     """Exact bi(G): the minimum of e(X) + e(Y) over bipartitions, with witness.
 
     The first vertex stays in X, and bit i - 1 of a side mask puts vertex i
-    in Y.  The sweep visits all 2^(n-1) masks in Gray-code order, one vertex
-    flip per step, and moves the intra count by the flipped vertex's
-    neighbours on its new side minus those on its old side.  Its neighbour
-    count on side Y is read from two per-vertex lookup tables, one for each
-    half of the mask, which count parallel edges with their multiplicity.
-    Loops are never cut, so they are added once at the end.  Among the
-    minimisers the smallest mask wins.  Refuses above the cap; callers
-    that can use a bracket instead call bipartite_index_bounds.
+    in Y.  Among the minimisers the smallest mask wins.  A depth-first
+    branch and bound assigns the vertices from the last one (the top bit)
+    down to the second, X before Y, so complete masks arrive in increasing
+    order.  A node is pruned when its bound is at least the best intra
+    count found, since a later mask of the same count would lose the tie.
+    Until the first complete mask the search prunes only above the count of
+    one greedy pass over the same order (each vertex to the side with fewer
+    edges to those placed before it), so the first minimiser is never cut.
+
+    The bound on every completion of a node is the sum of
+    - the intra edges among the assigned vertices;
+    - for each unassigned vertex, the smaller of its edge counts to X and
+      to Y;
+    - for each multiplicity layer k (the vertex pairs joined by more than k
+      edges), the layer's pairs inside the set U of unassigned vertices
+      beyond the floor(u/2) * ceil(u/2) that a split of U can cut, u = |U|.
+    When the last term is positive and the sum does not prune, the node is
+    bounded again by `_split_floor`, which ties the last two terms to one
+    split size of U.  Loops are never cut, so they are added once at the
+    end.  Refuses above the cap; callers that can use a bracket instead
+    call bipartite_index_bounds.
     """
     n = G.num_vertices
     if n > cap:
@@ -472,49 +570,114 @@ def bipartite_index(G: MultiGraph, cap: int = _EXACT_CAP) -> tuple[int, Bipartit
     if n <= 1:
         return G.num_edges, Bipartition(frozenset(verts), frozenset())
     idx = {v: i for i, v in enumerate(verts)}
-    bits = n - 1
-    # weight[i][b]: edges between vertex i and the vertex of bit b
-    weight = [[0] * bits for _ in range(n)]
-    degree = [0] * n
+    mult: dict[tuple[int, int], int] = {}
     for _, u, v in G.edges:
         if u != v:
             i, j = idx[u], idx[v]
-            if j:
-                weight[i][j - 1] += 1
-            if i:
-                weight[j][i - 1] += 1
-            degree[i] += 1
-            degree[j] += 1
-    half = bits // 2
-    low = (1 << half) - 1
-    lo = [_subset_sums(weight[b + 1][:half]) for b in range(bits)]
-    hi = [_subset_sums(weight[b + 1][half:]) for b in range(bits)]
-    deg = degree[1:]
-
-    # mask 0 puts every vertex in X, so every non-loop edge is intra
-    intra = best = sum(degree) // 2
-    mask = best_mask = 0
-    for k in range(1, 1 << bits):
-        b = (k & -k).bit_length() - 1
-        in_y = lo[b][mask & low] + hi[b][mask >> half]
-        bit = 1 << b
-        if mask & bit:
-            intra += deg[b] - 2 * in_y
+            key = (i, j) if i > j else (j, i)
+            mult[key] = mult.get(key, 0) + 1
+    # lower[i]: (j, multiplicity) for the neighbours 0 < j < i, which are
+    # still unassigned when vertex i is assigned
+    lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    to_x = [0] * n  # to_x[j], to_y[j]: edges from j to assigned X, Y
+    for (i, j), c in mult.items():
+        if j:
+            lower[i].append((j, c))
         else:
-            intra += 2 * in_y - deg[b]
-        mask ^= bit
-        if intra <= best and (intra < best or mask < best_mask):
+            to_x[i] = c
+    to_y = [0] * n
+    # while U is {1, ..., i}: within[i][k] counts the pairs of layer k
+    # inside U, and layer[i] is the layer term
+    layer = [0] * n
+    within: list[tuple[int, ...]] = [()] * n
+    inside: list[int] = []
+    for i in range(1, n):
+        for _, c in lower[i]:
+            inside += [0] * (c - len(inside))
+            for k in range(c):
+                inside[k] += 1
+        cut = (i // 2) * ((i + 1) // 2)
+        layer[i] = sum(e - cut for e in inside if e > cut)
+        within[i] = tuple(inside)
+
+    best = _greedy_intra(lower, to_x, n) + 1
+    # spread: the sum over U of min(to_x[j], to_y[j])
+    best_mask = intra = spread = mask = 0
+    state = [0] * n  # state[i]: 1 with i in X, 2 with i in Y
+    i = n - 1
+    while i < n:
+        if not i:
+            # every vertex is assigned, and the bound check let only a
+            # strictly smaller intra count through
             best, best_mask = intra, mask
-    Y = frozenset(verts[b + 1] for b in range(bits) if best_mask >> b & 1)
+            i = 1
+            continue
+        st = state[i]
+        if st:
+            # take back vertex i's side
+            side = to_x if st == 1 else to_y
+            intra -= side[i]
+            if st == 2:
+                mask ^= 1 << (i - 1)
+            for j, c in lower[i]:
+                old = min(to_x[j], to_y[j])
+                side[j] -= c
+                spread += min(to_x[j], to_y[j]) - old
+            spread += min(to_x[i], to_y[i])
+            if st == 2:
+                state[i] = 0
+                i += 1
+                continue
+        state[i] = st + 1
+        side = to_x if st == 0 else to_y
+        spread -= min(to_x[i], to_y[i])
+        intra += side[i]
+        if st:
+            mask |= 1 << (i - 1)
+        for j, c in lower[i]:
+            old = min(to_x[j], to_y[j])
+            side[j] += c
+            spread += min(to_x[j], to_y[j]) - old
+        bound = intra + spread + layer[i - 1]
+        if bound < best and layer[i - 1]:
+            bound = intra + _split_floor(to_x, to_y, i - 1, within[i - 1])
+        if bound < best:
+            i -= 1
+    Y = frozenset(verts[b + 1] for b in range(n - 1) if best_mask >> b & 1)
     return best + loops, Bipartition(frozenset(verts) - Y, Y)
 
 
-def _subset_sums(weights: list[int]) -> list[int]:
-    """sums[m]: the total of weights[i] over the bits i set in m."""
-    sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
-    return sums
+def _split_floor(to_x: list[int], to_y: list[int], u: int, within: tuple[int, ...]) -> int:
+    """Fewest intra edges that placing U = {1, ..., u} can add, in the
+    branch and bound of `bipartite_index`: to_x[j] and to_y[j] count j's
+    edges to the assigned X and Y, and within[k] the pairs of layer k
+    inside U.  With a vertices of U in X, U's edges to the assigned ones
+    add at least their count to Y plus the a smallest differences
+    to_x[j] - to_y[j], and each layer keeps its pairs beyond the a(u - a)
+    that the split can cut; the floor is the least of these over a."""
+    diffs = sorted([to_x[j] - to_y[j] for j in range(1, u + 1)])
+    cost = sum(to_y[1:u + 1])
+    low = cost + sum(within)
+    for a, d in enumerate(diffs, 1):
+        cost += d
+        cut = a * (u - a)
+        low = min(low, cost + sum(e - cut for e in within if e > cut))
+    return low
+
+
+def _greedy_intra(lower: list[list[tuple[int, int]]], to_x: list[int], n: int) -> int:
+    """Intra count of the split that puts each vertex, last to second, on
+    the side with fewer edges to those placed before it (X on a tie), with
+    the first vertex in X; `lower` and `to_x` as in `bipartite_index`."""
+    to_x = to_x[:]
+    to_y = [0] * n
+    intra = 0
+    for i in range(n - 1, 0, -1):
+        side = to_y if to_y[i] < to_x[i] else to_x
+        intra += side[i]
+        for j, c in lower[i]:
+            side[j] += c
+    return intra
 
 
 def bipartite_index_upper(G: MultiGraph, seed: int = 0) -> tuple[int, Bipartition]:

@@ -2,10 +2,13 @@
 
 The tree packer is checked against the Nash-Williams/Tutte partition
 bound (exhaustive over set partitions), edge connectivity against all
-2^(n-1) cuts, and the bipartite index against an exhaustive max-cut.
+2^(n-1) cuts and past them against networkx's Stoer-Wagner, and the
+bipartite index against an exhaustive max-cut and, up to 20 vertices,
+against a Gray-code sweep over all 2^(n-1) bipartitions.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import os
@@ -35,7 +38,7 @@ from factorkit.connectivity import (
 )
 from factorkit.errors import SizeRefusal
 from factorkit.generators import GenSpec, gen_tree_connected
-from factorkit.graph import Factor, MultiGraph
+from factorkit.graph import Bipartition, Factor, MultiGraph
 
 
 def random_multigraph(rng, n_lo=2, n_hi=6, max_edges=12, loops=False):
@@ -318,6 +321,31 @@ def test_edge_connectivity_matches_brute_cuts():
         assert edge_connectivity(G) == brute_edge_connectivity(G)
 
 
+def _networkx_edge_connectivity(nx, G):
+    """Stoer-Wagner on the parallel edges of G as weights of one simple
+    edge; 0 for a disconnected host and infinity for a single vertex."""
+    if G.num_vertices <= 1:
+        return float("inf")
+    H = nx.Graph()
+    H.add_nodes_from(G.vertices)
+    for _, u, v in G.edges:
+        if u != v:
+            w = H[u][v]["weight"] + 1 if H.has_edge(u, v) else 1
+            H.add_edge(u, v, weight=w)
+    return nx.stoer_wagner(H)[0] if nx.is_connected(H) else 0
+
+
+def _cycle_power(n, k):
+    """C_n^k: each vertex of an n-cycle joined to the k next ones."""
+    return MultiGraph(
+        range(1, n + 1), [(v, (v + d - 1) % n + 1) for v in range(1, n + 1) for d in range(1, k + 1)]
+    )
+
+
+def _complete(n, times=1, offset=0):
+    return [(u + offset, v + offset) for u in range(1, n + 1) for v in range(u + 1, n + 1)] * times
+
+
 def test_edge_connectivity_matches_networkx_stoer_wagner():
     # past the brute-force cut oracle: multigraphs with loops up to 40
     # vertices, the parallel edges as weights of one simple edge
@@ -335,14 +363,61 @@ def test_edge_connectivity_matches_networkx_stoer_wagner():
             else:
                 edges.append(tuple(rng.sample(verts, 2)))
         G = MultiGraph(verts, edges)
-        H = nx.Graph()
-        H.add_nodes_from(G.vertices)
-        for _, u, v in G.edges:
-            if u != v:
-                w = H[u][v]["weight"] + 1 if H.has_edge(u, v) else 1
-                H.add_edge(u, v, weight=w)
-        expect = nx.stoer_wagner(H)[0] if nx.is_connected(H) else 0
-        assert edge_connectivity(G) == expect, G.edges
+        assert edge_connectivity(G) == _networkx_edge_connectivity(nx, G), G.edges
+    # hosts whose cuts are found by contracting many pairs at once
+    shapes = {
+        f"{n} vertices, 8 trees": gen_tree_connected(GenSpec(n=n, trees=8, extra_edges=16, seed=1))
+        for n in (64, 128)
+    }
+    shapes["two 3xK8 joined by 2 edges"] = MultiGraph(
+        range(1, 17), _complete(8, 3) + _complete(8, 3, offset=8) + [(1, 9), (2, 10)]
+    )
+    # minimum degree 2, and each edge has an end of degree 2, but the path
+    # between the two 5-cycles is a chain of bridges
+    shapes["C_5 - P_3 - C_5"] = MultiGraph(
+        range(1, 13),
+        [(v, v % 5 + 1) for v in range(1, 6)]
+        + [(v, (v - 5) % 5 + 6) for v in range(6, 11)]
+        + [(1, 11), (11, 12), (12, 6)],
+    )
+    for n in (3, 4, 5, 17, 64, 200):
+        shapes[f"C_{n}"] = _cycle_power(n, 1)
+        shapes[f"C_{n}^2"] = _cycle_power(n, 2)
+    for n in (2, 3, 17, 64, 200):
+        shapes[f"P_{n}"] = MultiGraph(range(1, n + 1), [(v, v + 1) for v in range(1, n)])
+    shapes["two K4s"] = MultiGraph(range(1, 9), _complete(4, 2) + _complete(4, offset=4))
+    shapes["K6 and a lone vertex"] = MultiGraph(range(1, 8), _complete(6, 3))
+    shapes["C_64 and P_64"] = MultiGraph(
+        range(1, 129),
+        [(v, v % 64 + 1) for v in range(1, 65)] + [(v, v + 1) for v in range(65, 128)],
+    )
+    for n in (1, 2, 6):
+        shapes[f"{n} vertices with loops only"] = MultiGraph(
+            range(1, n + 1), [(v, v) for v in range(1, n + 1)] * 2
+        )
+    for name, G in shapes.items():
+        assert edge_connectivity(G) == _networkx_edge_connectivity(nx, G), name
+
+
+def test_edge_connectivity_needs_few_phases(monkeypatch):
+    # each maximum-adjacency phase heapifies once; Stoer-Wagner would run
+    # n - 1 phases: 63 on the tree host and 199 on the cycle
+    phases = 0
+    real = connectivity.heapq.heapify
+
+    def counted(heap):
+        nonlocal phases
+        phases += 1
+        real(heap)
+
+    host = gen_tree_connected(GenSpec(n=64, trees=8, extra_edges=16, seed=1))
+    cycle = _cycle_power(200, 1)
+    monkeypatch.setattr(connectivity.heapq, "heapify", counted)
+    assert edge_connectivity(host) == 11
+    assert phases < 10
+    phases = 0
+    assert edge_connectivity(cycle) == 2
+    assert phases <= 2
 
 
 def test_bipartite_index_matches_brute_max_cut():
@@ -388,6 +463,126 @@ def test_bipartite_index_is_the_first_minimiser_in_mask_order():
         assert P.X | P.Y == set(verts) and not P.X & P.Y
         assert bipartite_index_upper(G, seed=3) == (value, P)
         assert bipartite_index_bounds(G, seed=3) == (value, value, P)
+
+
+def gray_code_bipartite_index(G):
+    """bi(G) and the first minimising side mask's bipartition, by the
+    Gray-code sweep over all 2^(n-1) side masks that factorkit ran before
+    its branch and bound.
+
+    The first vertex stays in X, and bit i - 1 of a side mask puts vertex i
+    in Y.  Each step flips one vertex and moves the intra count by the
+    flipped vertex's neighbours on its new side minus those on its old
+    side; its neighbour count on side Y is read from two per-vertex lookup
+    tables, one for each half of the mask, which count parallel edges with
+    their multiplicity.  Loops are never cut, so they are added once at
+    the end.
+    """
+    n = G.num_vertices
+    verts = list(G.vertices)
+    loops = sum(1 for _, u, v in G.edges if u == v)
+    if n <= 1:
+        return G.num_edges, Bipartition(frozenset(verts), frozenset())
+    idx = {v: i for i, v in enumerate(verts)}
+    bits = n - 1
+    # weight[i][b]: edges between vertex i and the vertex of bit b
+    weight = [[0] * bits for _ in range(n)]
+    degree = [0] * n
+    for _, u, v in G.edges:
+        if u != v:
+            i, j = idx[u], idx[v]
+            if j:
+                weight[i][j - 1] += 1
+            if i:
+                weight[j][i - 1] += 1
+            degree[i] += 1
+            degree[j] += 1
+    half = bits // 2
+    low = (1 << half) - 1
+    lo = [_subset_sums(weight[b + 1][:half]) for b in range(bits)]
+    hi = [_subset_sums(weight[b + 1][half:]) for b in range(bits)]
+    deg = degree[1:]
+    # mask 0 puts every vertex in X, so every non-loop edge is intra
+    intra = best = sum(degree) // 2
+    mask = best_mask = 0
+    for k in range(1, 1 << bits):
+        b = (k & -k).bit_length() - 1
+        in_y = lo[b][mask & low] + hi[b][mask >> half]
+        bit = 1 << b
+        if mask & bit:
+            intra += deg[b] - 2 * in_y
+        else:
+            intra += 2 * in_y - deg[b]
+        mask ^= bit
+        if intra <= best and (intra < best or mask < best_mask):
+            best, best_mask = intra, mask
+    Y = frozenset(verts[b + 1] for b in range(bits) if best_mask >> b & 1)
+    return best + loops, Bipartition(frozenset(verts) - Y, Y)
+
+
+def _subset_sums(weights):
+    """sums[m]: the total of weights[i] over the bits i set in m."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def _random_cubic(n, rng):
+    """The edges of a uniformly drawn simple 3-regular graph on 1..n: random
+    pairings of three stubs per vertex, redrawn until one is simple."""
+    while True:
+        stubs = [v for v in range(1, n + 1) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if all(u != v for u, v in pairs) and len({frozenset(p) for p in pairs}) == len(pairs):
+            return pairs
+
+
+def test_bipartite_index_matches_the_gray_code_sweep():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(12, 18)
+        verts = list(range(1, n + 1))
+        # few distinct pairs, so parallel edges and tied minimisers are common
+        pairs = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(n // 2, 3 * n))]
+        edges = [rng.choice(pairs) for _ in range(rng.randint(n, 4 * n))]
+        edges += [(v, v) for v in rng.sample(verts, rng.randint(0, 3))]
+        G = MultiGraph(verts, edges)
+        value, P = bipartite_index(G)
+        expect, Q = gray_code_bipartite_index(G)
+        assert (value, P.Y) == (expect, Q.Y), edges
+    # shapes at the exact cap of 20 vertices, from sparse to complete
+    verts = list(range(1, 21))
+    shapes = {
+        "K20": (20, _complete(20)),
+        "doubled K16": (16, _complete(16, 2)),
+        "G(20, 1/2)": (20, [(u, v) for u, v in _complete(20) if rng.random() < 0.5]),
+        "random cubic": (20, _random_cubic(20, rng)),
+        "2n random multi-edges": (20, [tuple(rng.sample(verts, 2)) for _ in range(40)]),
+        "4n random multi-edges": (20, [tuple(rng.sample(verts, 2)) for _ in range(80)]),
+    }
+    for name, (n, edges) in shapes.items():
+        G = MultiGraph(range(1, n + 1), edges)
+        value, P = bipartite_index(G)
+        expect, Q = gray_code_bipartite_index(G)
+        assert (value, P.Y) == (expect, Q.Y), name
+
+
+def test_engines_leave_no_reference_cycles():
+    # the engines hold no self-referencing closures or frames, so one call
+    # leaves nothing for the cycle collector
+    rng = random.Random(53)
+    G = MultiGraph(range(1, 21), [tuple(rng.sample(range(1, 21), 2)) for _ in range(60)])
+    gc.disable()
+    try:
+        gc.collect()
+        edge_connectivity(G)
+        assert gc.collect() == 0
+        bipartite_index(G)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bipartite_index_runs_without_numpy():
