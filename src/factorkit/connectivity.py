@@ -6,8 +6,8 @@ augmentation over m copies of the graphic matroid: each candidate edge is
 inserted through a BFS over exchange moves (an edge enters a forest by
 evicting an edge of the cycle it would close, which then re-enters some
 other forest, and so on).  When the graph is not m-tree-connected the
-labeled edges of the failed searches yield a partition P of the vertices
-with fewer than m(|P| - 1) crossing edges, which is the exact obstruction.
+labeled edges of the last pass, in which every search failed, give a vertex
+partition P with fewer than m(|P| - 1) crossing edges: the exact obstruction.
 
 Each forest is kept rooted, with a parent link, a depth and a root label
 per vertex.  "No path" is one comparison of root labels, and a cycle is
@@ -35,7 +35,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InputError, SizeRefusal
 from .graph import (
@@ -390,7 +390,8 @@ def spanning_tree_packing(
     state = _ForestState(n, m)
     by_id = {eid: (u, v) for eid, u, v in nonloop}
 
-    def try_augment(e0: int, mutate: bool = True) -> tuple[bool, set[int]]:
+    # None once e0 is in a forest, else the labels of the failed search
+    def try_augment(e0: int) -> dict[int, tuple[int, int] | None] | None:
         labels: dict[int, tuple[int, int] | None] = {e0: None}
         # cluster[fi][v]: v's component in the labeled edges of forest fi,
         # as a vertex label, with grouped[fi][label] listing the clusters of
@@ -407,8 +408,6 @@ def spanning_tree_packing(
                     continue
                 path = state.path(fi, xu, xv)
                 if path is None:
-                    if not mutate:
-                        raise AssertionError("probe found an augmentation")
                     # each chain edge leaves the forest where it blocked its
                     # predecessor and enters the one it was probed against
                     chain = [(x, fi)]
@@ -422,7 +421,7 @@ def spanning_tree_packing(
                         state.add(target, cur, *by_id[cur])
                     if not state.acyclic_and_sized({f for _, f in chain}):
                         raise AssertionError("augmentation chain left a non-forest")
-                    return True, set()
+                    return None
                 groups = grouped[fi]
                 for y in path:
                     if y not in labels:
@@ -438,25 +437,22 @@ def spanning_tree_packing(
                             cl[w] = cv
                         gv += gu
                         groups[cv] = gv
-        return False, set(labels)
+        return labels
 
-    unused: list[int] = []
-    for eid, _, _ in nonloop:
-        if eid in state.where:
-            continue
-        ok, _ = try_augment(eid)
-        if not ok:
-            unused.append(eid)
+    # passes over the edges outside the forests until one augments nothing;
+    # that pass changed no forest, so its labels are those of the final state
+    unused = [eid for eid, _, _ in nonloop]
     progress = True
     while progress and unused:
         progress = False
-        still = []
+        still, labeled = [], set()
         for eid in unused:
-            ok, _ = try_augment(eid)
-            if ok:
+            labels = try_augment(eid)
+            if labels is None:
                 progress = True
             else:
                 still.append(eid)
+                labeled.update(labels)
         unused = still
 
     sizes = [len(state.members[fi]) for fi in range(m)]
@@ -468,10 +464,6 @@ def spanning_tree_packing(
         return packing
 
     # certificate: labeled edges of the final failed searches are intra-part
-    labeled: set[int] = set()
-    for eid in unused:
-        _, labs = try_augment(eid, mutate=False)
-        labeled |= labs
     parent = list(range(n))
     for eid in labeled:
         u, v = by_id[eid]
@@ -734,12 +726,18 @@ def bipartite_index_bounds(G: MultiGraph, seed: int = 0) -> tuple[int, int, Bipa
     return lower, upper, witness
 
 
-def _bipartition_candidates(G: MultiGraph, rng: random.Random):
-    """Bipartitions for the structure searches: the witness of
-    `bipartite_index_upper`, then seeded random halves.
+def _find_structure(
+    G: MultiGraph, rng: random.Random, need: int, intra_ok: Callable[[int], bool],
+    seed: int | None = None, window_ok: Callable[[Bipartition], bool] | None = None,
+) -> tuple[Bipartition, TreePacking] | None:
+    """(P, packing of need trees of G[X, Y] at packer seed `seed`) for the
+    first candidate P whose intra-part count passes intra_ok and that passes
+    window_ok as given or else swapped (P is that orientation); or None.
 
-    A swapped bipartition has the same cross factor, so each unordered pair
-    is yielded once; both sides are nonempty.
+    The candidates are the witness of `bipartite_index_upper`, then random
+    halves drawn from rng as the search reaches them.  A swapped bipartition
+    has the same cross factor, so each unordered pair is tried once; both
+    sides are nonempty.
     """
     _, P = bipartite_index_upper(G)
     verts = list(G.vertices)
@@ -749,9 +747,18 @@ def _bipartition_candidates(G: MultiGraph, rng: random.Random):
             X = frozenset(v for v in verts if rng.random() < 0.5)
             P = Bipartition(X, frozenset(verts) - X)
         key = frozenset((P.X, P.Y))
-        if P.X and P.Y and key not in seen:
-            seen.add(key)
-            yield P
+        if not P.X or not P.Y or key in seen:
+            continue
+        seen.add(key)
+        Q = next((Q for Q in (P, P.swapped()) if window_ok is None or window_ok(Q)), None)
+        # with Y = V - X every boundary edge of X is a cross edge
+        if Q is None or not intra_ok(G.num_edges - partition_stats(G, P.X)[0]):
+            continue
+        cross = induced_bipartite_factor(G, P).as_graph()
+        packing = spanning_tree_packing(cross, need, seed=seed)
+        if isinstance(packing, TreePacking):
+            return Q, packing
+    return None
 
 
 def odd_cycle_packing_bound(

@@ -1,6 +1,10 @@
 """Decompositions: parity forests, Eulerian splits of tree-connected
 graphs, and the search-based splitting lemmas.
 
+An Eulerian split is cut from spanning trees of the cross factor G[X, Y]:
+the pipelines pass the packing their structure gate made, and
+decompose_eulerian packs its own.
+
 Two of the operations here (decompose_keep_bi, split_tree_connected_
 complement) implement lemmas whose proofs live outside the source
 material, so they run verified randomized searches over proof-shaped
@@ -16,7 +20,7 @@ from typing import Mapping
 from .connectivity import (
     PackingRefusal,
     TreePacking,
-    _bipartition_candidates,
+    _find_structure,
     bipartite_index_upper,
     edge_connectivity,
     spanning_tree_packing,
@@ -116,35 +120,48 @@ def decompose_eulerian(
     """Split G into G1 (bipartite on P, m1-tree-connected) and G2 (Eulerian,
     m2-tree-connected), given an (m1+m2+1)-tree-connected cross factor.
 
-    All intra-part edges go to G2; one packed tree donates the parity
-    forest that makes G2 even.  Every postcondition is re-verified before
-    returning, the tree counts against the packed trees each part keeps.
+    Packs m1+m2+1 trees of G[X, Y] with the packer seed `seed` and builds
+    the split from them, as `_eulerian_split` does.
     """
     if m1 < 0 or m2 < 0:
         raise InputError("tree counts must be nonnegative")
     P.validate_for(G)
-    cross = induced_bipartite_factor(G, P)
-    cross_graph = cross.as_graph()
-    packing = spanning_tree_packing(cross_graph, m1 + m2 + 1, seed=seed)
+    cross = induced_bipartite_factor(G, P).as_graph()
+    packing = spanning_tree_packing(cross, m1 + m2 + 1, seed=seed)
+    return _eulerian_split(G, P, packing, m1, m2)
+
+
+def _eulerian_split(
+    G: MultiGraph, P: Bipartition, packing: TreePacking | PackingRefusal, m1: int, m2: int
+) -> tuple[Factor, Factor]:
+    """decompose_eulerian from a packing of G[X, Y], of which it uses the
+    first m1+m2+1 trees; a refusal is the failed hypothesis.
+
+    All intra-part edges go to G2, with the last m2 of those trees; the
+    first tree donates the parity forest that makes G2 even, and G1 keeps
+    the rest.  Every postcondition is re-verified before returning, the
+    tree counts against the trees each part keeps.
+    """
     if isinstance(packing, PackingRefusal):
         raise HypothesisError(
             "(m1+m2+1)-tree-connected cross factor",
             f"cross factor is not {m1 + m2 + 1}-tree-connected",
             certificate=packing,
         )
-    h2_ids = frozenset().union(*(t.edge_ids for t in packing.trees[1 + m1 :]))
-    intra_ids = frozenset(G.edge_ids) - cross.edge_ids
-    g2 = _even_closure(Factor(G, h2_ids | intra_ids), packing.trees[0])
+    trees = packing.trees[: m1 + m2 + 1]
+    h2_ids = frozenset().union(*(t.edge_ids for t in trees[1 + m1 :]))
+    intra_ids = frozenset(G.edge_ids) - induced_bipartite_factor(G, P).edge_ids
+    g2 = _even_closure(Factor(G, h2_ids | intra_ids), trees[0])
     g1 = g2.complement()
 
     g1_graph = g1.as_graph()
     if not g1_graph.is_bipartite_with(P):
         raise AssertionError("G1 kept an intra-part edge")
-    _carried_packing(g1_graph, packing.trees[1 : 1 + m1])
+    _carried_packing(g1_graph, trees[1 : 1 + m1])
     g2_graph = g2.as_graph()
     if not g2_graph.is_eulerian():
         raise AssertionError("G2 is not even")
-    _carried_packing(g2_graph, packing.trees[1 + m1 :])
+    _carried_packing(g2_graph, trees[1 + m1 :])
     _assert_part_sum_identity(g2_graph, P)
     return g1, g2
 
@@ -177,8 +194,8 @@ def decompose_keep_bi(
     """
     if not 0 <= k0 <= m2:
         raise InputError("need m2 >= k0 >= 0")
-    if m1 < 0:
-        raise InputError("m1 must be nonnegative")
+    if m1 < 0 or (m1 and not m2):
+        raise InputError("need m1 >= 0, and m2 >= 1 for the parity donor when m1 >= 1")
     if k0 == 0:
         intra_target = 0
     else:
@@ -195,30 +212,20 @@ def decompose_keep_bi(
                 certificate=packing,
             )
         trees = packing.trees
-        if m1 == 0:
-            g1 = Factor(G, frozenset())
-        elif len(trees) > 2 * m1:
+        g1 = Factor(G, frozenset())
+        if m1:
             core = frozenset().union(*(t.edge_ids for t in trees[: 2 * m1]))
             g1 = _even_closure(Factor(G, core), trees[2 * m1])
-        else:
-            continue
         g2 = g1.complement()
-        g2_graph = g2.as_graph()
-        for P in _bipartition_candidates(g2_graph, rng):
-            cross = induced_bipartite_factor(g2_graph, P)
-            if not isinstance(
-                spanning_tree_packing(cross.as_graph(), m2), TreePacking
-            ):
-                continue
-            intra = g2_graph.num_edges - cross.num_edges
-            if intra < intra_target:
-                continue
-            g1_graph = g1.as_graph()
-            if not g1_graph.is_eulerian():
-                raise AssertionError("G1 is not even")
-            # 2m1 edge-disjoint spanning trees make G1 2m1-edge-connected
-            _carried_packing(g1_graph, trees[: 2 * m1])
-            return g1, g2, P
+        found = _find_structure(g2.as_graph(), rng, m2, lambda i: i >= intra_target)
+        if found is None:
+            continue
+        g1_graph = g1.as_graph()
+        if not g1_graph.is_eulerian():
+            raise AssertionError("G1 is not even")
+        # 2m1 edge-disjoint spanning trees make G1 2m1-edge-connected
+        _carried_packing(g1_graph, trees[: 2 * m1])
+        return g1, g2, found[0]
     return UNKNOWN
 
 
@@ -289,7 +296,7 @@ def _split_complement(
         h = Factor(G, frozenset(h_core) | balance.edge_ids)
         rest = h.complement()
         if any(not lo[v] <= h.degree(v) <= hi[v] for v in G.vertices):
-            continue
+            raise AssertionError("the interval factor left h outside [lo, hi]")
         pack_h = _carried_packing(h.as_graph(), packing.trees[:m])
         pack_c = _carried_packing(rest.as_graph(), packing.trees[m:])
         return h, rest, pack_h, pack_c

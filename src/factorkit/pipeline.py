@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 from .connectivity import (
     PackingRefusal,
     TreePacking,
-    _bipartition_candidates,
+    _find_structure,
     bipartite_index_bounds,
     edge_connectivity,
     spanning_tree_packing,
@@ -42,9 +42,9 @@ from .connectivity import (
 )
 from .decompositions import (
     _carried_packing,
+    _eulerian_split,
     _even_closure,
     _split_complement,
-    decompose_eulerian,
     decompose_keep_bi,
 )
 from .errors import (
@@ -558,45 +558,32 @@ def _gate_structure(
     search: tuple[str, str],
     given: tuple[str, str, str],
     window_ok: Callable[[Bipartition], bool] | None = None,
-) -> Bipartition:
-    """The bipartition the almost-bipartite and bi-large theorems run on.
+) -> tuple[Bipartition, TreePacking | PackingRefusal]:
+    """The bipartition the almost-bipartite and bi-large theorems run on,
+    with the packing of its cross factor that their Eulerian split uses.
 
     A given P is gated: its intra-part count must pass intra_ok and its
     cross factor must be need-tree-connected; `given` holds the intra
     hypothesis, the intra detail that follows the count, and the cross
-    hypothesis.  Otherwise the searched candidates are tried in order, each
-    in the first of its two orientations that passes window_ok, and the
-    first with a passing intra count and a need-tree-connected cross factor
-    is returned; when none is, `search` (hypothesis, detail) names the
-    refusal, or the stage fails under assume_hypotheses.
+    hypothesis.  Under assume_hypotheses the packing may be a refusal.
+    Otherwise `_find_structure` searches the candidates, and when none
+    passes, `search` (hypothesis, detail) names the refusal, or the stage
+    fails under assume_hypotheses.  Both pack with child_seed(seed, 1).
     """
     if P is None:
         rng = random.Random(child_seed(seed, 0))
-        for cand in _bipartition_candidates(G, rng):
-            # with Y = V - X every boundary edge of X is a cross edge
-            if not intra_ok(G.num_edges - partition_stats(G, cand.X)[0]):
-                continue
-            Q = next(
-                (Q for Q in (cand, cand.swapped()) if window_ok is None or window_ok(Q)),
-                None,
-            )
-            if Q is None:
-                continue
-            cross = induced_bipartite_factor(G, cand)
-            if isinstance(spanning_tree_packing(cross.as_graph(), need), TreePacking):
-                return Q
-        gate.require(False, *search)
-        raise _StageFailed(f"{search[0]}: {search[1]}")
+        found = _find_structure(G, rng, need, intra_ok, child_seed(seed, 1), window_ok)
+        if found is None:
+            gate.require(False, *search)
+            raise _StageFailed(f"{search[0]}: {search[1]}")
+        return found
     P.validate_for(G)
     intra = G.num_edges - partition_stats(G, P.X)[0]
     gate.require(intra_ok(intra), given[0], f"{intra} {given[1]}")
     cross = induced_bipartite_factor(G, P)
-    gate.require_trees(
-        spanning_tree_packing(cross.as_graph(), need, seed=seed),
-        given[2],
-        f"no {need} disjoint spanning trees in G[X,Y]",
-    )
-    return P
+    packing = spanning_tree_packing(cross.as_graph(), need, seed=child_seed(seed, 1))
+    gate.require_trees(packing, given[2], f"no {need} disjoint spanning trees in G[X,Y]")
+    return P, packing
 
 
 @_entry
@@ -628,7 +615,7 @@ def gf_factor_almost_bipartite(
         diff = sum(h[v] for v in Q.X) - sum(h[v] for v in Q.Y)
         return 0 <= diff <= 2 * partition_stats(G, Q.X)[1] + 1
 
-    P = _gate_structure(
+    P, cross_packing = _gate_structure(
         gate, G, P, need, seed,
         intra_ok=lambda intra: intra <= k - 1,
         search=(
@@ -662,8 +649,7 @@ def gf_factor_almost_bipartite(
         return _pinned_bipartite(G, P, g, f, h, None, seed)
 
     g1f, g2f = _stage(
-        "decomposition", decompose_eulerian,
-        G, P, 4 * k * k, 2 * k - 1, seed=child_seed(seed, 1),
+        "decomposition", _eulerian_split, G, P, cross_packing, 4 * k * k, 2 * k - 1
     )
     t = s - ex + ey
     if not assume_hypotheses and (abs(t) > ex + ey or ex + ey > k - 1):
@@ -735,7 +721,7 @@ def gf_factor_bi_large(
         )
 
     need = 3 * k * k
-    P = _gate_structure(
+    P, cross_packing = _gate_structure(
         gate, G, P, need, seed,
         intra_ok=lambda intra: intra >= k - 1,
         search=(
@@ -758,9 +744,7 @@ def gf_factor_bi_large(
 
     m1 = (3 * k + 2) * (k - 1) // 2
     m2 = 2 * k
-    g1f, g2f = _stage(
-        "decomposition", decompose_eulerian, G, Pn, m1, m2, seed=child_seed(seed, 1)
-    )
+    g1f, g2f = _stage("decomposition", _eulerian_split, G, Pn, cross_packing, m1, m2)
     half2 = _half_degrees(g2f)
     g1_graph = g1f.as_graph()
     g1, f1 = _shifted(g1_graph, half2, g, f)

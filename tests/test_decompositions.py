@@ -20,7 +20,7 @@ from factorkit.decompositions import (
     parity_forest,
     split_tree_connected_complement,
 )
-from factorkit.errors import HypothesisError, is_unknown
+from factorkit.errors import HypothesisError, InputError, is_unknown
 from factorkit.graph import Bipartition, Factor, MultiGraph, induced_bipartite_factor
 
 
@@ -176,6 +176,17 @@ def test_decompose_keep_bi_refuses_hosts_without_the_trees():
     assert exc.value.hypothesis == "(2m1+2m2)-tree-connected"
     assert isinstance(exc.value.certificate, PackingRefusal)
     assert exc.value.certificate.verify()
+
+
+def test_decompose_keep_bi_needs_m2_for_the_parity_donor():
+    # G1 is 2m1 trees plus the parity forest of one more tree, which only
+    # the 2m2 trees of G2 can give; without one every trial used to fail
+    # and the search ended in UNKNOWN
+    G = MultiGraph(range(1, 6), list(itertools.combinations(range(1, 6), 2)) * 3)
+    with pytest.raises(InputError):
+        decompose_keep_bi(G, 1, 0, 0, seed=1)
+    g1, g2, P = decompose_keep_bi(G, 1, 1, 0, seed=1)
+    assert g1.as_graph().is_eulerian()
 
 
 def test_split_tree_connected_complement_window():

@@ -1,6 +1,7 @@
 """Verification campaigns: outcomes, determinism, report shape."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -42,6 +43,31 @@ def test_pipeline_campaigns_have_zero_hard_errors():
         assert (
             report.successes, report.nones, report.unknowns, report.refusals
         ) == outcomes, report.render()
+
+
+# sha256 of verify_theorem(id, 30, master_seed=0).to_json(); a change that
+# keeps every answer keeps these bytes, and one that changes answers
+# re-records them and says in CHANGES.md which answers moved
+CAMPAIGN_DIGESTS = {
+    "tutte-equiv": "883be52bd70a5fcfc5f5d0aa92640d09a73826497e22142e2b714649dc0b76c2",
+    "lovasz-equiv": "31ca2f0c5fc560b4eed150e9c432d88130511d862ed390587118f021bc17a0df",
+    "bijection": "f846a2d034eb1bd27298cb4975ddb8cf5541e12cb4f71041e6b0f763ba0467a9",
+    "eulerian-half": "3d0bbe14ca8bca1ca8ba045e9ad30cb3d357f1a20584965349b509bf034e7e22",
+    "bipartite-gf": "a2a0aef4281601db9f43ada78f5001a4f91dcfa430ca9c687a8c8adbaaa98005",
+    "almost-bipartite": "16121b418333ab2038ec9497a90c02062e03fcb06df08fc839ed723b13d2f783",
+    "bi-large": "06cbf18baea0bea4272fabbb9d4af484e510b23aafd83f54f83303289faa95af",
+    "tree-gf-bipartite": "0e7a9cd73a2e1019ba3f5259df9feae6be76d7e2c13420bd279c2c46c4e4518e",
+    "tree-gf": "3e586a8fca0d319dbc2a742693a783b01fd6f688b5a9868c29041587bac0eddf",
+    "tough-check": "3dc4d6fe9e8d51d09f31b38dd36bd170757594ab5313b19169cbd781b7a612c1",
+}
+
+
+def test_campaign_reports_are_pinned():
+    assert set(CAMPAIGN_DIGESTS) == set(THEOREM_IDS)
+    for tid in THEOREM_IDS:
+        report = verify_theorem(tid, 30, master_seed=0)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == CAMPAIGN_DIGESTS[tid], tid
 
 
 def test_campaign_bytes_are_deterministic():

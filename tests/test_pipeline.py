@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from factorkit import decompositions, pipeline
+from factorkit import connectivity, decompositions, pipeline
 from factorkit.connectivity import TreePacking, edge_connectivity, spanning_tree_packing
 from factorkit.errors import HypothesisError, InputError, is_unknown
 from factorkit.factors import factor_exists
@@ -232,6 +232,32 @@ def test_gf_factor_bi_large_certifies_nonexistence():
     )
 
 
+def _gap_two_at_3(G, seed):
+    g, f = gen_functions(G, k=2, seed=seed)
+    g[3], f[3] = G.degree(3) // 2 - 1, G.degree(3) // 2 + 1
+    return g, f
+
+
+def test_gf_factor_bi_large_constructs_at_k2():
+    # 12 cross trees at k = 2, of which the Eulerian split uses 9; the one
+    # intra edge meets e(X) + e(Y) >= k - 1
+    G = k23(10, intra=[(1, 2)])
+    for seed in range(4):
+        g, f = _gap_two_at_3(G, seed)
+        res = gf_factor_bi_large(G, g, f, seed=seed)
+        if seed == 0:
+            # every gap is even and sum f is odd
+            assert isinstance(res, NoFactorCertificate) and res.verify(G, g, f)
+            continue
+        assert isinstance(res, FactorCertificate) and res.verify()
+        assert all(res.factor.degree(v) in (g[v], f[v]) for v in G.vertices)
+    # 10 cross trees: under assume_hypotheses the split gets the gate's
+    # refusal, so a given P answers None
+    G = k23(7, intra=[(1, 2)])
+    g, f = _gap_two_at_3(G, 1)
+    assert gf_factor_bi_large(G, g, f, P=P23, assume_hypotheses=True, seed=1) is None
+
+
 def test_tree_connected_gf_bipartite_carries_packings():
     G = k23(8)
     d = G.degrees()
@@ -253,17 +279,23 @@ def _k5_times_4():
     return MultiGraph(list(range(1, 6)), edges)
 
 
-def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
-    # postconditions check the trees the construction holds: the packer
-    # never runs on G2, on the factor or on its complement
+def _spy_packer(monkeypatch) -> list[frozenset[int]]:
+    """The edge ids of every host the tree packer runs on, in call order."""
     hosts = []
 
     def packer(G, m, seed=None):
         hosts.append(frozenset(G.edge_ids))
         return spanning_tree_packing(G, m, seed=seed)
 
-    for module in (pipeline, decompositions):
+    for module in (pipeline, decompositions, connectivity):
         monkeypatch.setattr(module, "spanning_tree_packing", packer)
+    return hosts
+
+
+def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
+    # postconditions check the trees the construction holds: the packer
+    # never runs on G2, on the factor or on its complement
+    hosts = _spy_packer(monkeypatch)
     params = TheoremParams(k=1, m=1, m0=0)
     # tree_connected_gf packs G twice: at its gate and in the one trial of
     # decompose_keep_bi, which draws its trees from another seed
@@ -284,6 +316,34 @@ def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
         assert hosts.count(edges) == g_packings
         for part in (edges - g1, cert.factor.edge_ids, edges - cert.factor.edge_ids):
             assert part not in hosts
+
+
+def test_structure_gate_trees_build_the_eulerian_split(monkeypatch):
+    # the cross factor G[X, Y] is packed once, by the structure gate (given
+    # P or searched), and the Eulerian split cuts G from those trees
+    hosts = _spy_packer(monkeypatch)
+    d = k23(3).degrees()
+    g_ab = {1: 20, 2: 20, 3: 12, 4: 13, 5: 13}
+    f_ab = {1: 22, 2: 22, 3: 14, 4: 15, 5: 15}
+    h_ab = {1: 20, 2: 20, 3: 12, 4: 13, 5: 15}
+    for G, run in (
+        # bi-large at k = 1, structure searched
+        (k23(3), lambda G: gf_factor_bi_large(
+            G, {v: d[v] // 2 for v in d}, {v: (d[v] + 1) // 2 for v in d}, seed=11)),
+        # bi-large at k = 2, P given
+        (k23(10, intra=[(1, 2)]), lambda G: gf_factor_bi_large(
+            G, *_gap_two_at_3(G, 1), P=P23, seed=1)),
+        # almost-bipartite at k = 2, structure searched
+        (k23(14, intra=[(1, 2)]), lambda G: gf_factor_almost_bipartite(
+            G, g_ab, f_ab, h_ab, seed=7)),
+    ):
+        hosts.clear()
+        cert = run(G)
+        assert isinstance(cert, FactorCertificate) and cert.verify()
+        X = set(next(val for key, val in cert.derivation if key == "bipartition")[0])
+        cross = frozenset(eid for eid, u, v in G.edges if (u in X) != (v in X))
+        assert dict(cert.derivation)["eulerian-part"]
+        assert hosts.count(cross) == 1
 
 
 def test_tree_connected_pipelines_trust_the_proved_g1_connectivity(monkeypatch):

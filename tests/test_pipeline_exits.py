@@ -202,7 +202,7 @@ FORCED_STAGES = [
     ("z_defective_orientation", _find_nothing, ("bi-large", "tree-gf")),
     ("find_f_factor", _find_nothing,
      ("eulerian-half", "eulerian-half-at", "almost-bipartite", "bi-large", "tree-gf")),
-    ("decompose_eulerian", _refuse, ("almost-bipartite", "bi-large", "tree-gf")),
+    ("_eulerian_split", _refuse, ("almost-bipartite", "bi-large", "tree-gf")),
     ("decompose_keep_bi", _refuse, ("tree-gf",)),
 ]
 
