@@ -238,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("orient", help="orient a graph (Eulerian, or out-degree windows)")
+    p = sub.add_parser("orient", help="orient a graph (Eulerian, or with f lines "
+                       "two-point out-degrees d+(v) in {g(v), f(v)})")
     common(p)
     p.set_defaults(func=_cmd_orient)
 

@@ -3,11 +3,13 @@ exhaustive oracle.
 
 The finder stack is: blossom matching (matching.py) under one window
 gadget for degree windows g <= d_F <= f, linear in the summed window
-width, whose exact targets are the windows with g = f; and for two-point
-targets a selector enumeration over the gaps f - g of 2 or more on top of
-that (a gap of at most 1 is an interval).  The oracle (enumerate_factors)
-shares none of that machinery; it walks all edge subsets in Gray-code
-order so the two routes stay independent witnesses against each other.
+width, whose exact targets are the windows with g = f and which also
+takes parity windows {g, g+2}; and for two-point targets a selector
+enumeration over the gaps f - g of 3 or more on top of that (a gap of at
+most 1 is an interval, a gap of 2 a parity window).  The oracle
+(enumerate_factors) shares none of that machinery; it walks all edge
+subsets in Gray-code order so the two routes stay independent witnesses
+against each other.
 """
 from __future__ import annotations
 
@@ -232,11 +234,7 @@ def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
             raise InputError(f"need 0 <= f({v}) <= d({v})")
     if sum(f[v] for v in G.vertices) % 2 == 1:
         return None
-    ids = list(G.edge_ids)
-    chosen = _window_matching(list(G.vertices), [G.endpoints(eid) for eid in ids], f, f)
-    if chosen is None:
-        return None
-    return Factor(G, frozenset(ids[i] for i in chosen))
+    return _window_factor(G, f, f)
 
 
 def _window_matching(
@@ -244,35 +242,43 @@ def _window_matching(
     edges: list[tuple[int, int]],
     lo: Mapping[int, int],
     hi: Mapping[int, int],
+    pairs: frozenset[int] = frozenset(),
 ) -> set[int] | None:
     """Edge-index set of a subgraph F with lo(v) <= d_F(v) <= hi(v) at
-    every vertex, via the window gadget over perfect matching; None when
-    there is none.
+    every vertex, and d_F(v) in {lo(v), hi(v)} at the vertices in pairs,
+    whose windows must have hi = lo + 2, via the window gadget over
+    perfect matching; None when there is none.
 
     Edge i becomes the gadget edge between its end nodes 2i and 2i + 1.
     Each vertex v gets d(v) - hi(v) must nodes and then hi(v) - lo(v)
-    optional nodes, each joined to every end node at v.  Every optional
-    node is a port on one chain x1 y1 x2 y2 ...: port i is joined to x_i
-    and y_i, and the chain has the edges x_i - y_i and y_i - x_(i+1).  A
-    perfect matching takes edge i exactly when it matches 2i to 2i + 1.
+    optional nodes, each joined to every end node at v.  At a vertex of
+    pairs the two optional nodes are also joined to each other (Lovász's
+    parity reduction, "The factorization of graphs II", 1972); at every
+    other vertex each optional node is a port on one chain
+    x1 y1 x2 y2 ...: port i is joined to x_i and y_i, and the chain has
+    the edges x_i - y_i and y_i - x_(i+1).  A perfect matching takes edge
+    i exactly when it matches 2i to 2i + 1.
 
     Exactness.  Must nodes see only end nodes, so all of them take an end
     node at v, which gives d_F(v) <= hi(v); at most d(v) - lo(v) end
-    nodes at v can go to slack, which gives d_F(v) >= lo(v).  The ports
-    no end node takes are free, and the chain matches any even set of
-    free ports: they alternate taking x then y, and the chain nodes left
-    between them pair up along the chain.  At v, d_F(v) - lo(v) ports are
-    free, so the free count is congruent to the sum of lo (mod 2); when
-    that sum is odd one more port, on the chain only, is always free.
-    Hence a window factor gives a perfect matching and back.
+    nodes at v can go to slack, which gives d_F(v) >= lo(v).  A pair
+    either matches itself, which leaves d_F(v) = hi(v), or takes two end
+    nodes, which leaves lo(v).  The ports no end node takes are free, and
+    the chain matches any even set of free ports: they alternate taking x
+    then y, and the chain nodes left between them pair up along the
+    chain.  At a port vertex v, d_F(v) - lo(v) ports are free, and at a
+    pair vertex d_F(v) - lo(v) is 0 or 2, so the free count is congruent
+    to the sum of lo (mod 2); when that sum is odd one more port, on the
+    chain only, is always free.  Hence a window factor gives a perfect
+    matching and back.
 
     Size: sum of d(v) (d(v) - lo(v)) slack edges, one edge per host edge,
-    and four per port, so the gadget is linear in the summed window
-    width.  With lo == hi there is no port and no chain.  Parallel edges
-    have their own end nodes, and both end nodes of a loop sit at its
-    vertex, so a chosen loop adds 2 to its degree; the gadget graph is
-    simple and loopless for any input multigraph.  The chosen edges are
-    checked against the windows before they are returned.
+    one per pair and four per port, so the gadget is linear in the summed
+    window width.  With lo == hi there is no port and no chain.  Parallel
+    edges have their own end nodes, and both end nodes of a loop sit at
+    its vertex, so a chosen loop adds 2 to its degree; the gadget graph
+    is simple and loopless for any input multigraph.  The chosen edges
+    are checked against the windows before they are returned.
     """
     deg: dict[int, int] = {v: 0 for v in vertices}
     incident_nodes: dict[int, list[int]] = {v: [] for v in vertices}
@@ -295,7 +301,10 @@ def _window_matching(
         for s in range(node_count, node_count + slack):
             for ep in incident_nodes[v]:
                 gadget_edges.append((s, ep))
-        ports.extend(range(node_count + must, node_count + slack))
+        if v in pairs:
+            gadget_edges.append((node_count + must, node_count + must + 1))
+        else:
+            ports.extend(range(node_count + must, node_count + slack))
         node_count += slack
     if sum(lo[v] for v in vertices) % 2 == 1:
         ports.append(node_count)
@@ -316,7 +325,10 @@ def _window_matching(
         u, v = edges[i]
         got[u] += 1
         got[v] += 1
-    if any(not lo[v] <= got[v] <= hi[v] for v in vertices):
+    if any(
+        not lo[v] <= got[v] <= hi[v] or (v in pairs and got[v] not in (lo[v], hi[v]))
+        for v in vertices
+    ):
         raise AssertionError("factor reconstruction missed its windows")
     return chosen
 
@@ -337,12 +349,22 @@ def find_interval_factor(
     validate_vertex_map(G, f, "f")
     if any(g[v] > f[v] for v in G.vertices):
         raise InputError("need g <= f")
+    return _window_factor(G, g, f)
+
+
+def _window_factor(
+    G: MultiGraph, g: VertexMap, f: VertexMap, pairs: frozenset[int] = frozenset()
+) -> Factor | None:
+    """find_interval_factor past its input checks, with the parity windows
+    {g, g+2} of _window_matching at pairs, which must lie in [0, d]."""
     lo = {v: max(0, g[v]) for v in G.vertices}
     hi = {v: min(G.degree(v), f[v]) for v in G.vertices}
     if any(lo[v] > hi[v] for v in G.vertices):
         return None
     ids = list(G.edge_ids)
-    chosen = _window_matching(list(G.vertices), [G.endpoints(eid) for eid in ids], lo, hi)
+    chosen = _window_matching(
+        list(G.vertices), [G.endpoints(eid) for eid in ids], lo, hi, pairs
+    )
     if chosen is None:
         return None
     return Factor(G, frozenset(ids[i] for i in chosen))
@@ -357,11 +379,16 @@ def find_two_point_factor(
 ) -> Factor | None | Unknown:
     """Factor with d_F(v) in {g(v), f(v)} everywhere, or None, or UNKNOWN.
 
-    Complete while at most 16 vertices have a gap f - g of 2 or more: a gap
-    of at most 1 is the interval [g, f], each gap of 2 or more is pinned to
-    g or f by a selector, and each selector is decided exactly by one
-    interval-factor call.  Beyond the cap a seeded sample of selectors is
-    tried and exhaustion reports UNKNOWN rather than none.
+    pin = (z, value) additionally fixes d_F(z) = value.  A gap f - g of at
+    most 1 is the interval [g, f] and a gap of 2 the parity window of
+    _window_matching; a gap of 2 with one end outside [0, d(v)] is its
+    other end.  Each gap of 3 or more is pinned to g or f by a selector,
+    and each selector is decided exactly by one matching.  So with no gap
+    of 3 or more (k <= 2) one matching decides.  The search is complete
+    while at most 20 vertices have a gap of 3 or more; beyond that a
+    seeded sample of selectors is tried and exhaustion reports UNKNOWN
+    rather than none.  Windows that miss two or more consecutive values
+    are the NP-complete case of general factors (Cornuéjols 1988).
     """
     validate_vertex_map(G, g, "g")
     validate_vertex_map(G, f, "f")
@@ -375,18 +402,31 @@ def find_two_point_factor(
         if val not in (g[z], f[z]):
             raise InputError(f"pinned value {val} is neither g({z}) nor f({z})")
         lo[z] = hi[z] = val
-    wide = [(v, hi[v] - lo[v]) for v in G.vertices if hi[v] - lo[v] >= 2]
-    for v, _ in wide:
-        hi[v] = lo[v]
+    pairs = set()
+    wide = []
+    for v in G.vertices:
+        gap = hi[v] - lo[v]
+        if gap == 2:
+            # a parity window with an end outside [0, d] keeps the other end
+            if hi[v] > G.degree(v):
+                hi[v] = lo[v]
+            elif lo[v] < 0:
+                lo[v] = hi[v]
+            else:
+                pairs.add(v)
+        elif gap >= 3:
+            wide.append((v, gap))
+            hi[v] = lo[v]
+    pairs = frozenset(pairs)
 
     def attempt(selected: set[int]) -> Factor | None:
         a, b = dict(lo), dict(hi)
         for v in selected:
             a[v] = b[v] = f[v]
-        return find_interval_factor(G, a, b)
+        return _window_factor(G, a, b, pairs)
 
     totals = range(sum(w for _, w in wide) + 1)
-    return _selector_search(wide, totals, attempt, cap_free=16, budget=512, seed=seed)
+    return _selector_search(wide, totals, attempt, seed)
 
 
 # -- selector search -----------------------------------------------------
@@ -416,25 +456,29 @@ def _selector_subsets(
         stack.append((i + 1, left - w, chosen + (v,)))
 
 
+# the complete search's cap on selector gaps, and the sample drawn past it
+_SELECTOR_CAP = 20
+_SELECTOR_BUDGET = 2000
+
+
 def _selector_search(
     gaps: list[tuple[int, int]],
     totals: Sequence[int],
     attempt: Callable[[set[int]], T | None],
-    cap_free: int,
-    budget: int,
     seed: int,
 ) -> T | None | Unknown:
     """First non-None attempt(S) over the vertex sets S whose gaps sum to
     one of `totals`.
 
-    The two-point finders pass only the gaps of 2 or more; with none, the
-    one set S = {} is tried when 0 is a total.  Complete while there are
-    at most cap_free gaps: every such S is tried, grouped by total in the
-    order given.  Beyond the cap, `budget` seeded random subsets are drawn,
-    those with an admissible total are tried, and exhaustion reports
-    UNKNOWN rather than none.
+    The two-point finders pass only the gaps they cannot decide in one
+    exact call; with none, the one set S = {} is tried when 0 is a total.
+    Complete while there are at most _SELECTOR_CAP gaps: every such S is
+    tried, grouped by total in the order given.  Beyond the cap,
+    _SELECTOR_BUDGET seeded random subsets are drawn, those with an
+    admissible total are tried, and exhaustion reports UNKNOWN rather
+    than none.
     """
-    if len(gaps) <= cap_free:
+    if len(gaps) <= _SELECTOR_CAP:
         for total in totals:
             for subset in _selector_subsets(gaps, total):
                 got = attempt(subset)
@@ -443,7 +487,7 @@ def _selector_search(
         return None
 
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(_SELECTOR_BUDGET):
         selected = {v for v, _ in gaps if rng.random() < 0.5}
         if sum(w for v, w in gaps if v in selected) in totals:
             got = attempt(selected)

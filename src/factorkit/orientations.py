@@ -3,20 +3,20 @@
 Out-degree convention: a loop contributes exactly 1 to the out-degree of
 its vertex, so the out-degrees of any orientation sum to |E|.
 
-The two-point and defective finders keep each vertex whose gap q - p is
-at most 1 as flow bounds [p, q]; a selector pins each gap of 2 or more to
-p or q, and one lower/upper-bounded flow decides it exactly.  Any answer
-pins some selector, so the search is complete while at most 20 vertices
-have a gap of 2 or more; with none, one flow call decides.
+The two-point finder keeps each vertex whose gap q - p is at most 1 as
+flow bounds [p, q]; a selector pins each gap of 2 or more to p or q, and
+one lower/upper-bounded flow decides it exactly.  Any answer pins some
+selector, so the search is complete while at most 20 vertices have a gap
+of 2 or more; with none, one flow call decides.  The theorem pipelines
+ask factors.find_two_point_factor instead, whose matching gadget also
+decides gaps of 2 in one call.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
-from .errors import HypothesisError, InputError, UNKNOWN, Unknown
+from .errors import HypothesisError, InputError, Unknown
 from .factors import _selector_search
 from .flow import feasible_flow
 from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map
@@ -146,34 +146,6 @@ def interval_orientation(
     return out
 
 
-def _two_point_search(
-    G: MultiGraph,
-    p: VertexMap,
-    q: VertexMap,
-    fixed: dict[int, int],
-    seed: int,
-) -> Orientation | None | Unknown:
-    lo = {v: fixed.get(v, p[v]) for v in G.vertices}
-    hi = {v: fixed.get(v, q[v]) for v in G.vertices}
-    # a gap of at most 1 is an interval; only gaps of 2 or more are selectors
-    wide = [(v, hi[v] - lo[v]) for v in G.vertices if hi[v] - lo[v] >= 2]
-    for v, _ in wide:
-        hi[v] = lo[v]
-    target = G.num_edges - sum(lo.values())
-    if target < 0:
-        return None
-    slack = sum(hi.values()) - sum(lo.values())
-
-    def attempt(selected: set[int]) -> Orientation | None:
-        a, b = dict(lo), dict(hi)
-        for v in selected:
-            a[v] = b[v] = q[v]
-        return interval_orientation(G, a, b)
-
-    totals = range(target, max(0, target - slack) - 1, -1)
-    return _selector_search(wide, totals, attempt, cap_free=20, budget=2000, seed=seed)
-
-
 def two_point_orientation(
     G: MultiGraph,
     p: VertexMap,
@@ -191,54 +163,31 @@ def two_point_orientation(
     validate_vertex_map(G, q, "q")
     if any(p[v] > q[v] for v in G.vertices):
         raise InputError("need p <= q")
-    fixed: dict[int, int] = {}
+    lo = {v: p[v] for v in G.vertices}
+    hi = {v: q[v] for v in G.vertices}
     if pin is not None:
         z, val = pin
         G._check_vertex(z)
         if val not in (p[z], q[z]):
             raise InputError(f"pinned value {val} is neither p({z}) nor q({z})")
-        fixed[z] = val
-    return _two_point_search(G, p, q, fixed, seed)
+        lo[z] = hi[z] = val
+    # a gap of at most 1 is an interval; only gaps of 2 or more are selectors
+    wide = [(v, hi[v] - lo[v]) for v in G.vertices if hi[v] - lo[v] >= 2]
+    for v, _ in wide:
+        hi[v] = lo[v]
+    target = G.num_edges - sum(lo.values())
+    if target < 0:
+        return None
+    slack = sum(hi.values()) - sum(lo.values())
 
+    def attempt(selected: set[int]) -> Orientation | None:
+        a, b = dict(lo), dict(hi)
+        for v in selected:
+            a[v] = b[v] = q[v]
+        return interval_orientation(G, a, b)
 
-def z_defective_orientation(
-    G: MultiGraph,
-    p: VertexMap,
-    q: VertexMap,
-    z: int,
-    k: int,
-    x: Fraction | int = 0,
-    seed: int = 0,
-) -> Orientation | None | Unknown:
-    """Orientation with d+(v) in {p(v), q(v)} off z and
-    -x <= d+(z) - d(z)/2 < k - x, or None, or UNKNOWN.
-
-    x is a per-call rational constant in [0, k).
-    """
-    validate_vertex_map(G, p, "p")
-    validate_vertex_map(G, q, "q")
-    G._check_vertex(z)
-    if k <= 0:
-        raise InputError("window width k must be positive")
-    x = Fraction(x)
-    if not 0 <= x < k:
-        raise InputError("need 0 <= x < k")
-    half = Fraction(G.degree(z), 2)
-    low = half - x
-    vals = []
-    val = math.ceil(low)
-    while val < half + k - x:
-        if 0 <= val <= G.degree(z):
-            vals.append(val)
-        val += 1
-    vals.sort(key=lambda t: abs(Fraction(t) - half))
-    for val in vals:
-        got = _two_point_search(G, p, q, {z: val}, seed)
-        if got is UNKNOWN:
-            return UNKNOWN
-        if got is not None:
-            return got
-    return None
+    totals = range(target, max(0, target - slack) - 1, -1)
+    return _selector_search(wide, totals, attempt, seed)
 
 
 # -- factor/orientation correspondence ----------------------------------

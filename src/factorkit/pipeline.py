@@ -14,7 +14,9 @@ certificate.  It ends in one of these ways:
   raises TheoremViolationError.  Under assume_hypotheses the gates let
   failed hypotheses pass, so a failed stage returns None instead;
 * UNKNOWN, only from the three searches that give up at a budget: the
-  selector sampling past the cap, decompose_keep_bi and the split lemma.
+  selector sampling of find_two_point_factor past 20 vertices with a gap
+  f - g of 3 or more (so never at k <= 2), decompose_keep_bi and the
+  split lemma.
 
 Stages raise and each entry translates once: _stage turns a nested
 refusal or None into _StageFailed and UNKNOWN into _GaveUp, and the
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,7 +58,7 @@ from .errors import (
     UNKNOWN,
     Unknown,
 )
-from .factors import find_f_factor
+from .factors import find_f_factor, find_two_point_factor
 from .graph import (
     Bipartition,
     Factor,
@@ -63,11 +66,6 @@ from .graph import (
     induced_bipartite_factor,
     partition_stats,
     validate_vertex_map,
-)
-from .orientations import (
-    factor_from_orientation,
-    two_point_orientation,
-    z_defective_orientation,
 )
 from .rng import child_seed
 
@@ -244,21 +242,6 @@ def _half_degrees(part: Factor) -> dict[int, int]:
     if any(d % 2 for d in degrees.values()):
         raise AssertionError("Eulerian part has an odd degree")
     return {v: d // 2 for v, d in degrees.items()}
-
-
-def _outdegree_window(
-    G: MultiGraph, X, lo: VertexMap, hi: VertexMap
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Out-degree bounds (p, q) under which the X-to-Y edges of an
-    orientation have degrees in [lo, hi]: d_F = d+ on X and d - d+ on Y."""
-    p = {}
-    q = {}
-    for v in G.vertices:
-        if v in X:
-            p[v], q[v] = lo[v], hi[v]
-        else:
-            p[v], q[v] = G.degree(v) - hi[v], G.degree(v) - lo[v]
-    return p, q
 
 
 def _bi_at_least(G: MultiGraph, threshold: int, seed: int = 0) -> bool:
@@ -480,7 +463,7 @@ def gf_factor_bipartite(
 
     Returns None when no balanced selector exists (that direction is an
     equivalence), UNKNOWN past the selector search cap: more than 20
-    vertices with a gap f - g of 2 or more, so never when k = 1.
+    vertices with a gap f - g of 3 or more, so never when k <= 2.
     """
     _validate_gf(G, g, f)
     P.validate_for(G)
@@ -517,7 +500,12 @@ def _pinned_bipartite(
     seed: int,
 ) -> FactorCertificate:
     """gf_factor_bipartite past its gates, which the caller has proved, for
-    a selector h that the gates make balanced on a bipartite G."""
+    a selector h that the gates make balanced on a bipartite G.
+
+    The paper orients G and keeps the X-to-Y edges, so d_F = d+ on X and
+    d - d+ on Y: the orientation it asks for is a two-point factor with
+    d_F(z) = h(z), which the factor finder decides directly.
+    """
     if z is None:
         z = min(P.X)
     else:
@@ -526,21 +514,16 @@ def _pinned_bipartite(
         raise _StageFailed("an edge stays inside one part")
     if sum(h[v] for v in P.X) != sum(h[v] for v in P.Y):
         raise _StageFailed("the selector h lost its balance")
-    Pn = P if z in P.X else P.swapped()
-    p, q = _outdegree_window(G, Pn.X, g, f)
-    target_z = h[z]
-    D = _stage(
-        f"pinned two-point orientation (z = {z}, target {target_z})",
-        two_point_orientation, G, p, q, pin=(z, target_z), seed=child_seed(seed, 1),
+    F = _stage(
+        f"pinned two-point factor (z = {z}, target {h[z]})",
+        find_two_point_factor, G, g, f, pin=(z, h[z]), seed=child_seed(seed, 1),
     )
-    F = factor_from_orientation(G, Pn, D)
     if F.degree(z) != h[z]:
         raise TheoremViolationError("factor missed its pinned degree")
     allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
-        ("bipartition", (tuple(sorted(Pn.X)), tuple(sorted(Pn.Y)))),
-        ("pinned", (z, target_z)),
-        ("outdegrees", {v: D.outdegree(v) for v in G.vertices}),
+        ("bipartition", (tuple(sorted(P.X)), tuple(sorted(P.Y)))),
+        ("pinned", (z, h[z])),
     )
     return _certify(F, allowed, None, derivation)
 
@@ -658,7 +641,7 @@ def gf_factor_almost_bipartite(
         )
     z = _pick_shift_vertex(G, P.X, g, f, t)
     # the z shift may push the half-degree window off at z itself; the
-    # orientation engine is exact, so z is left out of the window check
+    # factor engine is exact, so z is left out of the window check
     g1_graph = g1f.as_graph()
     g1, f1, h1 = _shifted(g1_graph, _half_degrees(g2f), g, f, h, skip=z)
     g1[z] -= t
@@ -740,23 +723,20 @@ def gf_factor_bi_large(
 
     odd_gap = [v for v in G.vertices if (f[v] - g[v]) % 2 == 1]
     z = min(odd_gap) if odd_gap else min(G.vertices)
-    Pn = P if z in P.X else P.swapped()
 
     m1 = (3 * k + 2) * (k - 1) // 2
     m2 = 2 * k
-    g1f, g2f = _stage("decomposition", _eulerian_split, G, Pn, cross_packing, m1, m2)
+    g1f, g2f = _stage("decomposition", _eulerian_split, G, P, cross_packing, m1, m2)
     half2 = _half_degrees(g2f)
     g1_graph = g1f.as_graph()
     g1, f1 = _shifted(g1_graph, half2, g, f)
-    p, q = _outdegree_window(g1_graph, Pn.X, g1, f1)
 
     x = Fraction(G.degree(z), 2) - Fraction(g[z] + f[z], 2) + Fraction(k, 2)
     x = max(Fraction(0), min(x, k - Fraction(1, 2)))
-    D = _stage(
-        "z-defective orientation", z_defective_orientation,
-        g1_graph, p, q, z=z, k=k, x=x, seed=child_seed(seed, 2),
+    F1 = _stage(
+        "z-defective factor", _defective_factor,
+        g1_graph, g1, f1, z, k, x, child_seed(seed, 2),
     )
-    F1 = factor_from_orientation(g1_graph, Pn, D)
     d1z = F1.degree(z)
 
     e2 = g2f.num_edges
@@ -778,12 +758,30 @@ def gf_factor_bi_large(
     F = Factor(G, F1.edge_ids | f2cert.factor.edge_ids)
     allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
-        ("bipartition", (tuple(sorted(Pn.X)), tuple(sorted(Pn.Y)))),
+        ("bipartition", (tuple(sorted(P.X)), tuple(sorted(P.Y)))),
         ("eulerian-part", tuple(sorted(g2f.edge_ids))),
         ("defective-vertex", (z, d1z)),
         ("shift", (z, t)),
     )
     return _certify(F, allowed, None, derivation)
+
+
+def _defective_factor(
+    G: MultiGraph, g: VertexMap, f: VertexMap, z: int, k: int, x: Fraction, seed: int
+) -> Factor | None | Unknown:
+    """{g,f}-factor off z with -x <= d_F(z) - d(z)/2 < k - x, the values of
+    d_F(z) tried nearest d(z)/2 first; None when no value works, UNKNOWN
+    when the search for one gives up."""
+    half = Fraction(G.degree(z), 2)
+    vals = [
+        val for val in range(max(0, math.ceil(half - x)), G.degree(z) + 1)
+        if val < half + k - x
+    ]
+    for val in sorted(vals, key=lambda val: abs(val - half)):
+        F = find_two_point_factor(G, {**g, z: val}, {**f, z: val}, seed=seed)
+        if F is not None:
+            return F
+    return None
 
 
 # -- tree-connected versions ----------------------------------------------

@@ -69,6 +69,16 @@ def test_orient_eulerian_without_windows(tmp_path, capsys):
     assert all(v == 2 for v in payload["outdegrees"].values())
 
 
+def test_orient_with_windows_asks_for_two_points(tmp_path, capsys):
+    # d+(v) must be 0 or 2 at every vertex of the triangle: the cyclic
+    # orientation has d+ = 1, inside [0, 2] but not one of the two points
+    path = tmp_path / "g.txt"
+    path.write_text("p multigraph 3 3\ne 1 2\ne 2 3\ne 3 1\nf 1 0 2\nf 2 0 2\nf 3 0 2\n")
+    code, out, _ = run(capsys, "orient", "--graph", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["outcome"] == "none"
+
+
 def test_decompose_bipartite_host(tmp_path, capsys):
     lines = ["p multigraph 5 18"]
     for u in (1, 2):

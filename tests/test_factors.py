@@ -177,18 +177,37 @@ def test_two_point_finders_decide_gap_one_past_the_cap(finder):
     assert all(degs[v] in (lo[v], hi[v]) for v in G.vertices)
 
 
+@pytest.mark.parametrize("n", range(21, 26))
+def test_two_point_factor_decides_gap_two_past_the_cap(n):
+    # every vertex of C_n allows {0, 2}, so only the empty factor and the
+    # whole cycle qualify: past the selector cap a sample almost never
+    # hits either, while the parity windows decide in one matching
+    G = MultiGraph(range(1, n + 1), [(v, v % n + 1) for v in range(1, n + 1)])
+    g = {v: 0 for v in G.vertices}
+    f = {v: 2 for v in G.vertices}
+    whole = find_two_point_factor(G, g, f, pin=(1, 2))
+    assert not is_unknown(whole) and whole.edge_ids == frozenset(G.edge_ids)
+    empty = find_two_point_factor(G, g, f, pin=(1, 0))
+    assert not is_unknown(empty) and empty.edge_ids == frozenset()
+    odd = find_two_point_factor(G, {**g, 1: 1}, {**f, 1: 1})
+    assert not is_unknown(odd) and odd is None
+
+
 @pytest.mark.parametrize(
     "finder, key, seed, digest",
     [
         (two_point_orientation, lambda D: sorted(D.directions.items()), 59, "c82ae72d2d39f467"),
-        (find_two_point_factor, lambda F: sorted(F.degrees().items()), 61, "bc0ff3e805226dfd"),
+        (find_two_point_factor, lambda F: sorted(F.degrees().items()), 61, "53d9187c9cbc1ae6"),
     ],
 )
 def test_two_point_answers_without_gap_one_are_pinned(finder, key, seed, digest):
-    # answers recorded when every free vertex was a selector; with no gap
-    # of 1 the attempts and their order must be the same.  A factor's
-    # degree vector names the selector that produced it (its gaps are all
-    # 0, 2 or 3), while its edge ids depend on the matching engine.
+    # orientation answers recorded when every free vertex was a selector;
+    # with no gap of 1 the attempts and their order must be the same.
+    # Factor answers were recorded when gaps of 2 became parity windows
+    # decided by one matching, so only gaps of 3 are selectors there.  A
+    # factor's degree vector names the selector that produced it and the
+    # matcher's choice at each parity window, while its edge ids depend
+    # on the matching engine.
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(300):

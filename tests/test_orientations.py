@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from factorkit.orientations import (
     interval_orientation,
     orientation_from_factor,
     two_point_orientation,
-    z_defective_orientation,
 )
 
 
@@ -107,50 +105,6 @@ def test_eulerian_orientation_halves_degrees():
         assert all(outs[v] == G.degree(v) // 2 for v in G.vertices)
     with pytest.raises(HypothesisError):
         eulerian_orientation(MultiGraph([1, 2], [(1, 2)]))
-
-
-def test_z_defective_agrees_with_enumeration():
-    rng = random.Random(43)
-    for _ in range(150):
-        G = random_multigraph(rng, max_edges=8, loops=False)
-        k = rng.randint(1, 2)
-        p, q = {}, {}
-        for v in G.vertices:
-            d = G.degree(v)
-            lo = d // 2 - rng.randint(0, k)
-            p[v] = lo
-            q[v] = min(lo + rng.randint(0, k), (d + 1) // 2 + k)
-            if q[v] < (d + 1) // 2:
-                q[v] = (d + 1) // 2
-            if p[v] > d // 2:
-                p[v] = d // 2
-        z = rng.choice(list(G.vertices))
-        num = rng.randint(0, 2 * k - 1)
-        x = Fraction(num, 2)
-        got = z_defective_orientation(G, p, q, z, k, x=x)
-        assert not is_unknown(got)
-        half = Fraction(G.degree(z), 2)
-        expect = any(
-            all(out[v] in (p[v], q[v]) for v in G.vertices if v != z)
-            and -x <= out[z] - half < k - x
-            for out in all_outdegree_vectors(G)
-        )
-        assert (got is not None) == expect, (G.edges, p, q, z, k, x)
-        if got is not None:
-            outs = got.outdegrees()
-            assert all(outs[v] in (p[v], q[v]) for v in G.vertices if v != z)
-            assert -x <= outs[z] - half < k - x
-
-
-def test_z_defective_window_below_zero():
-    # isolated-in-host z: the only admissible out-degree is 0 and the
-    # window floor is negative
-    G = MultiGraph([1, 2, 3], [(2, 3), (2, 3)])
-    got = z_defective_orientation(
-        G, {1: -1, 2: 1, 3: 1}, {1: 0, 2: 1, 3: 1}, z=1, k=1, x=Fraction(1, 2)
-    )
-    assert got is not None
-    assert got.outdegree(1) == 0
 
 
 def test_factor_orientation_round_trip():

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from factorkit import connectivity, decompositions, pipeline
+from factorkit import connectivity, decompositions, factors, pipeline
 from factorkit.connectivity import TreePacking, edge_connectivity, spanning_tree_packing
 from factorkit.errors import HypothesisError, InputError, is_unknown
 from factorkit.factors import factor_exists
@@ -216,6 +218,71 @@ def test_gf_factor_bi_large_decides_gap_one_past_the_selector_cap():
     assert isinstance(cert, FactorCertificate)
     assert cert.verify()
     assert all(cert.factor.degree(v) in (g[v], f[v]) for v in G.vertices)
+
+
+def test_gf_factor_bipartite_decides_gap_two_past_the_selector_cap(monkeypatch):
+    # 26 vertices of gap 2, past the selector cap of 20: the parity
+    # windows decide in one matching, so the selector search gets no gap
+    G = gen_tree_connected(
+        GenSpec(n=32, trees=16, extra_edges=8, bipartite=True, seed=1000)
+    )
+    P = balanced_bipartition_of(G)
+    g, f = gen_functions(G, k=2, seed=1000)
+    assert sum(f[v] - g[v] == 2 for v in G.vertices) == 26
+    seen = []
+    search = factors._selector_search
+
+    def spy(gaps, *args, **kwargs):
+        seen.append(list(gaps))
+        return search(gaps, *args, **kwargs)
+
+    monkeypatch.setattr(factors, "_selector_search", spy)
+    cert = gf_factor_bipartite(G, P, g, f, seed=1000)
+    assert isinstance(cert, FactorCertificate) and cert.verify()
+    assert seen == [[]]
+
+
+def test_defective_factor_agrees_with_enumeration():
+    # bi-large's defective stage on bipartite hosts: d_F in {g, f} off z,
+    # and -x <= d_F(z) - d(z)/2 < k - x at z
+    rng = random.Random(43)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        nx = rng.randint(1, n - 1)
+        G = MultiGraph(range(1, n + 1), [
+            (rng.randint(1, nx), rng.randint(nx + 1, n)) for _ in range(rng.randint(1, 8))
+        ])
+        k = rng.randint(1, 2)
+        g, f = {}, {}
+        for v in G.vertices:
+            d = G.degree(v)
+            g[v] = d // 2 - rng.randint(0, k)
+            f[v] = max(min(g[v] + rng.randint(0, k), (d + 1) // 2 + k), (d + 1) // 2)
+        z = rng.choice(list(G.vertices))
+        x = Fraction(rng.randint(0, 2 * k - 1), 2)
+        got = pipeline._defective_factor(G, g, f, z, k, x, 0)
+        assert not is_unknown(got)
+        half = Fraction(G.degree(z), 2)
+        expect = factor_exists(
+            G,
+            lambda degs: all(degs[v] in (g[v], f[v]) for v in G.vertices if v != z)
+            and -x <= degs[z] - half < k - x,
+        )
+        assert (got is not None) == expect, (G.edges, g, f, z, k, x)
+        if got is not None:
+            assert all(got.degree(v) in (g[v], f[v]) for v in G.vertices if v != z)
+            assert -x <= got.degree(z) - half < k - x
+
+
+def test_defective_factor_window_below_zero():
+    # isolated z: the only admissible degree is 0 and the window floor is
+    # negative
+    G = MultiGraph([1, 2, 3], [(2, 3), (2, 3)])
+    got = pipeline._defective_factor(
+        G, {1: -1, 2: 1, 3: 1}, {1: 0, 2: 1, 3: 1}, 1, 1, Fraction(1, 2), 0
+    )
+    assert got is not None
+    assert got.degree(1) == 0 and got.degree(2) == 1
 
 
 def test_gf_factor_bi_large_certifies_nonexistence():

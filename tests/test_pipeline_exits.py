@@ -123,8 +123,9 @@ def test_pipeline_answers_are_pinned():
     assert _digest(kinds) == "31f6991c03b2dbc416721a501f72058e3fb067c3c10a54590182aa627e4b8d58"
     # the edges too: they follow the matcher's choice among valid factors,
     # for one the balance factor that _split_complement asks
-    # find_interval_factor for
-    assert _digest(lines) == "660a7327a4ae6247fb4960ec5167529b062452ea1f4e7453d6846b9f3b26ae62"
+    # find_interval_factor for, and the two-point factor that the
+    # bipartite and defective stages ask find_two_point_factor for
+    assert _digest(lines) == "ebfae6e8f2eb01963109b039ea4f68faa93d59ffe1bdcf648ed23d5c1e8b1ef0"
 
 
 def _k23(mult, intra=()):
@@ -194,12 +195,12 @@ def _refuse(*args, **kwargs):
 FORCED_STAGES = [
     ("_split_complement", _give_up, ("tree-gf-bipartite", "tree-gf")),
     ("decompose_keep_bi", _give_up, ("tree-gf",)),
-    ("two_point_orientation", _give_up,
-     ("bipartite-gf", "almost-bipartite", "tree-gf-bipartite")),
-    ("z_defective_orientation", _give_up, ("bi-large", "tree-gf")),
-    ("two_point_orientation", _find_nothing,
-     ("bipartite-gf", "almost-bipartite", "tree-gf-bipartite")),
-    ("z_defective_orientation", _find_nothing, ("bi-large", "tree-gf")),
+    ("find_two_point_factor", _give_up,
+     ("bipartite-gf", "almost-bipartite", "bi-large", "tree-gf-bipartite", "tree-gf")),
+    ("_defective_factor", _give_up, ("bi-large", "tree-gf")),
+    ("find_two_point_factor", _find_nothing,
+     ("bipartite-gf", "almost-bipartite", "bi-large", "tree-gf-bipartite", "tree-gf")),
+    ("_defective_factor", _find_nothing, ("bi-large", "tree-gf")),
     ("find_f_factor", _find_nothing,
      ("eulerian-half", "eulerian-half-at", "almost-bipartite", "bi-large", "tree-gf")),
     ("_eulerian_split", _refuse, ("almost-bipartite", "bi-large", "tree-gf")),
