@@ -805,6 +805,9 @@ def odd_cycle_packing_bound(
 
 # -- toughness -----------------------------------------------------------
 
+# the exact toughness sweep's vertex cap: 2^16 cut sets
+_TOUGHNESS_CAP = 16
+
 
 @dataclass(frozen=True)
 class Toughness:
@@ -818,7 +821,7 @@ class Toughness:
         return self.value is None
 
 
-def toughness(G: MultiGraph, cap: int = 16) -> Toughness:
+def toughness(G: MultiGraph) -> Toughness:
     """Exact toughness: min |S| / comps over the vertex sets S whose removal
     leaves comps >= 2 components; value None (infinite) when no S does.
 
@@ -829,9 +832,9 @@ def toughness(G: MultiGraph, cap: int = 16) -> Toughness:
     in increasing mask order.
     """
     n = G.num_vertices
-    if n > cap:
+    if n > _TOUGHNESS_CAP:
         raise SizeRefusal(
-            "toughness exact cap", f"{n} vertices exceeds cap {cap}"
+            "toughness exact cap", f"{n} vertices exceeds cap {_TOUGHNESS_CAP}"
         )
     verts = list(G.vertices)
     idx = {v: i for i, v in enumerate(verts)}

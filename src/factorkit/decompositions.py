@@ -2,15 +2,17 @@
 graphs, and the search-based splitting lemmas.
 
 An Eulerian split is cut from spanning trees of the cross factor G[X, Y]:
-the pipelines pass the packing their structure gate made, and
-decompose_eulerian packs its own.
+the pipelines pass the packing their structure gate or keep-bi search
+made, and decompose_eulerian packs its own.
 
 Two of the operations here (decompose_keep_bi, split_tree_connected_
 complement) implement lemmas whose proofs live outside the source
 material, so they run verified randomized searches over proof-shaped
 candidates: every returned object has had its postconditions re-checked
 against the carried trees it was built from, and budget exhaustion
-returns UNKNOWN instead of a guess.
+returns UNKNOWN instead of a guess.  The keep-bi search takes a packing
+of G that its caller has made as its first trial, and returns its
+packing of G2[X, Y] with P, so no part is packed twice.
 """
 from __future__ import annotations
 
@@ -38,6 +40,8 @@ from .graph import (
 
 VertexMap = Mapping[int, int]
 
+# trials of the two randomized splitting searches before they answer UNKNOWN
+_BUDGET = 40
 
 def parity_forest(T: Factor, targets: VertexMap) -> Factor:
     """The unique subforest F of the spanning tree T with
@@ -182,7 +186,6 @@ def decompose_keep_bi(
     m2: int,
     k0: int,
     seed: int = 0,
-    budget: int = 40,
 ) -> tuple[Factor, Factor, Bipartition] | Unknown:
     """Split G into G1 (2m1-edge-connected Eulerian) and G2 with a
     bipartition P making G2[X, Y] m2-tree-connected while G2 keeps at
@@ -190,20 +193,32 @@ def decompose_keep_bi(
 
     Verified randomized search (the guiding proof is external): tree
     packings supply candidates, postconditions are re-checked exactly,
-    UNKNOWN on budget exhaustion.
+    UNKNOWN after _BUDGET trials.
     """
     if not 0 <= k0 <= m2:
         raise InputError("need m2 >= k0 >= 0")
     if m1 < 0 or (m1 and not m2):
         raise InputError("need m1 >= 0, and m2 >= 1 for the parity donor when m1 >= 1")
-    if k0 == 0:
-        intra_target = 0
-    else:
-        intra_target = min(k0, bipartite_index_upper(G, seed=seed)[0])
+    found = _keep_bi(G, m1, m2, k0, seed)
+    return found if found is UNKNOWN else found[:3]
 
+
+def _keep_bi(
+    G: MultiGraph, m1: int, m2: int, k0: int, seed: int,
+    packing: TreePacking | PackingRefusal | None = None, cross_seed: int | None = None,
+) -> tuple[Factor, Factor, Bipartition, TreePacking] | Unknown:
+    """decompose_keep_bi past its input checks, also returning the packing
+    of m2 trees of G2[X, Y] made at packer seed cross_seed.
+
+    Trial t packs 2m1+2m2 trees of G at the t-th seed drawn from
+    random.Random(seed); a given packing is the one trial 0 would make.
+    """
+    intra_target = min(k0, bipartite_index_upper(G, seed=seed)[0]) if k0 else 0
     rng = random.Random(seed)
-    for trial in range(budget):
-        packing = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=rng.randrange(1 << 30))
+    for trial in range(_BUDGET):
+        packer_seed = rng.randrange(1 << 30)
+        if trial or packing is None:
+            packing = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=packer_seed)
         if isinstance(packing, PackingRefusal):
             # the packer is exact: the first trial refuses or none does
             raise HypothesisError(
@@ -217,7 +232,7 @@ def decompose_keep_bi(
             core = frozenset().union(*(t.edge_ids for t in trees[: 2 * m1]))
             g1 = _even_closure(Factor(G, core), trees[2 * m1])
         g2 = g1.complement()
-        found = _find_structure(g2.as_graph(), rng, m2, lambda i: i >= intra_target)
+        found = _find_structure(g2.as_graph(), rng, m2, lambda i: i >= intra_target, cross_seed)
         if found is None:
             continue
         g1_graph = g1.as_graph()
@@ -225,7 +240,7 @@ def decompose_keep_bi(
             raise AssertionError("G1 is not even")
         # 2m1 edge-disjoint spanning trees make G1 2m1-edge-connected
         _carried_packing(g1_graph, trees[: 2 * m1])
-        return g1, g2, found[0]
+        return g1, g2, *found
     return UNKNOWN
 
 
@@ -234,7 +249,6 @@ def split_tree_connected_complement(
     m: int,
     m0: int,
     seed: int = 0,
-    budget: int = 40,
 ) -> tuple[Factor, Factor, TreePacking, TreePacking] | Unknown:
     """Factor H with floor(d/2) - m0 <= d_H(v) <= ceil(d/2) + m everywhere,
     returned as (H, G - E(H), m trees of H, m0 trees of G - E(H)).
@@ -242,7 +256,7 @@ def split_tree_connected_complement(
     Verified randomized search (external proof): m packed trees seed H,
     an interval factor over the leftover edges balances the degrees, so
     the other m0 trees stay in the complement; postconditions re-checked
-    exactly, UNKNOWN on exhaustion.
+    exactly, UNKNOWN after _BUDGET trials.
     """
     if m < 0 or m0 < 0 or m + m0 == 0:
         raise InputError("need m, m0 >= 0 and m + m0 > 0")
@@ -253,11 +267,11 @@ def split_tree_connected_complement(
             "2(m+m0)-edge-connected",
             f"edge connectivity {lam} is below {need}",
         )
-    return _split_complement(G, m, m0, seed, budget)
+    return _split_complement(G, m, m0, seed)
 
 
 def _split_complement(
-    G: MultiGraph, m: int, m0: int, seed: int, budget: int = 40
+    G: MultiGraph, m: int, m0: int, seed: int
 ) -> tuple[Factor, Factor, TreePacking, TreePacking] | Unknown:
     """split_tree_connected_complement past its gate, for a G whose
     2(m+m0)-edge-connectivity the caller has proved."""
@@ -265,35 +279,21 @@ def _split_complement(
     hi = {v: (G.degree(v) + 1) // 2 + m for v in G.vertices}
 
     rng = random.Random(seed)
-    for trial in range(budget):
+    for trial in range(_BUDGET):
         packing = spanning_tree_packing(G, m + m0, seed=rng.randrange(1 << 30))
         if isinstance(packing, PackingRefusal):
             continue
-        h_core: set[int] = set()
-        for t in packing.trees[:m]:
-            h_core |= t.edge_ids
-        used: set[int] = set(h_core)
-        for t in packing.trees[m:]:
-            used |= t.edge_ids
-        leftover = frozenset(G.edge_ids) - used
-        core_factor = Factor(G, frozenset(h_core))
-        lgraph = G.subgraph_of_edges(leftover)
-        gl = {}
-        fl = {}
-        feasible = True
-        for v in G.vertices:
-            have = core_factor.degree(v)
-            gl[v] = max(0, lo[v] - have)
-            fl[v] = hi[v] - have
-            if fl[v] < 0:
-                feasible = False
-                break
-        if not feasible:
+        h_core = frozenset().union(*(t.edge_ids for t in packing.trees[:m]))
+        used = h_core.union(*(t.edge_ids for t in packing.trees[m:]))
+        have = Factor(G, h_core).degrees()
+        if any(have[v] > hi[v] for v in G.vertices):
             continue
-        balance = find_interval_factor(lgraph, gl, fl)
+        gl = {v: max(0, lo[v] - have[v]) for v in G.vertices}
+        fl = {v: hi[v] - have[v] for v in G.vertices}
+        balance = find_interval_factor(G.subgraph_of_edges(frozenset(G.edge_ids) - used), gl, fl)
         if balance is None:
             continue
-        h = Factor(G, frozenset(h_core) | balance.edge_ids)
+        h = Factor(G, h_core | balance.edge_ids)
         rest = h.complement()
         if any(not lo[v] <= h.degree(v) <= hi[v] for v in G.vertices):
             raise AssertionError("the interval factor left h outside [lo, hi]")

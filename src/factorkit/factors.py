@@ -23,6 +23,8 @@ from .matching import perfect_matching
 
 VertexMap = Mapping[int, int]
 T = TypeVar("T")
+# the exact criterion sweeps' vertex cap: 3^14 (A, B) pairs
+_CRITERION_CAP = 14
 
 
 # -- deficiency criteria -------------------------------------------------
@@ -182,7 +184,7 @@ def _criterion_sweep(
 
 
 def check_lovasz_condition(
-    G: MultiGraph, g: VertexMap, f: VertexMap, cap: int = 14
+    G: MultiGraph, g: VertexMap, f: VertexMap
 ) -> tuple[bool, tuple[frozenset[int], frozenset[int]] | None]:
     """Exhaustive (g, f) criterion over all disjoint (A, B); witness on failure.
 
@@ -194,14 +196,14 @@ def check_lovasz_condition(
     validate_vertex_map(G, f, "f")
     if any(g[v] > f[v] for v in G.vertices):
         raise InputError("need g <= f")
-    if G.num_vertices > cap:
-        raise SizeRefusal("criterion sweep cap", f"{G.num_vertices} > {cap}")
+    if G.num_vertices > _CRITERION_CAP:
+        raise SizeRefusal("criterion sweep cap", f"{G.num_vertices} > {_CRITERION_CAP}")
     witness = _criterion_sweep(G, g, f, strict=False, skip_empty=False)
     return witness is None, witness
 
 
 def check_tutte_strict_form(
-    G: MultiGraph, f: VertexMap, cap: int = 14
+    G: MultiGraph, f: VertexMap
 ) -> tuple[bool, tuple[frozenset[int], frozenset[int]] | None]:
     """Strict-inequality form of the f-factor criterion for connected G with
     even f-sum, quantified over nonempty A u B."""
@@ -210,8 +212,8 @@ def check_tutte_strict_form(
         raise InputError("strict form needs a connected graph")
     if sum(f[v] for v in G.vertices) % 2 != 0:
         raise InputError("strict form needs an even f-sum")
-    if G.num_vertices > cap:
-        raise SizeRefusal("criterion sweep cap", f"{G.num_vertices} > {cap}")
+    if G.num_vertices > _CRITERION_CAP:
+        raise SizeRefusal("criterion sweep cap", f"{G.num_vertices} > {_CRITERION_CAP}")
     witness = _criterion_sweep(G, f, f, strict=True, skip_empty=True)
     return witness is None, witness
 

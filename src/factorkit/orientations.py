@@ -3,21 +3,20 @@
 Out-degree convention: a loop contributes exactly 1 to the out-degree of
 its vertex, so the out-degrees of any orientation sum to |E|.
 
-The two-point finder keeps each vertex whose gap q - p is at most 1 as
-flow bounds [p, q]; a selector pins each gap of 2 or more to p or q, and
-one lower/upper-bounded flow decides it exactly.  Any answer pins some
-selector, so the search is complete while at most 20 vertices have a gap
-of 2 or more; with none, one flow call decides.  The theorem pipelines
-ask factors.find_two_point_factor instead, whose matching gadget also
-decides gaps of 2 in one call.
+The interval finder is one lower/upper-bounded flow.  The two-point
+finder is the two-point factor of the edge-vertex incidence graph, where
+each edge keeps the end that is its tail, so factors.find_two_point_factor
+decides it: one matching while no gap q - p exceeds 2.  The theorem
+pipelines ask that factor finder on the host itself, since on a
+bipartite host the X-to-Y edges of an orientation are a factor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import HypothesisError, InputError, Unknown
-from .factors import _selector_search
+from .errors import UNKNOWN, HypothesisError, InputError, Unknown
+from .factors import find_two_point_factor
 from .flow import feasible_flow
 from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map
 
@@ -155,39 +154,40 @@ def two_point_orientation(
 ) -> Orientation | None | Unknown:
     """Orientation with d+(v) in {p(v), q(v)} everywhere, or None, or UNKNOWN.
 
-    pin = (z, value) additionally fixes d+(z) = value.  Complete while at
-    most 20 vertices have a gap q - p of 2 or more; with none, one exact
-    flow call decides.
+    pin = (z, value) additionally fixes d+(z) = value.  The orientation is
+    a two-point factor of the edge-vertex incidence graph, which
+    find_two_point_factor finds: each non-loop edge is a node held at
+    degree exactly 1 and joined to both of its ends, the end it keeps is
+    its tail, and the loops at v, each an out-edge of v, lower p(v), q(v)
+    and the pin.  So one matching decides while no gap q - p exceeds 2,
+    and UNKNOWN needs more than 20 vertices with a gap of 3 or more.
     """
     validate_vertex_map(G, p, "p")
     validate_vertex_map(G, q, "q")
     if any(p[v] > q[v] for v in G.vertices):
         raise InputError("need p <= q")
-    lo = {v: p[v] for v in G.vertices}
-    hi = {v: q[v] for v in G.vertices}
     if pin is not None:
         z, val = pin
         G._check_vertex(z)
         if val not in (p[z], q[z]):
             raise InputError(f"pinned value {val} is neither p({z}) nor q({z})")
-        lo[z] = hi[z] = val
-    # a gap of at most 1 is an interval; only gaps of 2 or more are selectors
-    wide = [(v, hi[v] - lo[v]) for v in G.vertices if hi[v] - lo[v] >= 2]
-    for v, _ in wide:
-        hi[v] = lo[v]
-    target = G.num_edges - sum(lo.values())
-    if target < 0:
-        return None
-    slack = sum(hi.values()) - sum(lo.values())
-
-    def attempt(selected: set[int]) -> Orientation | None:
-        a, b = dict(lo), dict(hi)
-        for v in selected:
-            a[v] = b[v] = q[v]
-        return interval_orientation(G, a, b)
-
-    totals = range(target, max(0, target - slack) - 1, -1)
-    return _selector_search(wide, totals, attempt, seed)
+        pin = (z, val - G.loops_at(z))
+    nonloop = [(eid, u, v) for eid, u, v in G.edges if u != v]
+    base = max(G.vertices, default=0) + 1
+    nodes = range(base, base + len(nonloop))
+    # edge j of nonloop is node j with incidence edges 2j + 1 (to u) and 2j + 2
+    incidence = MultiGraph(
+        [*G.vertices, *nodes], [(x, end) for x, (_, u, v) in zip(nodes, nonloop) for end in (u, v)]
+    )
+    lo = {v: p[v] - G.loops_at(v) for v in G.vertices} | dict.fromkeys(nodes, 1)
+    hi = {v: q[v] - G.loops_at(v) for v in G.vertices} | dict.fromkeys(nodes, 1)
+    F = find_two_point_factor(incidence, lo, hi, pin=pin, seed=seed)
+    if F is None or F is UNKNOWN:
+        return F
+    directions = {eid: (u, v) for eid, u, v in G.edges if u == v}
+    for j, (eid, u, v) in enumerate(nonloop):
+        directions[eid] = (u, v) if 2 * j + 1 in F.edge_ids else (v, u)
+    return Orientation(G, directions)
 
 
 # -- factor/orientation correspondence ----------------------------------

@@ -1,8 +1,12 @@
 """Factor-existence theorems as executable constructions.
 
-Each public entry checks its hypotheses, runs the construction the
-corresponding proof describes, re-verifies the result, and returns a
-certificate.  It ends in one of these ways:
+Each public entry checks its hypotheses once, then runs one private
+construction, the one the corresponding proof describes, which
+re-verifies the result and returns a certificate.  A construction calls
+only private constructions and hands them the bipartition and the
+spanning trees it has already proved, so no part is packed twice; only
+tree_connected_gf at m = m0 = 0 enters another entry, gf_factor_bi_large.
+An entry ends in one of these ways:
 
 * a refusal: one of the entry's own hypotheses fails, and it raises a
   named HypothesisError, with a certificate where one exists;
@@ -15,7 +19,7 @@ certificate.  It ends in one of these ways:
   failed hypotheses pass, so a failed stage returns None instead;
 * UNKNOWN, only from the three searches that give up at a budget: the
   selector sampling of find_two_point_factor past 20 vertices with a gap
-  f - g of 3 or more (so never at k <= 2), decompose_keep_bi and the
+  f - g of 3 or more (so never at k <= 2), the keep-bi search and the
   split lemma.
 
 Stages raise and each entry translates once: _stage turns a nested
@@ -47,8 +51,8 @@ from .decompositions import (
     _carried_packing,
     _eulerian_split,
     _even_closure,
+    _keep_bi,
     _split_complement,
-    decompose_keep_bi,
 )
 from .errors import (
     HypothesisError,
@@ -372,8 +376,7 @@ def eulerian_half_factor_at(
         "bi(G) >= |t|-1",
         f"bipartite index below {abs(t) - 1}",
     )
-    i = {v: (t if v == z else 0) for v in G.vertices}
-    return _build_half_factor(G, i, derivation=(("shift-at", (z, t)),))
+    return _build_half_factor(G, {z: t}, derivation=(("shift-at", (z, t)),))
 
 
 def _build_half_factor(
@@ -381,7 +384,14 @@ def _build_half_factor(
     i: VertexMap,
     derivation: tuple[tuple[str, object], ...],
 ) -> FactorCertificate:
-    f = {v: G.degree(v) // 2 + i[v] for v in G.vertices}
+    """The factor with d_F(v) = d(v)/2 + i(v), where i is 0 off its keys,
+    past the gates of the two entries above.  The Eulerian stages ask it
+    for t at z on the G2 of a split, which proves the gates of
+    eulerian_half_factor_at: G2 is even and carries the split's m2 >= 2|t|
+    trees, its intra edges and cross trees pack |t| - 1 odd cycles, and a
+    parity miss leaves an odd target sum, which find_f_factor answers None.
+    """
+    f = {v: G.degree(v) // 2 + i.get(v, 0) for v in G.vertices}
     bad = [v for v in G.vertices if not 0 <= f[v] <= G.degree(v)]
     if bad:
         raise _StageFailed(f"target degree {f[bad[0]]} at vertex {bad[0]} left [0, d]")
@@ -648,11 +658,7 @@ def gf_factor_almost_bipartite(
     f1[z] -= t
     h1[z] -= t
     sub = _pinned_bipartite(g1_graph, P, g1, f1, h1, z, child_seed(seed, 2))
-    f2cert = _stage(
-        "Eulerian stage", eulerian_half_factor_at,
-        g2f.as_graph(), z, t, assume_hypotheses=assume_hypotheses,
-        seed=child_seed(seed, 3),
-    )
+    f2cert = _build_half_factor(g2f.as_graph(), {z: t}, (("shift-at", (z, t)),))
     F = Factor(G, sub.factor.edge_ids | f2cert.factor.edge_ids)
     allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
@@ -720,7 +726,16 @@ def gf_factor_bi_large(
     )
 
     _require_window(gate, G, g, f, "g <= d/2 <= f")
+    return _bi_large(G, g, f, P, cross_packing, k, seed)
 
+
+def _bi_large(
+    G: MultiGraph, g: VertexMap, f: VertexMap, P: Bipartition,
+    cross_packing: TreePacking | PackingRefusal, k: int, seed: int,
+) -> FactorCertificate:
+    """gf_factor_bi_large past its gates, on a bipartition P whose cross
+    factor cross_packing packs; the parity criterion and the window
+    g <= d/2 <= f are the caller's to have checked."""
     odd_gap = [v for v in G.vertices if (f[v] - g[v]) % 2 == 1]
     z = min(odd_gap) if odd_gap else min(G.vertices)
 
@@ -750,11 +765,7 @@ def gf_factor_bi_large(
     if abs(t) > k:
         raise _StageFailed(f"|t| = {abs(t)} escaped the proof bound k = {k}")
 
-    f2cert = _stage(
-        "Eulerian stage", eulerian_half_factor_at,
-        g2f.as_graph(), z, t, assume_hypotheses=assume_hypotheses,
-        seed=child_seed(seed, 3),
-    )
+    f2cert = _build_half_factor(g2f.as_graph(), {z: t}, (("shift-at", (z, t)),))
     F = Factor(G, F1.edge_ids | f2cert.factor.edge_ids)
     allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
@@ -794,11 +805,11 @@ def _gate_tree_connected(
     f: VertexMap,
     params: TheoremParams,
     c: int,
-    seed: int,
+    packer_seed: int,
 ) -> TreePacking | PackingRefusal:
     """The gates both tree-connected statements share: |f-g| <= k, the
     window g+m0 <= d/2 <= f-m, and (2m+2m0+c k^2)-tree-connectivity, whose
-    packing is returned."""
+    packing at packer_seed is returned."""
     k, m, m0 = params.k, params.m, params.m0
     gap_bad = [v for v in G.vertices if f[v] - g[v] > k]
     gate.require(
@@ -814,7 +825,7 @@ def _gate_tree_connected(
         "g+m0 <= d/2 <= f-m",
     )
     need = 2 * m + 2 * m0 + c * k * k
-    packing = spanning_tree_packing(G, need, seed=child_seed(seed, 0))
+    packing = spanning_tree_packing(G, need, seed=packer_seed)
     gate.require_trees(
         packing, f"(2m+2m0+{c}k^2)-tree-connected", f"no {need} disjoint spanning trees"
     )
@@ -876,7 +887,7 @@ def tree_connected_gf_bipartite(
         "bipartite with the given bipartition",
         "an edge stays inside one part",
     )
-    packing = _gate_tree_connected(gate, G, g, f, params, 4, seed)
+    packing = _gate_tree_connected(gate, G, g, f, params, 4, child_seed(seed, 0))
 
     if h is None:
         h = balanced_selector(G, P, g, f)
@@ -934,7 +945,10 @@ def tree_connected_gf(
     k, m, m0 = params.k, params.m, params.m0
     _validate_gf(G, g, f)
     gate = _Gate(assume_hypotheses)
-    _gate_tree_connected(gate, G, g, f, params, 6, seed)
+    # the gate packs as trial 0 of the keep-bi search would, so the search
+    # takes this packing and answers as it would on its own
+    packer_seed = random.Random(child_seed(seed, 2)).randrange(1 << 30)
+    packing = _gate_tree_connected(gate, G, g, f, params, 6, packer_seed)
     gate.require(
         _bi_at_least(G, k - 1, seed=seed),
         "bi(G) >= k-1",
@@ -953,25 +967,22 @@ def tree_connected_gf(
             G, g, f, assume_hypotheses=assume_hypotheses, seed=child_seed(seed, 1),
         )
 
-    g1f, g2f, P = _stage(
-        "decomposition", decompose_keep_bi,
-        G, m + m0, 3 * k * k, k - 1, seed=child_seed(seed, 2),
+    # G2[X, Y] is packed at the seed of bi-large's structure gate, so while
+    # the largest gap f - g is k the stage answers as gf_factor_bi_large
+    # would at seed child_seed(seed, 4)
+    g1f, g2f, P, cross_packing = _stage(
+        "decomposition", _keep_bi, G, m + m0, 3 * k * k, k - 1, child_seed(seed, 2),
+        packing, child_seed(child_seed(seed, 4), 1),
     )
     g1_graph = g1f.as_graph()
     g2_graph = g2f.as_graph()
 
-    # decompose_keep_bi proved G1 2(m+m0)-edge-connected with its trees
+    # the keep-bi trees prove G1 2(m+m0)-edge-connected and G2's intra
+    # count; shifts keep the gaps and the parity criterion, _shifted the window
     split = _stage("split", _split_complement, g1_graph, m, m0, child_seed(seed, 3))
     g2, f2 = _shifted(g2_graph, split[0].degrees(), g, f)
-    sub = _stage(
-        "bi-large stage", gf_factor_bi_large,
-        g2_graph, g2, f2, P=P, assume_hypotheses=assume_hypotheses,
-        seed=child_seed(seed, 4),
-    )
-    if isinstance(sub, NoFactorCertificate):
-        raise TheoremViolationError(
-            "shifted functions lost the parity criterion; shifts preserve it"
-        )
+    kb = max(1, max((f[v] - g[v] for v in G.vertices), default=0))
+    sub = _bi_large(g2_graph, g2, f2, P, cross_packing, kb, child_seed(seed, 4))
     return _certify_tree_connected(G, g, f, params, g1f, split, sub)
 
 
@@ -1002,7 +1013,6 @@ def tough_hypothesis_check(
     g: VertexMap,
     f: VertexMap,
     params: TheoremParams,
-    cap: int = 16,
 ) -> HypothesisReport:
     """Evaluate every hypothesis of the toughness statement with both
     sides shown; refuses only when the graph exceeds the toughness cap."""
@@ -1010,7 +1020,7 @@ def tough_hypothesis_check(
     k, m, m0, b = params.k, params.m, params.m0, params.b
     rows = []
 
-    tough = toughness(G, cap=cap)
+    tough = toughness(G)
     threshold = 4 * b * b
     if tough.value is None:
         ok = True

@@ -259,3 +259,19 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "bijection" in done.stdout
+
+
+@pytest.mark.parametrize("n", range(21, 26))
+def test_orient_decides_gap_two_past_the_selector_cap(tmp_path, capsys, n):
+    # d+(v) in {0, 2} around C_n, with a loop at 1 when n is odd: sources
+    # and sinks alternate, the loop's vertex keeping one cycle edge
+    edges = [(v, v % n + 1) for v in range(1, n + 1)] + [(1, 1)] * (n % 2)
+    lines = [f"p multigraph {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+    lines += [f"f {v} 0 2" for v in range(1, n + 1)]
+    path = tmp_path / "c.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "orient", "--graph", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["outcome"] == "orientation"
+    assert set(payload["outdegrees"].values()) == {0, 2}

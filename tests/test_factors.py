@@ -193,21 +193,35 @@ def test_two_point_factor_decides_gap_two_past_the_cap(n):
     assert not is_unknown(odd) and odd is None
 
 
+def _orientation_exists(G, ok) -> bool:
+    """Exhaustive oracle: whether some orientation of G has out-degrees
+    that pass ok, over every out-degree vector that directing the edges
+    one by one reaches."""
+    verts = list(G.vertices)
+    at = {v: i for i, v in enumerate(verts)}
+    reach = {(0,) * len(verts)}
+    for _, u, v in G.edges:
+        reach = {
+            vec[: at[tail]] + (vec[at[tail]] + 1,) + vec[at[tail] + 1 :]
+            for vec in reach for tail in {u, v}
+        }
+    return any(ok(dict(zip(verts, vec))) for vec in reach)
+
+
 @pytest.mark.parametrize(
     "finder, key, seed, digest",
     [
-        (two_point_orientation, lambda D: sorted(D.directions.items()), 59, "c82ae72d2d39f467"),
+        (two_point_orientation, lambda D: sorted(D.directions.items()), 59, "672ce0458064885a"),
         (find_two_point_factor, lambda F: sorted(F.degrees().items()), 61, "53d9187c9cbc1ae6"),
     ],
 )
 def test_two_point_answers_without_gap_one_are_pinned(finder, key, seed, digest):
-    # orientation answers recorded when every free vertex was a selector;
-    # with no gap of 1 the attempts and their order must be the same.
-    # Factor answers were recorded when gaps of 2 became parity windows
-    # decided by one matching, so only gaps of 3 are selectors there.  A
-    # factor's degree vector names the selector that produced it and the
-    # matcher's choice at each parity window, while its edge ids depend
-    # on the matching engine.
+    # answers recorded when gaps of 2 became parity windows decided by one
+    # matching, so only gaps of 3 are selectors; orientations since then
+    # are two-point factors of the incidence graph.  A factor's degree
+    # vector names the selector that produced it and the matcher's choice
+    # at each parity window, while its edge ids depend on the matching
+    # engine.  An exhaustive oracle checks found-or-None on every host.
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(300):
@@ -225,13 +239,16 @@ def test_two_point_answers_without_gap_one_are_pinned(finder, key, seed, digest)
             h.update(b"unknown")
         else:
             h.update(b"none" if got is None else repr(key(got)).encode())
+
+        def ok(degs):
+            return all(degs[v] in (lo[v], hi[v]) for v in G.vertices) and (
+                pin is None or degs[pin[0]] == pin[1])
+
         if finder is find_two_point_factor:
-            expect = factor_exists(
-                G,
-                lambda degs: all(degs[v] in (lo[v], hi[v]) for v in G.vertices)
-                and (pin is None or degs[pin[0]] == pin[1]),
-            )
-            assert (got is not None) == expect, (G.edges, lo, hi, pin)
+            expect = factor_exists(G, ok)
+        else:
+            expect = _orientation_exists(G, ok)
+        assert (got is not None) == expect, (G.edges, lo, hi, pin)
     assert h.hexdigest()[:16] == digest
 
 

@@ -94,6 +94,25 @@ def test_two_point_pin_is_enforced():
         two_point_orientation(G, p, q, pin=(1, 2))
 
 
+@pytest.mark.parametrize("n", range(21, 26))
+def test_two_point_orientation_decides_gap_two_past_the_selector_cap(n):
+    # d+(v) in {0, 2} around C_n, with a loop at 1 when n is odd: past 20
+    # vertices of gap 2 a selector sample almost never hits an answer,
+    # while the incidence factor decides in one matching
+    G = MultiGraph(
+        range(1, n + 1), [(v, v % n + 1) for v in range(1, n + 1)] + [(1, 1)] * (n % 2)
+    )
+    p = {v: 0 for v in G.vertices}
+    q = {v: 2 for v in G.vertices}
+    for pin in (None, (1, 2)):
+        got = two_point_orientation(G, p, q, pin=pin)
+        assert not is_unknown(got) and got is not None
+        assert set(got.outdegrees().values()) == {0, 2}
+        assert pin is None or got.outdegree(1) == 2
+    odd = two_point_orientation(G, {**p, 2: 1}, {**q, 2: 1})
+    assert not is_unknown(odd) and odd is None
+
+
 def test_eulerian_orientation_halves_degrees():
     rng = random.Random(41)
     for _ in range(60):

@@ -346,6 +346,14 @@ def _k5_times_4():
     return MultiGraph(list(range(1, 6)), edges)
 
 
+def _almost_k2_windows():
+    """(g, f, h) of the almost-bipartite k = 2 host k23(14, intra=[(1, 2)])."""
+    g = {1: 20, 2: 20, 3: 12, 4: 13, 5: 13}
+    f = {1: 22, 2: 22, 3: 14, 4: 15, 5: 15}
+    h = {1: 20, 2: 20, 3: 12, 4: 13, 5: 15}
+    return g, f, h
+
+
 def _spy_packer(monkeypatch) -> list[frozenset[int]]:
     """The edge ids of every host the tree packer runs on, in call order."""
     hosts = []
@@ -361,16 +369,18 @@ def _spy_packer(monkeypatch) -> list[frozenset[int]]:
 
 def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
     # postconditions check the trees the construction holds: the packer
-    # never runs on G2, on the factor or on its complement
+    # runs on G once, at the gate, whose trees tree_connected_gf hands to
+    # its keep-bi search as trial 0.  It never runs on G2, on the factor or
+    # on its complement.  G2[X, Y] (G2 itself when G is bipartite) is
+    # packed only by tree_connected_gf's keep-bi search, whose trees its
+    # bi-large stage takes, and that stage's Eulerian part is never packed
     hosts = _spy_packer(monkeypatch)
     params = TheoremParams(k=1, m=1, m0=0)
-    # tree_connected_gf packs G twice: at its gate and in the one trial of
-    # decompose_keep_bi, which draws its trees from another seed
-    for G, run, g_packings in (
+    for G, run, cross_packings in (
         (k23(8), lambda G, g, f: tree_connected_gf_bipartite(
-            G, P23, g, f, params=params, seed=5), 1),
+            G, P23, g, f, params=params, seed=5), 0),
         (_k5_times_4(), lambda G, g, f: tree_connected_gf(
-            G, g, f, params=params, seed=3), 2),
+            G, g, f, params=params, seed=3), 1),
     ):
         hosts.clear()
         d = G.degrees()
@@ -379,10 +389,39 @@ def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
         cert = run(G, g, f)
         assert isinstance(cert, FactorCertificate) and cert.verify()
         edges = frozenset(G.edge_ids)
-        g1 = frozenset(dict(cert.derivation)["eulerian-part"])
-        assert hosts.count(edges) == g_packings
-        for part in (edges - g1, cert.factor.edge_ids, edges - cert.factor.edge_ids):
+        g1, *inner = (frozenset(val) for key, val in cert.derivation if key == "eulerian-part")
+        g2 = edges - g1
+        X = set(dict(cert.derivation)["bipartition"][0])
+        cross2 = frozenset(eid for eid, u, v in G.edges if eid in g2 and (u in X) != (v in X))
+        assert hosts.count(edges) == 1
+        assert hosts.count(cross2) == cross_packings
+        for part in (g2, cert.factor.edge_ids, edges - cert.factor.edge_ids, *inner):
             assert part not in hosts
+
+
+def test_eulerian_stages_take_the_split_they_are_cut_from(monkeypatch):
+    # the split proves every gate of eulerian_half_factor_at on its G2, so
+    # the Eulerian stages neither enter that entry nor pack G2
+    hosts = _spy_packer(monkeypatch)
+    entered = []
+    half_at = pipeline.eulerian_half_factor_at
+
+    def spy(*args, **kwargs):
+        entered.append(args)
+        return half_at(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "eulerian_half_factor_at", spy)
+    runs = [(k23(14, intra=[(1, 2)]), lambda G: gf_factor_almost_bipartite(
+        G, *_almost_k2_windows(), seed=7))]
+    runs += [(k23(10, intra=[(1, 2)]), lambda G, s=s: gf_factor_bi_large(
+        G, *_gap_two_at_3(G, s), seed=s)) for s in (1, 2, 3)]
+    for G, run in runs:
+        hosts.clear()
+        cert = run(G)
+        assert isinstance(cert, FactorCertificate) and cert.verify()
+        g2 = frozenset(dict(cert.derivation)["eulerian-part"])
+        assert g2 and g2 not in hosts
+    assert not entered
 
 
 def test_structure_gate_trees_build_the_eulerian_split(monkeypatch):
@@ -390,9 +429,6 @@ def test_structure_gate_trees_build_the_eulerian_split(monkeypatch):
     # P or searched), and the Eulerian split cuts G from those trees
     hosts = _spy_packer(monkeypatch)
     d = k23(3).degrees()
-    g_ab = {1: 20, 2: 20, 3: 12, 4: 13, 5: 13}
-    f_ab = {1: 22, 2: 22, 3: 14, 4: 15, 5: 15}
-    h_ab = {1: 20, 2: 20, 3: 12, 4: 13, 5: 15}
     for G, run in (
         # bi-large at k = 1, structure searched
         (k23(3), lambda G: gf_factor_bi_large(
@@ -402,7 +438,7 @@ def test_structure_gate_trees_build_the_eulerian_split(monkeypatch):
             G, *_gap_two_at_3(G, 1), P=P23, seed=1)),
         # almost-bipartite at k = 2, structure searched
         (k23(14, intra=[(1, 2)]), lambda G: gf_factor_almost_bipartite(
-            G, g_ab, f_ab, h_ab, seed=7)),
+            G, *_almost_k2_windows(), seed=7)),
     ):
         hosts.clear()
         cert = run(G)
@@ -416,7 +452,7 @@ def test_structure_gate_trees_build_the_eulerian_split(monkeypatch):
 def test_tree_connected_pipelines_trust_the_proved_g1_connectivity(monkeypatch):
     # G1's 2(m+m0)-edge-connectivity is proved once: by the bipartite
     # pipeline's own postcondition, and in tree_connected_gf by the trees
-    # decompose_keep_bi carries; the split does not run Stoer-Wagner again
+    # its keep-bi search carries; the split does not run Stoer-Wagner again
     hosts = []
 
     def spy(G):

@@ -11,7 +11,8 @@ from factorkit import pipeline
 from factorkit.cli import main
 from factorkit.errors import HypothesisError, TheoremViolationError, UNKNOWN
 from factorkit.generators import GenSpec, gen_functions, gen_tree_connected
-from factorkit.graph import Bipartition, MultiGraph
+from factorkit.connectivity import PackingRefusal, spanning_tree_packing
+from factorkit.graph import Bipartition, MultiGraph, induced_bipartite_factor
 from factorkit.harness import FACTOR_THEOREMS, NO_SELECTOR, THEOREMS
 from factorkit.pipeline import (
     FactorCertificate,
@@ -128,6 +129,64 @@ def test_pipeline_answers_are_pinned():
     assert _digest(lines) == "ebfae6e8f2eb01963109b039ea4f68faa93d59ffe1bdcf648ed23d5c1e8b1ef0"
 
 
+def _stage_cases():
+    """(label, call taking assume_hypotheses) for the stages _cases does not
+    reach: tree-gf with m0 = 1 and at k = 2, bi-large at k = 2 (P given and
+    searched), and almost-bipartite at k = 2 with |t| up to 2."""
+    for seed in range(4):
+        # at k = 2 every gap is 2, so an even vertex count keeps sum f even;
+        # 24 trees are 4 too few, which only assume_hypotheses lets through
+        for n, trees, params in (
+            (5, 4, TheoremParams(k=1, m0=1)),
+            (4, 14, TheoremParams(k=2, m=1, m0=1)),
+            (4, 12, TheoremParams(k=2, m=1, m0=1)),
+        ):
+            G = _doubled(gen_tree_connected(
+                GenSpec(n=n, trees=trees, extra_edges=seed, seed=seed)))
+            g, f = gen_functions(G, k=params.k, m=params.m, m0=params.m0, seed=seed)
+            yield f"tree-gf m0=1 k={params.k} trees={trees} {seed}", (
+                lambda a, G=G, g=g, f=f, params=params, seed=seed:
+                tree_connected_gf(G, g, f, params, assume_hypotheses=a, seed=seed)
+            )
+    for seed in range(4):
+        G = _doubled(gen_tree_connected(GenSpec(n=5, trees=13, extra_edges=seed, seed=seed)))
+        for m in (0, 1):
+            g, f = gen_functions(G, k=2, m=m, seed=seed)
+            yield f"tree-gf k=2 m={m} {seed}", (
+                lambda a, G=G, g=g, f=f, m=m, seed=seed:
+                tree_connected_gf(G, g, f, TheoremParams(k=2, m=m), assume_hypotheses=a, seed=seed)
+            )
+    for seed in range(6):
+        G = _k23(10 + seed % 3, intra=[(1, 2)] * (1 + seed % 2))
+        g, f = gen_functions(G, k=2, seed=seed)
+        for P in (None, P23):
+            yield f"bi-large k=2 {seed} {P is None}", (
+                lambda a, G=G, g=g, f=f, P=P, seed=seed:
+                gf_factor_bi_large(G, g, f, P=P, assume_hypotheses=a, seed=seed)
+            )
+    for seed in range(8):
+        G = _k23(14 + seed % 3, intra=[(1, 2)])
+        g, f = gen_functions(G, k=2, seed=seed)
+        h = {v: g[v] if (v + seed) % 2 else f[v] for v in G.vertices}
+        if sum(h.values()) % 2 and seed >= 4:
+            h[5] = f[5] + g[5] - h[5]
+        yield f"almost-bipartite k=2 {seed}", (
+            lambda a, G=G, g=g, f=f, h=h, seed=seed:
+            gf_factor_almost_bipartite(G, g, f, h, assume_hypotheses=a, seed=seed)
+        )
+
+
+def test_stage_answers_are_pinned():
+    # factor edges, or the kind of exit, of the nested stages under both
+    # settings; recorded before the stages took the trees and bipartition
+    # their callers had proved, which changed none of these answers
+    lines = [
+        f"{label} {assume}: {_outcome(lambda: call(assume))}"
+        for label, call in _stage_cases() for assume in (False, True)
+    ]
+    assert _digest(lines) == "b4837c1ead61d1fb7713896e48bd08b9773ca8e27d7a1300dbaea64430d0d168"
+
+
 def _k23(mult, intra=()):
     edges = list(intra)
     for u in (1, 2):
@@ -194,7 +253,7 @@ def _refuse(*args, **kwargs):
 # (pipeline name a stage calls, its forced result, the entries it reaches)
 FORCED_STAGES = [
     ("_split_complement", _give_up, ("tree-gf-bipartite", "tree-gf")),
-    ("decompose_keep_bi", _give_up, ("tree-gf",)),
+    ("_keep_bi", _give_up, ("tree-gf",)),
     ("find_two_point_factor", _give_up,
      ("bipartite-gf", "almost-bipartite", "bi-large", "tree-gf-bipartite", "tree-gf")),
     ("_defective_factor", _give_up, ("bi-large", "tree-gf")),
@@ -204,7 +263,7 @@ FORCED_STAGES = [
     ("find_f_factor", _find_nothing,
      ("eulerian-half", "eulerian-half-at", "almost-bipartite", "bi-large", "tree-gf")),
     ("_eulerian_split", _refuse, ("almost-bipartite", "bi-large", "tree-gf")),
-    ("decompose_keep_bi", _refuse, ("tree-gf",)),
+    ("_keep_bi", _refuse, ("tree-gf",)),
 ]
 
 
@@ -255,16 +314,20 @@ def test_assume_hypotheses_past_a_failed_window_answers_none(
 def test_a_refusal_inside_a_stage_is_a_theorem_violation(monkeypatch):
     G = _doubled(gen_tree_connected(GenSpec(n=5, trees=4, seed=7)))
     g, f = gen_functions(G, k=1, m=1, seed=7)
-    keep_bi = pipeline.decompose_keep_bi
+    keep_bi = pipeline._keep_bi
 
-    def lopsided(H, *args, **kwargs):
-        g1f, g2f, _ = keep_bi(H, *args, **kwargs)
+    def lopsided(H, m1, m2, *args):
+        g1f, g2f, _, _ = keep_bi(H, m1, m2, *args)
         low = min(H.vertices)
-        return g1f, g2f, Bipartition(frozenset({low}), H.vertex_set - {low})
+        P = Bipartition(frozenset({low}), H.vertex_set - {low})
+        cross = induced_bipartite_factor(g2f.as_graph(), P).as_graph()
+        packing = spanning_tree_packing(cross, m2)
+        assert isinstance(packing, PackingRefusal)
+        return g1f, g2f, P, packing
 
-    monkeypatch.setattr(pipeline, "decompose_keep_bi", lopsided)
-    # the bi-large stage refuses its cross factor, which is no hypothesis
-    # of tree_connected_gf
+    monkeypatch.setattr(pipeline, "_keep_bi", lopsided)
+    # the bi-large stage gets the refusal of a lopsided P's cross factor,
+    # which is no hypothesis of tree_connected_gf
     with pytest.raises(TheoremViolationError):
         tree_connected_gf(G, g, f, params=TheoremParams(k=1, m=1), seed=7)
 
