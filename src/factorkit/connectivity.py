@@ -2,12 +2,21 @@
 partition refusal certificates, the bipartite index, and toughness.
 
 The tree packer is the load-bearing routine.  It runs matroid-union
-augmentation over m copies of the graphic matroid: each candidate edge is
-inserted through a BFS over exchange moves (an edge enters a forest by
-evicting an edge of the cycle it would close, which then re-enters some
-other forest, and so on).  When the graph is not m-tree-connected the
-labeled edges of the last pass, in which every search failed, give a vertex
-partition P with fewer than m(|P| - 1) crossing edges: the exact obstruction.
+augmentation over m copies of the graphic matroid (Roskind and Tarjan
+1985): each candidate edge is inserted through a BFS over exchange moves
+(an edge enters a forest by evicting an edge of the cycle it would close,
+which then re-enters some other forest, and so on).  The search is exact,
+and an augmentation moves edges between forests but never takes one out of
+their union, so the union only grows: an edge that fails once lies in the
+span of the union and fails for good.  One insertion pass over the edges
+therefore suffices, and it stops as soon as the forests hold m(n - 1)
+edges, m spanning trees, since no later search could succeed.  An edge
+whose ends lie in different trees of some forest goes straight into the
+first such forest, which is where the search's first step would put it,
+with no labels built.  When the pass ends short, one labeling pass repeats
+the failed searches in the final forests; it asserts that none of them
+augments, and their labeled edges give a vertex partition P with fewer
+than m(|P| - 1) crossing edges: the exact obstruction.
 
 Each forest is kept rooted, with a parent link, a depth and a root label
 per vertex.  "No path" is one comparison of root labels, and a cycle is
@@ -365,6 +374,16 @@ def spanning_tree_packing(
 ) -> TreePacking | PackingRefusal:
     """m edge-disjoint spanning trees, or the violated partition.
 
+    The non-loop edges, shuffled under a seed, get one insertion pass.
+    An edge goes straight into the first forest whose trees its ends
+    separate, the forest the search's first step would pick; otherwise
+    `try_augment` searches for an exchange chain.  The pass stops once the
+    forests hold m(n - 1) edges.  A failed edge needs no second try, since
+    the union of the forests only grows.  Only when the forests end short
+    does a labeling pass search again from each failed edge, in the final
+    forests; it raises AssertionError if one of them augments, and the
+    labeled edges join the parts of the refusal.
+
     A single-vertex graph is m-tree-connected for every m (empty trees).
     """
     if m < 0:
@@ -392,6 +411,15 @@ def spanning_tree_packing(
 
     # None once e0 is in a forest, else the labels of the failed search
     def try_augment(e0: int) -> dict[int, tuple[int, int] | None] | None:
+        xu, xv = by_id[e0]
+        # the search's first step: e0's own loop stops at the first forest
+        # with no path, where e0 alone is the chain
+        for fi in range(m):
+            if state.root[fi][xu] != state.root[fi][xv]:
+                state.add(fi, e0, xu, xv)
+                if not state.acyclic_and_sized((fi,)):
+                    raise AssertionError("direct insert left a non-forest")
+                return None
         labels: dict[int, tuple[int, int] | None] = {e0: None}
         # cluster[fi][v]: v's component in the labeled edges of forest fi,
         # as a vertex label, with grouped[fi][label] listing the clusters of
@@ -439,31 +467,32 @@ def spanning_tree_packing(
                         groups[cv] = gv
         return labels
 
-    # passes over the edges outside the forests until one augments nothing;
-    # that pass changed no forest, so its labels are those of the final state
-    unused = [eid for eid, _, _ in nonloop]
-    progress = True
-    while progress and unused:
-        progress = False
-        still, labeled = [], set()
-        for eid in unused:
-            labels = try_augment(eid)
-            if labels is None:
-                progress = True
-            else:
-                still.append(eid)
-                labeled.update(labels)
-        unused = still
+    full = m * (n - 1)
+    placed = 0
+    failed = []
+    for eid, _, _ in nonloop:
+        if placed == full:
+            break
+        if try_augment(eid) is None:
+            placed += 1
+        else:
+            failed.append(eid)
 
-    sizes = [len(state.members[fi]) for fi in range(m)]
-    if sum(sizes) == m * (n - 1):
+    if placed == full:
         trees = tuple(Factor(G, frozenset(state.members[fi])) for fi in range(m))
         packing = TreePacking(G, trees)
         if not packing.verify():
             raise AssertionError("packer produced an invalid packing")
         return packing
 
-    # certificate: labeled edges of the final failed searches are intra-part
+    # certificate: the failed edges' searches in the final forests label
+    # only intra-part edges
+    labeled: set[int] = set()
+    for eid in failed:
+        labels = try_augment(eid)
+        if labels is None:
+            raise AssertionError("an edge that failed to augment augmented later")
+        labeled.update(labels)
     parent = list(range(n))
     for eid in labeled:
         u, v = by_id[eid]

@@ -136,6 +136,29 @@ def test_packer_agrees_with_partition_bound():
                 assert result.cross_edges < result.bound
 
 
+def test_every_packer_answer_verifies():
+    # loops and parallel edges on up to 7 vertices, disconnected hosts too
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def hosts(draw):
+        n = draw(st.integers(1, 7))
+        ends = st.integers(1, n)
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=24))
+        return MultiGraph(range(1, n + 1), pairs)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(hosts(), st.integers(0, 4), st.none() | st.integers(0, 2**32 - 1))
+    def check(G, m, seed):
+        result = spanning_tree_packing(G, m, seed=seed)
+        assert isinstance(result, TreePacking) == packing_bound_holds(G, m)
+        assert result.verify()
+        assert result.m == m
+
+    check()
+
+
 def test_packing_trees_are_disjoint_spanning_trees():
     rng = random.Random(3)
     for _ in range(60):
@@ -268,6 +291,12 @@ def _digest(packing):
     return hashlib.sha256(repr(trees).encode()).hexdigest()[:16]
 
 
+def _bipartite_host(n):
+    return gen_tree_connected(
+        GenSpec(n=n, trees=4, extra_edges=n // 4, bipartite=True, seed=7)
+    )
+
+
 def test_packer_returns_the_pinned_trees_and_refusal():
     # tree edge-id sets, in order, as the packer chose them when it found
     # paths by BFS; a faster path structure must not change the trees
@@ -278,6 +307,16 @@ def test_packer_returns_the_pinned_trees_and_refusal():
     ):
         G = gen_tree_connected(GenSpec(n=n, trees=trees, extra_edges=n, seed=3))
         packing = spanning_tree_packing(G, trees, seed=7)
+        assert isinstance(packing, TreePacking) and packing.verify()
+        assert _digest(packing) == digest
+    # the bench's bipartite host shape at scale, shuffled and in edge order
+    for n, seed, digest in (
+        (128, 3, "6c07560727d8f5b3"),
+        (256, 3, "32beb4d24c730ac9"),
+        (128, None, "7cb04e4f18d4cc5d"),
+    ):
+        G = _bipartite_host(n)
+        packing = spanning_tree_packing(G, 4, seed=seed)
         assert isinstance(packing, TreePacking) and packing.verify()
         assert _digest(packing) == digest
     # two 4-tree-connected halves joined by 3 edges; enough edges overall
@@ -295,6 +334,24 @@ def test_packer_returns_the_pinned_trees_and_refusal():
     assert isinstance(refusal, PackingRefusal) and refusal.verify()
     assert refusal.parts == (frozenset(range(1, 11)), frozenset(range(11, 21)))
     assert refusal.cross_edges == 3
+
+
+def test_packer_stops_searching_once_its_trees_span(monkeypatch):
+    # m(n - 1) placed edges are m spanning trees: no search can add one more
+    real_path = _ForestState.path
+
+    def path(self, fi, a, b):
+        n = len(self.root[0])
+        assert sum(map(len, self.members)) < self.m * (n - 1)
+        return real_path(self, fi, a, b)
+
+    monkeypatch.setattr(_ForestState, "path", path)
+    hosts = [(_bipartite_host(256), 4, 3)] + [
+        (gen_tree_connected(GenSpec(n=n, trees=m, extra_edges=n, seed=3)), m, 7)
+        for n, m in ((40, 4), (40, 8), (80, 4))
+    ]
+    for G, m, seed in hosts:
+        assert isinstance(spanning_tree_packing(G, m, seed=seed), TreePacking)
 
 
 def test_single_vertex_packs_any_m():
