@@ -26,6 +26,11 @@ only grows towards its final edge set and no add meets a cycle.  A search
 also skips the forests in which an edge's ends are already joined by
 labeled edges, since such a path has nothing left to label.
 
+No placement is checked on its own: the forest check runs once, on the
+answer.  `TreePacking.verify()` rebuilds each tree with a union-find (n - 1
+edges, no cycle, on the host, none shared), and `PackingRefusal.verify()`
+recounts the crossing edges, a proof whatever the forests held.
+
 The two exact measures prune instead of enumerating.  `edge_connectivity`
 keeps lam, the smallest cut found, from the minimum degree down, and
 contracts every pair that no cut below lam can separate (Nagamochi and
@@ -44,7 +49,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import InputError, SizeRefusal
 from .graph import (
@@ -248,7 +253,9 @@ class _ForestState:
     meet.  add() re-roots the smaller of the two trees it joins and hangs it
     below the other endpoint; remove() relabels the subtree it cuts off.
     add() refuses an edge whose ends share a root, so a caller that
-    exchanges edges applies its removals before its adds.
+    exchanges edges applies its removals before its adds.  Nothing here
+    re-walks a forest: the packer checks its answer once, with
+    `TreePacking.verify()` or `PackingRefusal.verify()`.
     """
 
     def __init__(self, n: int, m: int):
@@ -261,7 +268,6 @@ class _ForestState:
         self.root = [list(range(n)) for _ in range(m)]
         self.size = [[1] * n for _ in range(m)]  # read at roots only
         self.members: list[set[int]] = [set() for _ in range(m)]
-        self.where: dict[int, int] = {}  # eid -> forest index
 
     def _hang(self, fi: int, top: int, link: tuple[int, int] | None, label: int) -> int:
         """Give top the parent link `link` and relabel the tree below it,
@@ -296,13 +302,11 @@ class _ForestState:
         self.adj[fi][u][eid] = v
         self.adj[fi][v][eid] = u
         self.members[fi].add(eid)
-        self.where[eid] = fi
 
     def remove(self, fi: int, eid: int, u: int, v: int) -> None:
         del self.adj[fi][u][eid]
         del self.adj[fi][v][eid]
         self.members[fi].discard(eid)
-        del self.where[eid]
         link = self.up[fi][u]
         child = u if link and link[0] == eid else v
         size = self.size[fi]
@@ -336,37 +340,6 @@ class _ForestState:
             from_a.append(eid)
         from_a.reverse()
         return from_b + from_a
-
-    def acyclic_and_sized(self, forests: Iterable[int]) -> bool:
-        """Each of the given forests is acyclic with its member count of
-        edges, and its parent links, depths and root labels describe exactly
-        those edges.  An augmentation passes the forests its chain changed.
-
-        Depths rise by one along each link, so no vertex has two links on
-        one cycle; once the links account for every adjacency entry, the
-        forest is the link forest and has no cycle.
-        """
-        for fi in forests:
-            adj, up = self.adj[fi], self.up[fi]
-            depth, root = self.depth[fi], self.root[fi]
-            linked = 0
-            for v, link in enumerate(up):
-                if link is None:
-                    if root[v] != v or depth[v] != 0:
-                        return False
-                    continue
-                eid, p = link
-                if (
-                    adj[v].get(eid) != p
-                    or adj[p].get(eid) != v
-                    or depth[v] != depth[p] + 1
-                    or root[v] != root[p]
-                ):
-                    return False
-                linked += 1
-            if not sum(map(len, adj)) == 2 * linked == 2 * len(self.members[fi]):
-                return False
-        return True
 
 
 def spanning_tree_packing(
@@ -417,8 +390,6 @@ def spanning_tree_packing(
         for fi in range(m):
             if state.root[fi][xu] != state.root[fi][xv]:
                 state.add(fi, e0, xu, xv)
-                if not state.acyclic_and_sized((fi,)):
-                    raise AssertionError("direct insert left a non-forest")
                 return None
         labels: dict[int, tuple[int, int] | None] = {e0: None}
         # cluster[fi][v]: v's component in the labeled edges of forest fi,
@@ -447,8 +418,6 @@ def spanning_tree_packing(
                         state.remove(source, cur, *by_id[cur])
                     for cur, target in chain:
                         state.add(target, cur, *by_id[cur])
-                    if not state.acyclic_and_sized({f for _, f in chain}):
-                        raise AssertionError("augmentation chain left a non-forest")
                     return None
                 groups = grouped[fi]
                 for y in path:

@@ -84,8 +84,9 @@ def eulerian_orientation(G: MultiGraph) -> Orientation:
                 directions[eid] = (v, w)
                 v = w
     out = Orientation(G, directions)
+    outdeg = out.outdegrees()
     for v in G.vertices:
-        if out.outdegree(v) != G.degree(v) // 2:
+        if outdeg[v] != G.degree(v) // 2:
             raise AssertionError("trail peeling missed the half-degree law")
     return out
 
@@ -139,8 +140,9 @@ def interval_orientation(
         if u == v:
             directions[eid] = (u, v)
     out = Orientation(G, directions)
+    outdeg = out.outdegrees()
     for v in verts:
-        if not p[v] <= out.outdegree(v) <= q[v]:
+        if not p[v] <= outdeg[v] <= q[v]:
             raise AssertionError("flow step broke its own bounds")
     return out
 

@@ -243,47 +243,10 @@ def test_forest_state_paths_match_bfs():
                 else:
                     with pytest.raises(AssertionError):
                         state.add(fi, eid, u, v)
-            assert state.acyclic_and_sized(range(m))
             assert state.members[fi] == set(forest)
             for a in rng.sample(range(n), min(n, 4)):
                 for b in range(n):
                     assert state.path(fi, a, b) == _bfs_path(forest, a, b)
-
-
-def test_forest_state_check_rejects_cycles_and_stale_labels():
-    # each defect goes into forest 1 of two; the check looks at the forests
-    # it is given, and catches the defect whenever forest 1 is among them
-    def path_of_four():
-        state = _ForestState(4, 2)
-        state.add(0, 8, 0, 2)
-        for eid, (u, v) in enumerate([(0, 1), (1, 2), (2, 3)]):
-            state.add(1, eid, u, v)
-        assert state.acyclic_and_sized({0, 1})
-        return state
-
-    def caught(state):
-        return (
-            state.acyclic_and_sized({0})
-            and not state.acyclic_and_sized({1})
-            and not state.acyclic_and_sized({0, 1})
-        )
-
-    # an edge closing a cycle, slipped in past add()
-    state = path_of_four()
-    state.adj[1][3][9] = 0
-    state.adj[1][0][9] = 3
-    state.members[1].add(9)
-    assert caught(state)
-    # a member missing from the adjacency
-    state = path_of_four()
-    state.members[1].add(9)
-    assert caught(state)
-    # a depth or a root label left stale
-    for field in ("depth", "root"):
-        state = path_of_four()
-        linked = next(v for v in range(4) if state.up[1][v])
-        getattr(state, field)[1][linked] += 1
-        assert caught(state)
 
 
 def _digest(packing):
@@ -297,30 +260,27 @@ def _bipartite_host(n):
     )
 
 
-def test_packer_returns_the_pinned_trees_and_refusal():
-    # tree edge-id sets, in order, as the packer chose them when it found
-    # paths by BFS; a faster path structure must not change the trees
+def _pinned_packings():
+    """(host, m, seed, digest of the trees) for the pinned packings."""
     for n, trees, digest in (
         (40, 4, "e8e112e56b62e2df"),
         (40, 8, "ee24c7ec17487749"),
         (80, 4, "9c07d2c2012f1c00"),
     ):
         G = gen_tree_connected(GenSpec(n=n, trees=trees, extra_edges=n, seed=3))
-        packing = spanning_tree_packing(G, trees, seed=7)
-        assert isinstance(packing, TreePacking) and packing.verify()
-        assert _digest(packing) == digest
+        yield G, trees, 7, digest
     # the bench's bipartite host shape at scale, shuffled and in edge order
     for n, seed, digest in (
         (128, 3, "6c07560727d8f5b3"),
         (256, 3, "32beb4d24c730ac9"),
         (128, None, "7cb04e4f18d4cc5d"),
     ):
-        G = _bipartite_host(n)
-        packing = spanning_tree_packing(G, 4, seed=seed)
-        assert isinstance(packing, TreePacking) and packing.verify()
-        assert _digest(packing) == digest
-    # two 4-tree-connected halves joined by 3 edges; enough edges overall
-    # that the packer runs its full augmentation before it refuses
+        yield _bipartite_host(n), 4, seed, digest
+
+
+def _two_halves_host():
+    """Two 4-tree-connected halves joined by 3 edges; enough edges overall
+    that the packer runs its full augmentation before it refuses."""
     halves = [
         gen_tree_connected(GenSpec(n=10, trees=4, extra_edges=3, seed=s))
         for s in (1, 2)
@@ -328,12 +288,58 @@ def test_packer_returns_the_pinned_trees_and_refusal():
     edges = [
         (u + 10 * j, v + 10 * j) for j, H in enumerate(halves) for _, u, v in H.edges
     ]
-    G = MultiGraph(range(1, 21), edges + [(1, 11), (2, 12), (3, 13)])
+    return MultiGraph(range(1, 21), edges + [(1, 11), (2, 12), (3, 13)])
+
+
+def test_packer_returns_the_pinned_trees_and_refusal():
+    # tree edge-id sets, in order, as the packer chose them when it found
+    # paths by BFS; a faster path structure must not change the trees
+    for G, m, seed, digest in _pinned_packings():
+        packing = spanning_tree_packing(G, m, seed=seed)
+        assert isinstance(packing, TreePacking) and packing.verify()
+        assert _digest(packing) == digest
+    G = _two_halves_host()
     assert G.num_edges >= 4 * 19
     refusal = spanning_tree_packing(G, 4, seed=7)
     assert isinstance(refusal, PackingRefusal) and refusal.verify()
     assert refusal.parts == (frozenset(range(1, 11)), frozenset(range(11, 21)))
     assert refusal.cross_edges == 3
+
+
+def test_packer_certifies_each_answer_once(monkeypatch):
+    # the forest check is the answer's own check: one verify() per call
+    calls = []
+    for cls in (TreePacking, PackingRefusal):
+        def verify(self, real=cls.verify):
+            calls.append(type(self))
+            return real(self)
+
+        monkeypatch.setattr(cls, "verify", verify)
+    cases = [(G, m, seed) for G, m, seed, _ in _pinned_packings()]
+    for G, m, seed in cases + [(_two_halves_host(), 4, 7)]:
+        calls.clear()
+        result = spanning_tree_packing(G, m, seed=seed)
+        assert calls == [type(result)]
+
+
+def test_packer_rejects_a_forest_that_recorded_a_wrong_edge(monkeypatch):
+    # one add records a member of its forest in place of the new edge; the
+    # links and root labels stay right, so only the check of the trees sees it
+    real_add = _ForestState.add
+    spoiled = []
+
+    def add(self, fi, eid, u, v):
+        real_add(self, fi, eid, u, v)
+        others = self.members[fi] - {eid}
+        if others and not spoiled:
+            self.members[fi].discard(eid)
+            spoiled.append(min(others))
+
+    monkeypatch.setattr(_ForestState, "add", add)
+    G = gen_tree_connected(GenSpec(n=40, trees=4, extra_edges=40, seed=3))
+    with pytest.raises(AssertionError, match="invalid packing"):
+        spanning_tree_packing(G, 4, seed=7)
+    assert spoiled
 
 
 def test_packer_stops_searching_once_its_trees_span(monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from factorkit import connectivity, decompositions, factors, pipeline
+from factorkit import connectivity, decompositions, factors, harness, pipeline
 from factorkit.connectivity import TreePacking, edge_connectivity, spanning_tree_packing
 from factorkit.errors import HypothesisError, InputError, is_unknown
 from factorkit.factors import factor_exists
@@ -90,6 +90,26 @@ def test_eulerian_half_factor_refuses_odd_degrees():
     with pytest.raises(HypothesisError) as exc:
         eulerian_half_factor(G, {1: 0, 2: 0})
     assert exc.value.hypothesis == "Eulerian"
+
+
+def test_eulerian_half_factor_may_be_disconnected(monkeypatch):
+    # the lemma promises degrees on a spanning factor, not connectivity:
+    # eulerian-half trial 11 at master seed 0 (t = 2) certifies a factor
+    # with two components
+    answers = []
+
+    def spy(G, i):
+        cert = eulerian_half_factor(G, i)
+        answers.append((G, cert))
+        return cert
+
+    monkeypatch.setattr(harness, "eulerian_half_factor", spy)
+    report = harness.verify_theorem("eulerian-half", 12, master_seed=0)
+    assert report.rows[11].outcome == "success"
+    G, cert = answers[11]
+    assert (G.num_vertices, G.num_edges) == (6, 26)
+    assert cert.verify()
+    assert not cert.factor.as_graph().is_connected()
 
 
 def test_eulerian_half_factor_at_pinned_vertex():
