@@ -139,20 +139,27 @@ def _eulerian_split(
     G: MultiGraph, P: Bipartition, packing: TreePacking | PackingRefusal, m1: int, m2: int
 ) -> tuple[Factor, Factor]:
     """decompose_eulerian from a packing of G[X, Y], of which it uses the
-    first m1+m2+1 trees; a refusal is the failed hypothesis.
+    first m1+m2+1 trees; a refusal, or a packing of fewer trees, is the
+    failed hypothesis.
 
     All intra-part edges go to G2, with the last m2 of those trees; the
     first tree donates the parity forest that makes G2 even, and G1 keeps
     the rest.  Every postcondition is re-verified before returning, the
     tree counts against the trees each part keeps.
     """
+    need = m1 + m2 + 1
     if isinstance(packing, PackingRefusal):
         raise HypothesisError(
             "(m1+m2+1)-tree-connected cross factor",
-            f"cross factor is not {m1 + m2 + 1}-tree-connected",
+            f"cross factor is not {need}-tree-connected",
             certificate=packing,
         )
-    trees = packing.trees[: m1 + m2 + 1]
+    if packing.m < need:
+        raise HypothesisError(
+            "(m1+m2+1)-tree-connected cross factor",
+            f"cross packing holds {packing.m} of the {need} trees",
+        )
+    trees = packing.trees[:need]
     h2_ids = frozenset().union(*(t.edge_ids for t in trees[1 + m1 :]))
     intra_ids = frozenset(G.edge_ids) - induced_bipartite_factor(G, P).edge_ids
     g2 = _even_closure(Factor(G, h2_ids | intra_ids), trees[0])

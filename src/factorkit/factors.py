@@ -6,7 +6,9 @@ gadget for degree windows g <= d_F <= f, linear in the summed window
 width, whose exact targets are the windows with g = f and which also
 takes parity windows {g, g+2}; and for two-point targets a selector
 enumeration over the gaps f - g of 3 or more on top of that (a gap of at
-most 1 is an interval, a gap of 2 a parity window).  The oracle
+most 1 is an interval, a gap of 2 a parity window).  Half-degree factors
+on even hosts, shifted by at most 1 at one vertex, need no matching: one
+alternately coloured Euler circuit per component gives them.  The oracle
 (enumerate_factors) shares none of that machinery; it walks all edge
 subsets in Gray-code order so the two routes stay independent witnesses
 against each other.
@@ -237,6 +239,62 @@ def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
     if sum(f[v] for v in G.vertices) % 2 == 1:
         return None
     return _window_factor(G, f, f)
+
+
+def _euler_half_factor(G: MultiGraph, i: VertexMap) -> Factor | None:
+    """Factor with d_F(v) = d(v)/2 + i(v) on a host with all degrees even,
+    where i is 0 off its keys and sum |i| <= 1, or None.
+
+    Petersen's alternating-circuit argument, linear in |E|: walk an Euler
+    circuit of each component, the shifted vertex z's from z and every
+    other one from its first vertex, and keep alternate edges.  Each pass
+    through a vertex leaves by the other colour than it came in, so only a
+    circuit's start can miss d/2: not at all when the circuit has even
+    length, and by +1 or -1, the colour of its first and last edges, when
+    it is odd.  z's circuit is kept from its first edge for i(z) = 1 and
+    from its second for i(z) = -1.  This is exact: the targets of a
+    component sum to its edge count, plus i(z) on z's, and that sum must
+    be even, so a component whose edge count has the other parity has no
+    such factor.
+    """
+    shifted = [(v, s) for v, s in i.items() if s]
+    if sum(abs(s) for _, s in shifted) > 1:
+        raise InputError("the circuit shifts one vertex by at most 1")
+    z, shift = shifted[0] if shifted else (None, 0)
+    if z is not None:
+        G._check_vertex(z)
+    if not G.is_eulerian():
+        raise InputError("half-degree factors by circuit need all degrees even")
+    # each vertex's incidences are scanned once, across all visits
+    unscanned = {v: iter(G.incident(v)) for v in G.vertices}
+    used: set[int] = set()
+    seen: set[int] = set()
+    kept: list[int] = []
+    for start in ([z] if z is not None else []) + list(G.vertices):
+        if start in seen:
+            continue
+        seen.add(start)
+        # iterative Hierholzer: an edge joins the circuit when the walk
+        # backs out of it, so the circuit comes out reversed, from start
+        circuit: list[int] = []
+        stack: list[tuple[int, int | None]] = [(start, None)]
+        while stack:
+            v, came_by = stack[-1]
+            for eid, w in unscanned[v]:
+                if eid not in used:
+                    used.add(eid)
+                    seen.add(w)
+                    stack.append((w, eid))
+                    break
+            else:
+                stack.pop()
+                if came_by is not None:
+                    circuit.append(came_by)
+        at_z = start == z
+        if len(circuit) % 2 != at_z:
+            return None
+        kept += circuit[1 if at_z and shift < 0 else 0 :: 2]
+    return Factor(G, frozenset(kept))
 
 
 def _window_matching(

@@ -62,7 +62,7 @@ from .errors import (
     UNKNOWN,
     Unknown,
 )
-from .factors import find_f_factor, find_two_point_factor
+from .factors import _euler_half_factor, find_f_factor, find_two_point_factor
 from .graph import (
     Bipartition,
     Factor,
@@ -388,14 +388,25 @@ def _build_half_factor(
     past the gates of the two entries above.  The Eulerian stages ask it
     for t at z on the G2 of a split, which proves the gates of
     eulerian_half_factor_at: G2 is even and carries the split's m2 >= 2|t|
-    trees, its intra edges and cross trees pack |t| - 1 odd cycles, and a
-    parity miss leaves an odd target sum, which find_f_factor answers None.
+    trees, and its intra edges and cross trees pack |t| - 1 odd cycles.
+
+    For t = sum |i| <= 1 on an even host, _euler_half_factor colours Euler
+    circuits alternately in linear time.  That is exact, and a parity miss
+    there is a component whose edge count has the wrong parity: odd, or
+    even on the shifted vertex's component when t = 1, which leaves the
+    component an odd target sum, so the answer is None.  Otherwise, for
+    t >= 2 or an odd degree let through by assume_hypotheses, find_f_factor
+    runs the matcher, and an odd target sum is its None.
     """
     f = {v: G.degree(v) // 2 + i.get(v, 0) for v in G.vertices}
     bad = [v for v in G.vertices if not 0 <= f[v] <= G.degree(v)]
     if bad:
         raise _StageFailed(f"target degree {f[bad[0]]} at vertex {bad[0]} left [0, d]")
-    factor = _stage(f"half-degree factor for targets {f}", find_f_factor, G, f)
+    what = f"half-degree factor for targets {f}"
+    if sum(abs(s) for s in i.values()) <= 1 and G.is_eulerian():
+        factor = _stage(what, _euler_half_factor, G, i)
+    else:
+        factor = _stage(what, find_f_factor, G, f)
     return _certify(factor, {v: (f[v],) for v in G.vertices}, None, derivation)
 
 

@@ -14,6 +14,7 @@ from factorkit.connectivity import (
 )
 from factorkit.decompositions import (
     _carried_packing,
+    _eulerian_split,
     _even_closure,
     decompose_eulerian,
     decompose_keep_bi,
@@ -139,6 +140,20 @@ def test_decompose_eulerian_postconditions():
             same = (u in P.X) == (v in P.X)
             if same:
                 assert eid in g2.edge_ids
+
+
+def test_eulerian_split_refuses_a_packing_short_of_its_trees():
+    # a packing one tree short of m1 + m2 + 1 fails the hypothesis that a
+    # refusal fails; taken as it came, G2 would carry no tree at all
+    xs, ys = [1, 2], [3, 4, 5]
+    G = MultiGraph(xs + ys, [(u, v) for u in xs for v in ys] * 4)
+    P = Bipartition(frozenset(xs), frozenset(ys))
+    cross = induced_bipartite_factor(G, P).as_graph()
+    packing = spanning_tree_packing(cross, 2, seed=0)
+    assert packing.m == 2
+    with pytest.raises(HypothesisError) as exc:
+        _eulerian_split(G, P, packing, 1, 1)
+    assert exc.value.hypothesis == "(m1+m2+1)-tree-connected cross factor"
 
 
 def test_decompose_keep_bi_keeps_intra_edges():

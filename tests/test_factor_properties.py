@@ -3,25 +3,35 @@
 The hosts are multigraphs with loops and parallel edges and up to 16
 edges, past the sizes of the seeded oracle loops in test_factors.py; every
 factor that comes back has its degrees checked.  The two-point finder
-gets gaps f - g of 0 to 3, so every kind of window it handles.
+gets gaps f - g of 0 to 3, so every kind of window it handles.  The Euler
+circuit half factors are checked against find_f_factor on even hosts of up
+to 20 edges, and against the oracle on those of up to 14, and every
+eulerian-half certificate must fail its check once any one edge flips.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from factorkit.errors import is_unknown  # noqa: E402
+from factorkit.errors import HypothesisError, is_unknown  # noqa: E402
 from factorkit.factors import (  # noqa: E402
+    _euler_half_factor,
     factor_exists,
     find_f_factor,
     find_interval_factor,
     find_two_point_factor,
 )
-from factorkit.graph import MultiGraph  # noqa: E402
+from factorkit.graph import Factor, MultiGraph  # noqa: E402
+from factorkit.pipeline import eulerian_half_factor  # noqa: E402
+
+# the oracle walks all 2^|E| edge subsets, once per shift of a host
+_HALF_ORACLE_EDGES = 14
 
 
 @st.composite
@@ -38,6 +48,24 @@ def _multigraph_with_windows(draw):
         b = draw(st.integers(0, G.degree(v)))
         g[v], f[v] = min(a, b), max(a, b)
     return G, g, f
+
+
+@st.composite
+def _eulerian_multigraph(draw):
+    # up to three closed walks and two loops on up to 9 vertices: every
+    # degree is even, and the walks may leave several components
+    n = draw(st.integers(1, 9))
+    ends = st.integers(1, n)
+    pairs = []
+    for walk in draw(st.lists(st.lists(ends, min_size=2, max_size=6), max_size=3)):
+        pairs += zip(walk, walk[1:] + walk[:1])
+    pairs += [(v, v) for v in draw(st.lists(ends, max_size=2))]
+    return MultiGraph(range(1, n + 1), pairs)
+
+
+def _two_four_cycles() -> MultiGraph:
+    return MultiGraph(range(1, 9), [(1, 2), (2, 3), (3, 4), (4, 1),
+                                    (5, 6), (6, 7), (7, 8), (8, 5)])
 
 
 @st.composite
@@ -104,3 +132,53 @@ def test_two_point_factor_property_against_oracle(case):
     if got is not None:
         assert all(got.degree(v) in (g[v], f[v]) for v in G.vertices)
         assert pin is None or got.degree(pin[0]) == pin[1]
+
+
+@_ORACLE_SETTINGS
+@given(_eulerian_multigraph())
+@example(_two_four_cycles())
+def test_euler_half_factor_property_against_finder_and_oracle(G):
+    # the zero shift and every shift by 1 at one vertex whose target
+    # stays in [0, d]
+    shifts = [{}] + [{z: s} for z in G.vertices for s in (1, -1)]
+    for i in shifts:
+        f = {v: G.degree(v) // 2 + i.get(v, 0) for v in G.vertices}
+        if not all(0 <= f[v] <= G.degree(v) for v in G.vertices):
+            continue
+        got = _euler_half_factor(G, i)
+        if got is not None:
+            assert got.degrees() == f
+        assert (got is not None) == (find_f_factor(G, f) is not None)
+        if G.num_edges <= _HALF_ORACLE_EDGES:
+            assert (got is not None) == factor_exists(G, lambda degs: degs == f)
+
+
+def test_two_four_cycles_certify_under_assumed_connectivity():
+    # t = 0 gates connectivity, but each 4-cycle has an even edge count,
+    # so the circuit of each component gives its half factor
+    G = _two_four_cycles()
+    zero = {v: 0 for v in G.vertices}
+    with pytest.raises(HypothesisError):
+        eulerian_half_factor(G, zero)
+    cert = eulerian_half_factor(G, zero, assume_hypotheses=True)
+    assert cert.verify()
+    assert cert.factor.degrees() == {v: 1 for v in G.vertices}
+
+
+@_ORACLE_SETTINGS
+@given(_eulerian_multigraph(), st.data())
+def test_flipping_one_edge_breaks_a_half_factor_certificate(G, data):
+    # half factors have exact degrees, so any one edge moved into or out
+    # of the factor changes a degree the certificate reports; a two-point
+    # window could absorb such a flip, so this is scoped to half factors
+    ends = st.sampled_from(G.vertices)
+    i = {v: 0 for v in G.vertices}
+    for z in data.draw(st.lists(ends, max_size=2)):
+        i[z] += data.draw(st.sampled_from((1, -1)))
+    cert = eulerian_half_factor(G, i, assume_hypotheses=True)
+    if cert is None:
+        return
+    assert cert.verify()
+    for eid in G.edge_ids:
+        flipped = Factor(G, cert.factor.edge_ids ^ {eid})
+        assert not dataclasses.replace(cert, factor=flipped).verify()

@@ -92,6 +92,15 @@ def test_eulerian_half_factor_refuses_odd_degrees():
     assert exc.value.hypothesis == "Eulerian"
 
 
+def test_eulerian_half_factor_past_odd_degrees_under_assume():
+    # no Euler circuit colours a host with odd degrees, so the targets
+    # floor(d/2) + i that assume_hypotheses lets through go to the matcher
+    G = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (3, 1), (1, 2)])
+    cert = eulerian_half_factor(G, {1: 0, 2: 0, 3: 1}, assume_hypotheses=True)
+    assert cert.verify()
+    assert cert.factor.degrees() == {1: 1, 2: 1, 3: 2}
+
+
 def test_eulerian_half_factor_may_be_disconnected(monkeypatch):
     # the lemma promises degrees on a spanning factor, not connectivity:
     # eulerian-half trial 11 at master seed 0 (t = 2) certifies a factor
