@@ -28,7 +28,7 @@ from .errors import (
 from .generators import GenSpec, balanced_bipartition_of, gen_functions, gen_tree_connected
 from .graph import MultiGraph, parse_graph, serialize_graph
 from .orientations import eulerian_orientation, two_point_orientation
-from .pipeline import FactorCertificate, NoFactorCertificate, TheoremParams
+from .pipeline import FactorCertificate, NoFactorCertificate, TheoremParams, _gap_bound
 from .harness import FACTOR_THEOREMS, NO_SELECTOR, THEOREM_IDS, THEOREMS, verify_theorem
 
 
@@ -93,8 +93,7 @@ def _factor_result_payload(res, G, assume: bool) -> tuple[dict, int]:
 def _cmd_factor(args) -> int:
     parsed = _load_graph(args.graph, need_functions=True)
     G, g, f = parsed.graph, parsed.g, parsed.f
-    k = max(1, max(f[v] - g[v] for v in G.vertices))
-    params = TheoremParams(k=k, m=args.m, m0=args.m0)
+    params = TheoremParams(k=_gap_bound(G, g, f), m=args.m, m0=args.m0)
     _, run = THEOREMS[args.theorem]
     try:
         res = run(G, g, f, params, args.assume_hypotheses, args.seed)

@@ -16,7 +16,7 @@ against each other.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .connectivity import _mask_components
 from .errors import InputError, SizeRefusal, UNKNOWN, Unknown
@@ -485,8 +485,7 @@ def find_two_point_factor(
             a[v] = b[v] = f[v]
         return _window_factor(G, a, b, pairs)
 
-    totals = range(sum(w for _, w in wide) + 1)
-    return _selector_search(wide, totals, attempt, seed)
+    return _selector_search(wide, attempt, seed)
 
 
 # -- selector search -----------------------------------------------------
@@ -523,23 +522,20 @@ _SELECTOR_BUDGET = 2000
 
 def _selector_search(
     gaps: list[tuple[int, int]],
-    totals: Sequence[int],
     attempt: Callable[[set[int]], T | None],
     seed: int,
 ) -> T | None | Unknown:
-    """First non-None attempt(S) over the vertex sets S whose gaps sum to
-    one of `totals`.
+    """First non-None attempt(S) over the vertex sets S of gaps.
 
-    The two-point finders pass only the gaps they cannot decide in one
-    exact call; with none, the one set S = {} is tried when 0 is a total.
-    Complete while there are at most _SELECTOR_CAP gaps: every such S is
-    tried, grouped by total in the order given.  Beyond the cap,
-    _SELECTOR_BUDGET seeded random subsets are drawn, those with an
-    admissible total are tried, and exhaustion reports UNKNOWN rather
-    than none.
+    The two-point finder passes only the gaps it cannot decide in one
+    exact call; with none, the one set S = {} is tried.  Complete while
+    there are at most _SELECTOR_CAP gaps: every S is tried, grouped by
+    the sum of its gaps, smallest first.  Beyond the cap,
+    _SELECTOR_BUDGET seeded random subsets are tried, and exhaustion
+    reports UNKNOWN rather than none.
     """
     if len(gaps) <= _SELECTOR_CAP:
-        for total in totals:
+        for total in range(sum(w for _, w in gaps) + 1):
             for subset in _selector_subsets(gaps, total):
                 got = attempt(subset)
                 if got is not None:
@@ -548,11 +544,9 @@ def _selector_search(
 
     rng = random.Random(seed)
     for _ in range(_SELECTOR_BUDGET):
-        selected = {v for v, _ in gaps if rng.random() < 0.5}
-        if sum(w for v, w in gaps if v in selected) in totals:
-            got = attempt(selected)
-            if got is not None:
-                return got
+        got = attempt({v for v, _ in gaps if rng.random() < 0.5})
+        if got is not None:
+            return got
     return UNKNOWN
 
 

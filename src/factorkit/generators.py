@@ -117,8 +117,10 @@ def gen_tree_connected(spec: GenSpec) -> MultiGraph:
 
 
 def balanced_bipartition_of(G: MultiGraph) -> Bipartition:
-    """Recover a bipartition of a bipartite graph (2-coloring by BFS);
-    isolated vertices go to the smaller side."""
+    """Recover a bipartition of a bipartite graph (2-coloring by BFS).
+    Each component's first vertex in G's order goes to X, so isolated
+    vertices go to X whatever its size: the path 1-2-3 plus an isolated 4
+    gives X = {1, 3, 4} and Y = {2}."""
     color: dict[int, int] = {}
     for s in G.vertices:
         if s in color:

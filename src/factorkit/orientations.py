@@ -3,12 +3,13 @@
 Out-degree convention: a loop contributes exactly 1 to the out-degree of
 its vertex, so the out-degrees of any orientation sum to |E|.
 
-The interval finder is one lower/upper-bounded flow.  The two-point
-finder is the two-point factor of the edge-vertex incidence graph, where
-each edge keeps the end that is its tail, so factors.find_two_point_factor
-decides it: one matching while no gap q - p exceeds 2.  The theorem
-pipelines ask that factor finder on the host itself, since on a
-bipartite host the X-to-Y edges of an orientation are a factor.
+The interval finder is one lower/upper-bounded flow.  The other two are
+factors of the edge-vertex incidence graph, where each edge keeps the end
+that is its tail: Euler circuits colour the half-degree one, and
+find_two_point_factor decides the two-point one, in one matching while
+no gap q - p exceeds 2.  The theorem pipelines ask that finder on the
+host itself, since on a bipartite host the X-to-Y edges of an
+orientation are a factor.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import UNKNOWN, HypothesisError, InputError, Unknown
-from .factors import find_two_point_factor
+from .factors import _euler_half_factor, find_two_point_factor
 from .flow import feasible_flow
 from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map
 
@@ -56,38 +57,44 @@ class Orientation:
         )
 
 
+def _incidence_graph(G: MultiGraph) -> tuple[MultiGraph, range]:
+    """G's edge-vertex incidence graph and its edge nodes: non-loop edge j
+    is node j, with incidence edges 2j + 1 (to its first end) and 2j + 2;
+    loops get no node."""
+    nonloop = [(u, v) for _, u, v in G.edges if u != v]
+    base = max(G.vertices, default=0) + 1
+    nodes = range(base, base + len(nonloop))
+    incidence = MultiGraph(
+        [*G.vertices, *nodes], [(x, end) for x, uv in zip(nodes, nonloop) for end in uv]
+    )
+    return incidence, nodes
+
+
+def _oriented(G: MultiGraph, F: Factor) -> Orientation:
+    """The orientation whose non-loop edges leave the end their node keeps
+    in the factor F of _incidence_graph(G); loops are (v, v)."""
+    directions = {eid: (u, v) for eid, u, v in G.edges if u == v}
+    nonloop = [(eid, u, v) for eid, u, v in G.edges if u != v]
+    for j, (eid, u, v) in enumerate(nonloop):
+        directions[eid] = (u, v) if 2 * j + 1 in F.edge_ids else (v, u)
+    return Orientation(G, directions)
+
+
 def eulerian_orientation(G: MultiGraph) -> Orientation:
-    """Orientation with d+(v) = d(v)/2 everywhere; needs all degrees even."""
+    """Orientation with d+(v) = d(v)/2 everywhere; needs all degrees even.
+
+    The incidence graph's half-degree factor: an edge node keeps 1 of its
+    2 ends, and v its d(v)/2 minus its loops.  Every component has an
+    even edge count there, so the Euler circuits always colour it.
+    """
     for v in G.vertices:
         if G.degree(v) % 2 == 1:
             raise HypothesisError("even degrees", f"vertex {v} has odd degree")
-    remaining: dict[int, list[tuple[int, int]]] = {
-        v: list(G.incident(v)) for v in G.vertices
-    }
-    used: set[int] = set()
-    directions: dict[int, tuple[int, int]] = {}
-    for start in G.vertices:
-        while True:
-            # peel closed trails until start has no unused edges
-            while remaining[start] and remaining[start][-1][0] in used:
-                remaining[start].pop()
-            if not remaining[start]:
-                break
-            v = start
-            while True:
-                while remaining[v] and remaining[v][-1][0] in used:
-                    remaining[v].pop()
-                if not remaining[v]:
-                    break
-                eid, w = remaining[v].pop()
-                used.add(eid)
-                directions[eid] = (v, w)
-                v = w
-    out = Orientation(G, directions)
+    out = _oriented(G, _euler_half_factor(_incidence_graph(G)[0], {}))
     outdeg = out.outdegrees()
     for v in G.vertices:
         if outdeg[v] != G.degree(v) // 2:
-            raise AssertionError("trail peeling missed the half-degree law")
+            raise AssertionError("the circuit colouring missed the half-degree law")
     return out
 
 
@@ -174,22 +181,13 @@ def two_point_orientation(
         if val not in (p[z], q[z]):
             raise InputError(f"pinned value {val} is neither p({z}) nor q({z})")
         pin = (z, val - G.loops_at(z))
-    nonloop = [(eid, u, v) for eid, u, v in G.edges if u != v]
-    base = max(G.vertices, default=0) + 1
-    nodes = range(base, base + len(nonloop))
-    # edge j of nonloop is node j with incidence edges 2j + 1 (to u) and 2j + 2
-    incidence = MultiGraph(
-        [*G.vertices, *nodes], [(x, end) for x, (_, u, v) in zip(nodes, nonloop) for end in (u, v)]
-    )
+    incidence, nodes = _incidence_graph(G)
     lo = {v: p[v] - G.loops_at(v) for v in G.vertices} | dict.fromkeys(nodes, 1)
     hi = {v: q[v] - G.loops_at(v) for v in G.vertices} | dict.fromkeys(nodes, 1)
     F = find_two_point_factor(incidence, lo, hi, pin=pin, seed=seed)
     if F is None or F is UNKNOWN:
         return F
-    directions = {eid: (u, v) for eid, u, v in G.edges if u == v}
-    for j, (eid, u, v) in enumerate(nonloop):
-        directions[eid] = (u, v) if 2 * j + 1 in F.edge_ids else (v, u)
-    return Orientation(G, directions)
+    return _oriented(G, F)
 
 
 # -- factor/orientation correspondence ----------------------------------

@@ -4,8 +4,8 @@ Each public entry checks its hypotheses once, then runs one private
 construction, the one the corresponding proof describes, which
 re-verifies the result and returns a certificate.  A construction calls
 only private constructions and hands them the bipartition and the
-spanning trees it has already proved, so no part is packed twice; only
-tree_connected_gf at m = m0 = 0 enters another entry, gf_factor_bi_large.
+spanning trees it has already proved, so no part is packed twice and no
+entry enters another.
 An entry ends in one of these ways:
 
 * a refusal: one of the entry's own hypotheses fails, and it raises a
@@ -215,12 +215,52 @@ def _validate_gf(G: MultiGraph, g: VertexMap, f: VertexMap) -> None:
         raise InputError(f"need g <= f, violated at vertex {bad[0]}")
 
 
+def _gap_bound(G: MultiGraph, g: VertexMap, f: VertexMap) -> int:
+    """k = the largest gap f - g, and at least 1."""
+    return max(1, max((f[v] - g[v] for v in G.vertices), default=0))
+
+
+def _check_picks(G: MultiGraph, g: VertexMap, f: VertexMap, h: VertexMap) -> None:
+    """h(v) in {g(v), f(v)} at every vertex, or InputError."""
+    validate_vertex_map(G, h, "h")
+    bad = [v for v in G.vertices if h[v] not in (g[v], f[v])]
+    if bad:
+        raise InputError(f"h({bad[0]}) is neither g nor f there")
+
+
+def _parity_refutation(G: MultiGraph, f: VertexMap) -> NoFactorCertificate:
+    """The certificate of a host that fails parity_criterion."""
+    total = sum(f[v] for v in G.vertices)
+    return NoFactorCertificate("all gaps f-g are even and sum f is odd", total)
+
+
 def _require_window(
     gate: _Gate, G: MultiGraph, lo: VertexMap, hi: VertexMap, name: str
 ) -> None:
     """Gate lo(v) <= d(v)/2 <= hi(v) at every vertex, naming the first miss."""
     bad = [v for v in G.vertices if not 2 * lo[v] <= G.degree(v) <= 2 * hi[v]]
     gate.require(not bad, name, f"violated at vertex {bad[0]}" if bad else "")
+
+
+def _require_eulerian(gate: _Gate, G: MultiGraph, t: int) -> None:
+    """Gate even degrees, and connectivity when the total shift t is 0."""
+    gate.require(G.is_eulerian(), "Eulerian", "some degree is odd")
+    if t == 0:
+        gate.require(
+            G.is_connected(),
+            "connected (needed when t = 0)",
+            "half-degree factors can fail componentwise",
+        )
+
+
+def _require_bipartite(gate: _Gate, G: MultiGraph, P: Bipartition) -> None:
+    """Gate that every edge of G crosses the given bipartition P."""
+    P.validate_for(G)
+    gate.require(
+        G.is_bipartite_with(P),
+        "bipartite with the given bipartition",
+        "an edge stays inside one part",
+    )
 
 
 def _shifted(
@@ -263,26 +303,20 @@ def _bi_at_least(G: MultiGraph, threshold: int, seed: int = 0) -> bool:
     )
 
 
-def _degree_report(
-    factor: Factor, allowed: Mapping[int, tuple[int, ...]]
-) -> dict[int, tuple[int, tuple[int, ...]]]:
-    return {
-        v: (factor.degree(v), tuple(allowed[v]))
-        for v in factor.host.vertices
-    }
-
-
 def _certify(
     factor: Factor,
-    allowed: Mapping[int, tuple[int, ...]],
+    g: VertexMap,
+    f: VertexMap,
     packings: dict[str, TreePacking] | None = None,
     derivation: tuple[tuple[str, object], ...] = (),
     tree_counts: dict[str, int] | None = None,
 ) -> FactorCertificate:
-    cert = FactorCertificate(
-        factor, _degree_report(factor, allowed), packings or {}, derivation,
-        tree_counts or {},
-    )
+    """The checked certificate of a factor whose degrees are allowed the
+    two points {g(v), f(v)}, or the one point f(v) when g = f."""
+    report = {
+        v: (factor.degree(v), tuple(sorted({g[v], f[v]}))) for v in factor.host.vertices
+    }
+    cert = FactorCertificate(factor, report, packings or {}, derivation, tree_counts or {})
     if not cert.verify():
         raise TheoremViolationError(
             "produced factor failed its own certificate check"
@@ -309,19 +343,15 @@ def eulerian_half_factor(
     validate_vertex_map(G, i, "i")
     gate = _Gate(assume_hypotheses)
     t = sum(abs(i[v]) for v in G.vertices)
-    gate.require(G.is_eulerian(), "Eulerian", "some degree is odd")
-    if t == 0:
-        gate.require(
-            G.is_connected(),
-            "connected (needed when t = 0)",
-            "half-degree factors can fail componentwise",
-        )
+    _require_eulerian(gate, G, t)
     gate.require(
         G.num_edges % 2 == t % 2,
         "|E| = t (mod 2)",
         f"|E| = {G.num_edges}, t = {t}",
     )
-    if t >= 1:
+    if t == 1:
+        gate.require(G.is_connected(), "(2t-1)-edge-connected", "edge connectivity 0 < 1")
+    elif t >= 2:
         lam = edge_connectivity(G)
         gate.require(
             lam >= 2 * t - 1,
@@ -353,14 +383,8 @@ def eulerian_half_factor_at(
     """
     G._check_vertex(z)
     gate = _Gate(assume_hypotheses)
-    gate.require(G.is_eulerian(), "Eulerian", "some degree is odd")
-    if t == 0:
-        gate.require(
-            G.is_connected(),
-            "connected (needed when t = 0)",
-            "half-degree factors can fail componentwise",
-        )
-    else:
+    _require_eulerian(gate, G, t)
+    if t != 0:
         gate.require_trees(
             spanning_tree_packing(G, 2 * abs(t), seed=seed),
             "2|t|-tree-connected",
@@ -407,7 +431,7 @@ def _build_half_factor(
         factor = _stage(what, _euler_half_factor, G, i)
     else:
         factor = _stage(what, find_f_factor, G, f)
-    return _certify(factor, {v: (f[v],) for v in G.vertices}, None, derivation)
+    return _certify(factor, f, f, None, derivation)
 
 
 # -- balanced selectors ---------------------------------------------------
@@ -452,17 +476,19 @@ def balanced_selector(
     return h
 
 
-def _check_selector(
-    G: MultiGraph, P: Bipartition, g: VertexMap, f: VertexMap, h: VertexMap
-) -> None:
-    validate_vertex_map(G, h, "h")
-    bad = [v for v in G.vertices if h[v] not in (g[v], f[v])]
-    if bad:
-        raise InputError(f"h({bad[0]}) is neither g nor f there")
+def _selector(
+    G: MultiGraph, P: Bipartition, g: VertexMap, f: VertexMap, h: VertexMap | None
+) -> VertexMap | None:
+    """The given h, checked to be a balanced selector (InputError if not),
+    or when h is None the one balanced_selector finds, or None."""
+    if h is None:
+        return balanced_selector(G, P, g, f)
+    _check_picks(G, g, f, h)
     lhs = sum(h[v] for v in P.X)
     rhs = sum(h[v] for v in P.Y)
     if lhs != rhs:
         raise InputError(f"selector is unbalanced: {lhs} != {rhs}")
+    return h
 
 
 # -- the bipartite two-point theorem --------------------------------------
@@ -487,14 +513,9 @@ def gf_factor_bipartite(
     vertices with a gap f - g of 3 or more, so never when k <= 2.
     """
     _validate_gf(G, g, f)
-    P.validate_for(G)
     gate = _Gate(assume_hypotheses)
-    gate.require(
-        G.is_bipartite_with(P),
-        "bipartite with the given bipartition",
-        "an edge stays inside one part",
-    )
-    k = max(1, max((f[v] - g[v] for v in G.vertices), default=0))
+    _require_bipartite(gate, G, P)
+    k = _gap_bound(G, g, f)
     gate.require_trees(
         spanning_tree_packing(G, 4 * k * k, seed=seed),
         "4k^2-tree-connected",
@@ -502,12 +523,9 @@ def gf_factor_bipartite(
     )
     _require_window(gate, G, g, f, "g <= d/2 <= f")
 
+    h = _selector(G, P, g, f, h)
     if h is None:
-        h = balanced_selector(G, P, g, f)
-        if h is None:
-            return None
-    else:
-        _check_selector(G, P, g, f, h)
+        return None
     return _pinned_bipartite(G, P, g, f, h, z, seed)
 
 
@@ -541,12 +559,11 @@ def _pinned_bipartite(
     )
     if F.degree(z) != h[z]:
         raise TheoremViolationError("factor missed its pinned degree")
-    allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
         ("bipartition", (tuple(sorted(P.X)), tuple(sorted(P.Y)))),
         ("pinned", (z, h[z])),
     )
-    return _certify(F, allowed, None, derivation)
+    return _certify(F, g, f, None, derivation)
 
 
 # -- the almost-bipartite theorem -----------------------------------------
@@ -607,11 +624,8 @@ def gf_factor_almost_bipartite(
     near-balance window 0 <= sum_X h - sum_Y h <= 2e(X)+1.
     """
     _validate_gf(G, g, f)
-    validate_vertex_map(G, h, "h")
-    bad = [v for v in G.vertices if h[v] not in (g[v], f[v])]
-    if bad:
-        raise InputError(f"h({bad[0]}) is neither g nor f there")
-    k = max(1, max((f[v] - g[v] for v in G.vertices), default=0))
+    _check_picks(G, g, f, h)
+    k = _gap_bound(G, g, f)
     gate = _Gate(assume_hypotheses)
     need = 4 * k * k + 2 * k
 
@@ -671,13 +685,12 @@ def gf_factor_almost_bipartite(
     sub = _pinned_bipartite(g1_graph, P, g1, f1, h1, z, child_seed(seed, 2))
     f2cert = _build_half_factor(g2f.as_graph(), {z: t}, (("shift-at", (z, t)),))
     F = Factor(G, sub.factor.edge_ids | f2cert.factor.edge_ids)
-    allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
         ("bipartition", (tuple(sorted(P.X)), tuple(sorted(P.Y)))),
         ("eulerian-part", tuple(sorted(g2f.edge_ids))),
         ("shift", (z, t)),
     ) + sub.derivation
-    return _certify(F, allowed, None, derivation)
+    return _certify(F, g, f, None, derivation)
 
 
 def _pick_shift_vertex(
@@ -711,14 +724,11 @@ def gf_factor_bi_large(
     sum f is even; the failing case returns a parity certificate.
     """
     _validate_gf(G, g, f)
-    k = max(1, max((f[v] - g[v] for v in G.vertices), default=0))
+    k = _gap_bound(G, g, f)
     gate = _Gate(assume_hypotheses)
 
     if not parity_criterion(G, g, f):
-        return NoFactorCertificate(
-            "all gaps f-g are even and sum f is odd",
-            sum(f[v] for v in G.vertices),
-        )
+        return _parity_refutation(G, f)
 
     need = 3 * k * k
     P, cross_packing = _gate_structure(
@@ -778,14 +788,13 @@ def _bi_large(
 
     f2cert = _build_half_factor(g2f.as_graph(), {z: t}, (("shift-at", (z, t)),))
     F = Factor(G, F1.edge_ids | f2cert.factor.edge_ids)
-    allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
         ("bipartition", (tuple(sorted(P.X)), tuple(sorted(P.Y)))),
         ("eulerian-part", tuple(sorted(g2f.edge_ids))),
         ("defective-vertex", (z, d1z)),
         ("shift", (z, t)),
     )
-    return _certify(F, allowed, None, derivation)
+    return _certify(F, g, f, None, derivation)
 
 
 def _defective_factor(
@@ -861,13 +870,12 @@ def _certify_tree_connected(
         "factor": _carried_packing(H.as_graph(), split_h.trees),
         "complement": _carried_packing(H.complement().as_graph(), split_c.trees),
     }
-    allowed = {v: tuple(sorted({g[v], f[v]})) for v in G.vertices}
     derivation = (
         ("eulerian-part", tuple(sorted(g1f.edge_ids))),
         ("balancer", tuple(sorted(hprime.edge_ids))),
     ) + sub.derivation
     counts = {"factor": params.m, "complement": params.m0}
-    return _certify(H, allowed, packings, derivation, counts)
+    return _certify(H, g, f, packings, derivation, counts)
 
 
 @_entry
@@ -891,21 +899,13 @@ def tree_connected_gf_bipartite(
     params = params or TheoremParams()
     m, m0 = params.m, params.m0
     _validate_gf(G, g, f)
-    P.validate_for(G)
     gate = _Gate(assume_hypotheses)
-    gate.require(
-        G.is_bipartite_with(P),
-        "bipartite with the given bipartition",
-        "an edge stays inside one part",
-    )
+    _require_bipartite(gate, G, P)
     packing = _gate_tree_connected(gate, G, g, f, params, 4, child_seed(seed, 0))
 
+    h = _selector(G, P, g, f, h)
     if h is None:
-        h = balanced_selector(G, P, g, f)
-        if h is None:
-            return None
-    else:
-        _check_selector(G, P, g, f, h)
+        return None
 
     if m + m0 == 0:
         return _pinned_bipartite(G, P, g, f, h, z, child_seed(seed, 1))
@@ -967,16 +967,21 @@ def tree_connected_gf(
     )
 
     if not parity_criterion(G, g, f):
-        return NoFactorCertificate(
-            "all gaps f-g are even and sum f is odd",
-            sum(f[v] for v in G.vertices),
-        )
+        return _parity_refutation(G, f)
+    # the bi-large stages take k from the largest gap, not from params.k
+    kb = _gap_bound(G, g, f)
 
     if m + m0 == 0:
-        return _stage(
-            "bi-large stage", gf_factor_bi_large,
-            G, g, f, assume_hypotheses=assume_hypotheses, seed=child_seed(seed, 1),
+        # the bi-large construction at the seeds gf_factor_bi_large would
+        # draw; the gates above proved its parity criterion and window
+        s1 = child_seed(seed, 1)
+        found = _find_structure(
+            G, random.Random(child_seed(s1, 0)), 3 * kb * kb,
+            lambda intra: intra >= kb - 1, child_seed(s1, 1),
         )
+        if found is None:
+            raise _StageFailed("bi-large stage found no bipartition to split")
+        return _bi_large(G, g, f, *found, kb, s1)
 
     # G2[X, Y] is packed at the seed of bi-large's structure gate, so while
     # the largest gap f - g is k the stage answers as gf_factor_bi_large
@@ -992,7 +997,6 @@ def tree_connected_gf(
     # count; shifts keep the gaps and the parity criterion, _shifted the window
     split = _stage("split", _split_complement, g1_graph, m, m0, child_seed(seed, 3))
     g2, f2 = _shifted(g2_graph, split[0].degrees(), g, f)
-    kb = max(1, max((f[v] - g[v] for v in G.vertices), default=0))
     sub = _bi_large(g2_graph, g2, f2, P, cross_packing, kb, child_seed(seed, 4))
     return _certify_tree_connected(G, g, f, params, g1f, split, sub)
 

@@ -118,12 +118,25 @@ def test_eulerian_orientation_halves_degrees():
     for _ in range(60):
         base = random_multigraph(rng, max_edges=8, loops=True)
         pairs = [(u, v) for _, u, v in base.edges]
-        G = MultiGraph(list(base.vertices), pairs + pairs)
-        D = eulerian_orientation(G)
-        outs = D.outdegrees()
-        assert all(outs[v] == G.degree(v) // 2 for v in G.vertices)
-    with pytest.raises(HypothesisError):
+        n = base.num_vertices
+        hosts = [MultiGraph(list(base.vertices), pairs + pairs)]
+        # disconnected: a second doubled copy, an isolated vertex, and a
+        # vertex with only loops, which the incidence graph leaves isolated
+        copy = [(u + n, v + n) for u, v in pairs]
+        loops = [(2 * n + 2, 2 * n + 2)] * rng.randint(1, 3)
+        hosts.append(MultiGraph(range(1, 2 * n + 3), pairs * 2 + copy * 2 + loops))
+        for G in hosts:
+            D = eulerian_orientation(G)
+            outs = D.outdegrees()
+            assert all(outs[v] == G.degree(v) // 2 for v in G.vertices)
+    only_loops = MultiGraph([1, 2], [(1, 1), (1, 1), (2, 2)])
+    D = eulerian_orientation(only_loops)
+    assert D.directions == {1: (1, 1), 2: (1, 1), 3: (2, 2)}
+    with pytest.raises(HypothesisError) as exc:
         eulerian_orientation(MultiGraph([1, 2], [(1, 2)]))
+    assert exc.value.hypothesis == "even degrees"
+    with pytest.raises(HypothesisError):
+        eulerian_orientation(MultiGraph([1, 2, 3, 4], [(1, 1), (3, 4)]))
 
 
 def test_factor_orientation_round_trip():

@@ -85,6 +85,31 @@ def test_eulerian_half_factor_needs_connected_at_zero():
     assert "connected" in exc.value.hypothesis
 
 
+def test_eulerian_half_factor_gates_connectivity_at_one_without_a_min_cut(monkeypatch):
+    # at t = 1 the (2t-1)-edge-connectivity gate asks lambda >= 1, which is
+    # connectivity; only t >= 2 runs the min cut
+    calls = []
+
+    def spy(G):
+        calls.append(G)
+        return edge_connectivity(G)
+
+    monkeypatch.setattr(pipeline, "edge_connectivity", spy)
+    triangle = [(1, 2), (2, 3), (3, 1)]
+    assert eulerian_half_factor(MultiGraph([1, 2, 3], triangle), {1: 1, 2: 0, 3: 0}).verify()
+    # a triangle and a doubled edge: even, |E| = 5 odd, disconnected
+    split = MultiGraph(range(1, 6), triangle + [(4, 5)] * 2)
+    with pytest.raises(HypothesisError) as exc:
+        eulerian_half_factor(split, {1: 1, 2: 0, 3: 0, 4: 0, 5: 0})
+    assert exc.value.hypothesis == "(2t-1)-edge-connected"
+    assert str(exc.value) == "(2t-1)-edge-connected: edge connectivity 0 < 1"
+    assert calls == []
+    assert eulerian_half_factor(
+        MultiGraph([1, 2, 3], triangle * 4), {1: 1, 2: -1, 3: 0}
+    ).verify()
+    assert len(calls) == 1
+
+
 def test_eulerian_half_factor_refuses_odd_degrees():
     G = MultiGraph([1, 2], [(1, 2)])
     with pytest.raises(HypothesisError) as exc:

@@ -14,6 +14,7 @@ from factorkit.generators import GenSpec, gen_functions, gen_tree_connected
 from factorkit.connectivity import PackingRefusal, spanning_tree_packing
 from factorkit.graph import Bipartition, MultiGraph, induced_bipartite_factor
 from factorkit.harness import FACTOR_THEOREMS, NO_SELECTOR, THEOREMS
+from factorkit.rng import child_seed
 from factorkit.pipeline import (
     FactorCertificate,
     NoFactorCertificate,
@@ -51,6 +52,21 @@ def _outcome(call) -> str:
     return "factor " + " ".join(map(str, sorted(res.factor.edge_ids)))
 
 
+# a generator host for each factor theorem id, by seed
+_HOSTS = {
+    "bipartite-gf": lambda s: gen_tree_connected(
+        GenSpec(n=6, trees=2 + 2 * (s % 2), extra_edges=s, bipartite=True, seed=s)),
+    "almost-bipartite": lambda s: gen_tree_connected(
+        GenSpec(n=6, trees=4 + 2 * (s % 3), bipartite=s < 3, seed=s)),
+    "bi-large": lambda s: gen_tree_connected(
+        GenSpec(n=6, trees=2 + s % 3, extra_edges=s, seed=s)),
+    "tree-gf-bipartite": lambda s: _doubled(gen_tree_connected(
+        GenSpec(n=6, trees=2 + s % 3, bipartite=True, seed=s))),
+    "tree-gf": lambda s: _doubled(gen_tree_connected(
+        GenSpec(n=5, trees=3 + s % 3, seed=s))),
+}
+
+
 def _cases():
     """(label, call taking assume_hypotheses) on fixed generator hosts."""
     cycle = MultiGraph(range(1, 7), [(v, v % 6 + 1) for v in range(1, 7)])
@@ -70,22 +86,10 @@ def _cases():
                 lambda a, H=H, t=t: eulerian_half_factor_at(
                     H, H.vertices[-1], t, assume_hypotheses=a, seed=seed)
             )
-    hosts = {
-        "bipartite-gf": lambda s: gen_tree_connected(
-            GenSpec(n=6, trees=2 + 2 * (s % 2), extra_edges=s, bipartite=True, seed=s)),
-        "almost-bipartite": lambda s: gen_tree_connected(
-            GenSpec(n=6, trees=4 + 2 * (s % 3), bipartite=s < 3, seed=s)),
-        "bi-large": lambda s: gen_tree_connected(
-            GenSpec(n=6, trees=2 + s % 3, extra_edges=s, seed=s)),
-        "tree-gf-bipartite": lambda s: _doubled(gen_tree_connected(
-            GenSpec(n=6, trees=2 + s % 3, bipartite=True, seed=s))),
-        "tree-gf": lambda s: _doubled(gen_tree_connected(
-            GenSpec(n=5, trees=3 + s % 3, seed=s))),
-    }
     for tid in FACTOR_THEOREMS:
         run = THEOREMS[tid][1]
         for seed in range(6):
-            G = hosts[tid](seed)
+            G = _HOSTS[tid](seed)
             m = seed % 2 if tid.startswith("tree") else 0
             try:
                 g, f = gen_functions(G, k=1, m=m, seed=seed)
@@ -349,3 +353,74 @@ def test_assume_hypotheses_on_a_non_bipartite_host_answers_none():
     assert tree_connected_gf_bipartite(
         G, P23, g, f, params=TheoremParams(k=1, m=1), assume_hypotheses=True, seed=1
     ) is None
+
+
+def test_no_entry_enters_another(monkeypatch):
+    # every public entry name in the pipeline module records its calls; the
+    # harness runners and this module hold their own references, so a
+    # recorded call is an entry called from inside another entry
+    entries = [name for name, obj in vars(pipeline).items() if hasattr(obj, "__wrapped__")]
+    assert len(entries) == 7
+    nested = []
+    for name in entries:
+        def recorder(*args, name=name, entry=getattr(pipeline, name), **kwargs):
+            nested.append(name)
+            return entry(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, recorder)
+    kinds = {}
+    for tid in FACTOR_THEOREMS:
+        run = THEOREMS[tid][1]
+        for m in (0, 1):
+            for seed in range(6):
+                G = _HOSTS[tid](seed)
+                try:
+                    g, f = gen_functions(G, k=1, m=m, seed=seed)
+                except HypothesisError:
+                    continue
+                for assume in (False, True):
+                    outcome = _outcome(lambda: run(G, g, f, TheoremParams(k=1, m=m), assume, seed))
+                    kinds.setdefault(tid, set()).add(outcome.split()[0])
+    triangles = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (3, 1)] * 4)
+    for assume in (False, True):
+        for t in (0, 1, 2):
+            i = {1: t - t // 2, 2: -(t // 2), 3: 0}
+            H = triangles.with_added_edges([(3, 3)] * (t % 2))
+            _outcome(lambda: eulerian_half_factor(H, i, assume_hypotheses=assume))
+            _outcome(lambda: eulerian_half_factor_at(H, 1, t, assume_hypotheses=assume))
+    assert all("factor" in kinds[tid] for tid in FACTOR_THEOREMS), kinds
+    assert nested == []
+
+
+def test_tree_gf_at_m_zero_answers_as_bi_large(monkeypatch):
+    # at m = m0 = 0 tree_connected_gf is the bi-large construction at the
+    # seeds gf_factor_bi_large draws at child_seed(seed, 1), with k the
+    # largest gap: params.k = 1 below, where k = 2 hosts pass only under
+    # assume_hypotheses
+    cases = []
+    for seed in range(6):
+        G = _HOSTS["tree-gf"](seed)
+        cases.append((G, *gen_functions(G, k=1, seed=seed), seed))
+    for seed in range(4):
+        G = _doubled(gen_tree_connected(GenSpec(n=5, trees=13, extra_edges=seed, seed=seed)))
+        cases.append((G, *gen_functions(G, k=2, seed=seed), seed))
+
+    def both(G, g, f, seed, assume):
+        tree = _outcome(lambda: tree_connected_gf(
+            G, g, f, TheoremParams(k=1), assume_hypotheses=assume, seed=seed))
+        bi = _outcome(lambda: gf_factor_bi_large(
+            G, g, f, assume_hypotheses=assume, seed=child_seed(seed, 1)))
+        return tree, bi
+
+    factors = 0
+    for G, g, f, seed in cases:
+        for assume in (False, True):
+            tree, bi = both(G, g, f, seed, assume)
+            if not tree.startswith("refusal"):
+                assert tree == bi
+                factors += tree.startswith("factor")
+    assert factors == 16
+    # a structure search that finds nothing: a failed stage past the gates
+    monkeypatch.setattr(pipeline, "_find_structure", lambda *args, **kwargs: None)
+    G, g, f, seed = cases[0]
+    assert both(G, g, f, seed, False) == ("violation", "refusal bi-large structure")
+    assert both(G, g, f, seed, True) == ("none", "none")
