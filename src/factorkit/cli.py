@@ -25,8 +25,8 @@ from .errors import (
     TheoremViolationError,
     is_unknown,
 )
-from .generators import GenSpec, balanced_bipartition_of, gen_functions, gen_tree_connected
-from .graph import MultiGraph, parse_graph, serialize_graph
+from .generators import GenSpec, gen_functions, gen_tree_connected
+from .graph import parse_graph, serialize_graph
 from .orientations import eulerian_orientation, two_point_orientation
 from .pipeline import FactorCertificate, NoFactorCertificate, TheoremParams, _gap_bound
 from .harness import FACTOR_THEOREMS, NO_SELECTOR, THEOREM_IDS, THEOREMS, verify_theorem
@@ -132,9 +132,8 @@ def _cmd_orient(args) -> int:
 def _cmd_decompose(args) -> int:
     parsed = _load_graph(args.graph)
     G = parsed.graph
-    if _is_bipartite(G):
-        P = balanced_bipartition_of(G)
-    else:
+    P = G.bipartition()
+    if P is None:
         _, P = bipartite_index_upper(G, seed=args.seed)
     g1, g2 = decompose_eulerian(G, P, args.m1, args.m2, seed=args.seed)
     _emit({
@@ -145,14 +144,6 @@ def _cmd_decompose(args) -> int:
         "part2_edges": sorted(g2.edge_ids),
     }, args.format)
     return 0
-
-
-def _is_bipartite(G: MultiGraph) -> bool:
-    try:
-        balanced_bipartition_of(G)
-        return True
-    except InputError:
-        return False
 
 
 def _cmd_verify(args) -> int:

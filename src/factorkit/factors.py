@@ -1,17 +1,19 @@
 """Degree-constrained factors: deficiency criteria, exact finders, and the
 exhaustive oracle.
 
-The finder stack is: blossom matching (matching.py) under one window
-gadget for degree windows g <= d_F <= f, linear in the summed window
-width, whose exact targets are the windows with g = f and which also
-takes parity windows {g, g+2}; and for two-point targets a selector
-enumeration over the gaps f - g of 3 or more on top of that (a gap of at
-most 1 is an interval, a gap of 2 a parity window).  Half-degree factors
-on even hosts, shifted by at most 1 at one vertex, need no matching: one
-alternately coloured Euler circuit per component gives them.  The oracle
-(enumerate_factors) shares none of that machinery; it walks all edge
-subsets in Gray-code order so the two routes stay independent witnesses
-against each other.
+The finder stack is: one window engine for degree windows g <= d_F <= f,
+whose exact targets are the windows with g = f, and whose back-end the
+host picks.  A bipartite host with no parity window is a feasible flow
+(flow.py) through its vertices' windows; any other host goes to blossom
+matching (matching.py) under one window gadget, linear in the summed
+window width, which also takes parity windows {g, g+2}.  For two-point
+targets a selector enumeration over the gaps f - g of 3 or more sits on
+top of that (a gap of at most 1 is an interval, a gap of 2 a parity
+window).  Half-degree factors on even hosts, shifted by at most 1 at one
+vertex, need no matching: one alternately coloured Euler circuit per
+component gives them.  The oracle (enumerate_factors) shares none of that
+machinery; it walks all edge subsets in Gray-code order so the two routes
+stay independent witnesses against each other.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .connectivity import _mask_components
 from .errors import InputError, SizeRefusal, UNKNOWN, Unknown
-from .graph import Factor, MultiGraph, validate_vertex_map
+from .flow import feasible_flow
+from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map
 from .matching import perfect_matching
 
 VertexMap = Mapping[int, int]
@@ -226,11 +229,11 @@ def check_tutte_strict_form(
 def find_f_factor(G: MultiGraph, f: VertexMap) -> Factor | None:
     """Factor with d_F(v) = f(v) for every v, or None.
 
-    The window gadget of _window_matching with lo = hi = f: no ports and
-    no chain, so each vertex v gets d(v) - f(v) must nodes and nothing
-    else.  The host's own edges go in, in G's edge order; every edge end
-    has its own gadget node, so parallel edges and loops need no
-    preparation.
+    The window engine of _window_factor with lo = hi = f.  On the
+    matcher's gadget that means no ports and no chain, so each vertex v
+    gets d(v) - f(v) must nodes and nothing else.  The host's own edges go
+    in, in G's edge order; every edge end has its own gadget node, so
+    parallel edges and loops need no preparation.
     """
     validate_vertex_map(G, f, "f")
     for v in G.vertices:
@@ -337,8 +340,7 @@ def _window_matching(
     window width.  With lo == hi there is no port and no chain.  Parallel
     edges have their own end nodes, and both end nodes of a loop sit at
     its vertex, so a chosen loop adds 2 to its degree; the gadget graph
-    is simple and loopless for any input multigraph.  The chosen edges
-    are checked against the windows before they are returned.
+    is simple and loopless for any input multigraph.
     """
     deg: dict[int, int] = {v: 0 for v in vertices}
     incident_nodes: dict[int, list[int]] = {v: [] for v in vertices}
@@ -379,18 +381,42 @@ def _window_matching(
     mate = perfect_matching(node_count, gadget_edges)
     if mate is None:
         return None
-    chosen = {i for i in range(len(edges)) if mate[2 * i] == 2 * i + 1}
-    got = {v: 0 for v in vertices}
-    for i in chosen:
-        u, v = edges[i]
-        got[u] += 1
-        got[v] += 1
-    if any(
-        not lo[v] <= got[v] <= hi[v] or (v in pairs and got[v] not in (lo[v], hi[v]))
+    return {i for i in range(len(edges)) if mate[2 * i] == 2 * i + 1}
+
+
+def _window_flow(
+    vertices: list[int],
+    edges: list[tuple[int, int]],
+    lo: Mapping[int, int],
+    hi: Mapping[int, int],
+    P: Bipartition,
+) -> set[int] | None:
+    """Edge-index set of a subgraph F with lo(v) <= d_F(v) <= hi(v) at
+    every vertex of a host with every edge between the sides of P, via a
+    feasible flow; None when there is none.
+
+    The network is s -> x with bounds [lo(x), hi(x)] for x in X, x -> y
+    with capacity 1 for each edge, directed from its end in X, and
+    y -> t with bounds [lo(y), hi(y)] for y in Y.  A unit of flow
+    through an edge's arc is that edge in F, and flow conservation makes
+    the vertex arcs carry d_F, so a window factor is a feasible flow and
+    back.  Flows are integral, so this is exact.
+    """
+    n = len(vertices)
+    at = {v: i for i, v in enumerate(vertices)}
+    s, t = n, n + 1
+    arcs = [
+        (at[v], t, lo[v], hi[v]) if v in P.Y else (s, at[v], lo[v], hi[v])
         for v in vertices
-    ):
-        raise AssertionError("factor reconstruction missed its windows")
-    return chosen
+    ]
+    for u, v in edges:
+        if u in P.Y:
+            u, v = v, u
+        arcs.append((at[u], at[v], 0, 1))
+    flows = feasible_flow(n + 2, arcs, s, t)
+    if flows is None:
+        return None
+    return {i for i, x in enumerate(flows[n:]) if x}
 
 
 def find_interval_factor(
@@ -399,9 +425,10 @@ def find_interval_factor(
     """Factor with g(v) <= d_F(v) <= f(v) everywhere, or None.
 
     The window is first clipped to [max(0, g(v)), min(d(v), f(v))]; an
-    empty clipped window means no factor.  Then one call of
-    _window_matching decides, on a gadget linear in the summed window
-    width: each unit of f - g is one optional slack node on the shared
+    empty clipped window means no factor.  Then one exact call decides:
+    the feasible flow of _window_flow on a bipartite host, otherwise
+    _window_matching, on a gadget linear in the summed window width,
+    where each unit of f - g is one optional slack node on the shared
     parity chain.  G's edges go in, in G's edge order, so the chosen
     indices map back to G's edge ids.
     """
@@ -416,18 +443,37 @@ def _window_factor(
     G: MultiGraph, g: VertexMap, f: VertexMap, pairs: frozenset[int] = frozenset()
 ) -> Factor | None:
     """find_interval_factor past its input checks, with the parity windows
-    {g, g+2} of _window_matching at pairs, which must lie in [0, d]."""
+    {g, g+2} of _window_matching at pairs, which must lie in [0, d].
+
+    The host picks the engine: a bipartite host with no parity window is
+    decided by the feasible flow of _window_flow, and any other host
+    (an odd cycle, a loop, or a parity window, which no flow bound
+    expresses) by the matching gadget of _window_matching.  Either way
+    the chosen edges are checked against the windows before they are
+    returned.
+    """
     lo = {v: max(0, g[v]) for v in G.vertices}
     hi = {v: min(G.degree(v), f[v]) for v in G.vertices}
     if any(lo[v] > hi[v] for v in G.vertices):
         return None
     ids = list(G.edge_ids)
-    chosen = _window_matching(
-        list(G.vertices), [G.endpoints(eid) for eid in ids], lo, hi, pairs
-    )
+    vertices = list(G.vertices)
+    edges = [G.endpoints(eid) for eid in ids]
+    P = None if pairs else G.bipartition()
+    if P is None:
+        chosen = _window_matching(vertices, edges, lo, hi, pairs)
+    else:
+        chosen = _window_flow(vertices, edges, lo, hi, P)
     if chosen is None:
         return None
-    return Factor(G, frozenset(ids[i] for i in chosen))
+    factor = Factor(G, frozenset(ids[i] for i in chosen))
+    got = factor.degrees()
+    if any(
+        not lo[v] <= got[v] <= hi[v] or (v in pairs and got[v] not in (lo[v], hi[v]))
+        for v in vertices
+    ):
+        raise AssertionError("factor reconstruction missed its windows")
+    return factor
 
 
 def find_two_point_factor(
@@ -443,11 +489,12 @@ def find_two_point_factor(
     most 1 is the interval [g, f] and a gap of 2 the parity window of
     _window_matching; a gap of 2 with one end outside [0, d(v)] is its
     other end.  Each gap of 3 or more is pinned to g or f by a selector,
-    and each selector is decided exactly by one matching.  So with no gap
-    of 3 or more (k <= 2) one matching decides.  The search is complete
-    while at most 20 vertices have a gap of 3 or more; beyond that a
-    seeded sample of selectors is tried and exhaustion reports UNKNOWN
-    rather than none.  Windows that miss two or more consecutive values
+    and each selector is decided exactly by one call of _window_factor:
+    a feasible flow when the host is bipartite and no parity window is
+    left, one matching otherwise.  So with no gap of 3 or more (k <= 2)
+    one call decides.  The search is complete while at most 20 vertices
+    have a gap of 3 or more; beyond that a seeded sample of selectors is
+    tried and exhaustion reports UNKNOWN rather than none.  Windows that miss two or more consecutive values
     are the NP-complete case of general factors (Cornuéjols 1988).
     """
     validate_vertex_map(G, g, "g")

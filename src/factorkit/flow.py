@@ -1,7 +1,8 @@
 """Dinic max-flow and feasible circulation with lower bounds.
 
-Used by the orientation routines; capacities are small integers, so the
-plain level-graph implementation is exact and fast at this scale.
+Used by the window-orientation finder and by the window factors of
+bipartite hosts (factors._window_flow); capacities are small integers, so
+the plain level-graph implementation is exact and fast at this scale.
 """
 from __future__ import annotations
 
@@ -40,30 +41,46 @@ class Dinic:
                 return flow
             it = [0] * self.n
             while True:
-                pushed = self._augment(s, t, 1 << 60, level, it)
+                pushed = self._augment(s, t, level, it)
                 if pushed == 0:
                     break
                 flow += pushed
 
-    def _augment(self, v: int, t: int, pushed: int, level: list[int], it: list[int]) -> int:
-        """Push at most `pushed` units from v to t along one path up the level
-        graph; it[u] is u's next untried arc in this phase.  The phase state
-        is passed in, not closed over, so max_flow leaves no reference cycle
-        that would keep the network alive until the cyclic collector runs."""
-        if v == t:
-            return pushed
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow from s to t along one path up the level graph and
+        return how much; it[u] is u's next untried arc in this phase.
+
+        The walk is iterative, so a path may be as long as the network: it
+        advances along u's first usable arc, and at a dead end it steps
+        back and moves its predecessor past the arc that led there.  The
+        phase state is passed in, not closed over, so max_flow leaves no
+        reference cycle that would keep the network alive until the
+        cyclic collector runs."""
         graph = self.graph
-        while it[v] < len(graph[v]):
-            arc = graph[v][it[v]]
-            to, cap, rev = arc
-            if cap > 0 and level[v] < level[to]:
-                d = self._augment(to, t, min(pushed, cap), level, it)
-                if d > 0:
-                    arc[1] -= d
-                    graph[to][rev][1] += d
-                    return d
-            it[v] += 1
-        return 0
+        path: list[list[int]] = []  # arcs from s to v
+        tails: list[int] = []  # path[i] leaves tails[i]
+        v = s
+        while v != t:
+            arcs = graph[v]
+            while it[v] < len(arcs):
+                arc = arcs[it[v]]
+                if arc[1] > 0 and level[v] < level[arc[0]]:
+                    path.append(arc)
+                    tails.append(v)
+                    v = arc[0]
+                    break
+                it[v] += 1
+            else:
+                if not path:
+                    return 0
+                path.pop()
+                v = tails.pop()
+                it[v] += 1
+        pushed = min(arc[1] for arc in path)
+        for arc in path:
+            arc[1] -= pushed
+            graph[arc[0]][arc[2]][1] += pushed
+        return pushed
 
 
 def feasible_flow(

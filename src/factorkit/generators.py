@@ -117,29 +117,16 @@ def gen_tree_connected(spec: GenSpec) -> MultiGraph:
 
 
 def balanced_bipartition_of(G: MultiGraph) -> Bipartition:
-    """Recover a bipartition of a bipartite graph (2-coloring by BFS).
+    """Recover a bipartition of a bipartite graph (MultiGraph.bipartition).
     Each component's first vertex in G's order goes to X, so isolated
     vertices go to X whatever its size: the path 1-2-3 plus an isolated 4
     gives X = {1, 3, 4} and Y = {2}."""
-    color: dict[int, int] = {}
-    for s in G.vertices:
-        if s in color:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for eid, w in G.incident(v):
-                if G.is_loop(eid):
-                    raise InputError("graph has a loop, not bipartite")
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    raise InputError("graph is not bipartite")
-    xs = frozenset(v for v in G.vertices if color[v] == 0)
-    ys = frozenset(v for v in G.vertices if color[v] == 1)
-    return Bipartition(xs, ys)
+    P = G.bipartition()
+    if P is None:
+        if any(G.loops_at(v) for v in G.vertices):
+            raise InputError("graph has a loop, not bipartite")
+        raise InputError("graph is not bipartite")
+    return P
 
 
 def gen_functions(

@@ -182,6 +182,30 @@ class MultiGraph:
         """All degrees even.  Connectivity, when needed, is hypothesised separately."""
         return all(d % 2 == 0 for d in self._deg.values())
 
+    def bipartition(self) -> "Bipartition | None":
+        """A bipartition with every edge between its sides, or None at the
+        first odd cycle found; a loop is one.  A 2-colouring in linear
+        time: each component's first vertex in G's order goes to X."""
+        side: dict[int, int] = {}
+        for start in self._vertices:
+            if start in side:
+                continue
+            side[start] = 0
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                other = 1 - side[v]
+                for _, w in self._adj[v]:
+                    if w not in side:
+                        side[w] = other
+                        stack.append(w)
+                    elif side[w] != other:
+                        return None
+        return Bipartition(
+            frozenset(v for v, c in side.items() if c == 0),
+            frozenset(v for v, c in side.items() if c == 1),
+        )
+
     def is_bipartite_with(self, P: "Bipartition") -> bool:
         P.validate_for(self)
         for _, u, v in self._edges:
@@ -281,7 +305,15 @@ class Factor:
         return d
 
     def degrees(self) -> dict[int, int]:
-        return {v: self.degree(v) for v in self.host.vertices}
+        """Every host vertex's factor degree, from one pass over the
+        factor's own edges; a loop adds 2."""
+        deg = dict.fromkeys(self.host.vertices, 0)
+        ends = self.host.endpoints
+        for eid in self.edge_ids:
+            u, v = ends(eid)
+            deg[u] += 1
+            deg[v] += 1
+        return deg
 
     def as_graph(self) -> MultiGraph:
         """Standalone multigraph on the host's vertices with the same edge ids."""

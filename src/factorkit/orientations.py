@@ -6,8 +6,9 @@ its vertex, so the out-degrees of any orientation sum to |E|.
 The interval finder is one lower/upper-bounded flow.  The other two are
 factors of the edge-vertex incidence graph, where each edge keeps the end
 that is its tail: Euler circuits colour the half-degree one, and
-find_two_point_factor decides the two-point one, in one matching while
-no gap q - p exceeds 2.  The theorem pipelines ask that finder on the
+find_two_point_factor decides the two-point one, in one exact call while
+no gap q - p exceeds 2: the incidence graph is bipartite, so that call is
+a feasible flow unless some gap is 2, a parity window for the matcher.  The theorem pipelines ask that finder on the
 host itself, since on a bipartite host the X-to-Y edges of an
 orientation are a factor.
 """
@@ -168,8 +169,9 @@ def two_point_orientation(
     find_two_point_factor finds: each non-loop edge is a node held at
     degree exactly 1 and joined to both of its ends, the end it keeps is
     its tail, and the loops at v, each an out-edge of v, lower p(v), q(v)
-    and the pin.  So one matching decides while no gap q - p exceeds 2,
-    and UNKNOWN needs more than 20 vertices with a gap of 3 or more.
+    and the pin.  So one exact call decides while no gap q - p exceeds 2
+    (a flow, or a matching when some gap is 2), and UNKNOWN needs more
+    than 20 vertices with a gap of 3 or more.
     """
     validate_vertex_map(G, p, "p")
     validate_vertex_map(G, q, "q")

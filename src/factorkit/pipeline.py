@@ -107,8 +107,9 @@ class FactorCertificate:
         host = self.factor.host
         if set(self.degree_report) != set(host.vertices):
             return False
+        degrees = self.factor.degrees()
         for v, (achieved, allowed) in self.degree_report.items():
-            if self.factor.degree(v) != achieved or achieved not in allowed:
+            if degrees[v] != achieved or achieved not in allowed:
                 return False
         # each packing must span exactly the part of the host it names
         parts = {"factor": self.factor, "complement": self.factor.complement()}
@@ -313,9 +314,8 @@ def _certify(
 ) -> FactorCertificate:
     """The checked certificate of a factor whose degrees are allowed the
     two points {g(v), f(v)}, or the one point f(v) when g = f."""
-    report = {
-        v: (factor.degree(v), tuple(sorted({g[v], f[v]}))) for v in factor.host.vertices
-    }
+    degrees = factor.degrees()
+    report = {v: (degrees[v], tuple(sorted({g[v], f[v]}))) for v in factor.host.vertices}
     cert = FactorCertificate(factor, report, packings or {}, derivation, tree_counts or {})
     if not cert.verify():
         raise TheoremViolationError(
@@ -420,7 +420,8 @@ def _build_half_factor(
     even on the shifted vertex's component when t = 1, which leaves the
     component an odd target sum, so the answer is None.  Otherwise, for
     t >= 2 or an odd degree let through by assume_hypotheses, find_f_factor
-    runs the matcher, and an odd target sum is its None.
+    decides (a feasible flow on a bipartite host, the matcher otherwise),
+    and an odd target sum is its None.
     """
     f = {v: G.degree(v) // 2 + i.get(v, 0) for v in G.vertices}
     bad = [v for v in G.vertices if not 0 <= f[v] <= G.degree(v)]

@@ -7,6 +7,8 @@ gets gaps f - g of 0 to 3, so every kind of window it handles.  The Euler
 circuit half factors are checked against find_f_factor on even hosts of up
 to 20 edges, and against the oracle on those of up to 14, and every
 eulerian-half certificate must fail its check once any one edge flips.
+On bipartite multigraphs the flow engine of the window finders must agree
+with a direct call of the matching gadget and with the oracle.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from factorkit.errors import HypothesisError, is_unknown  # noqa: E402
 from factorkit.factors import (  # noqa: E402
     _euler_half_factor,
+    _window_matching,
     factor_exists,
     find_f_factor,
     find_interval_factor,
@@ -47,6 +50,37 @@ def _multigraph_with_windows(draw):
         a = draw(st.integers(0, G.degree(v)))
         b = draw(st.integers(0, G.degree(v)))
         g[v], f[v] = min(a, b), max(a, b)
+    return G, g, f
+
+
+@st.composite
+def _bipartite_multigraph_with_windows(draw):
+    # up to 14 edges across sides X = 1..a and Y = a+1..n, n <= 8, so
+    # parallel edges are common and there is no loop
+    a = draw(st.integers(1, 7))
+    n = draw(st.integers(a, 8))
+    pairs = []
+    if n > a:
+        m = draw(st.integers(0, 14))
+        ends = st.tuples(st.integers(1, a), st.integers(a + 1, n))
+        pairs = draw(st.lists(ends, min_size=m, max_size=m))
+    G = MultiGraph(range(1, n + 1), pairs)
+    # windows around the degrees of a drawn edge subset, so that large
+    # hosts have factors too, reaching one past [0, d] at either end;
+    # sometimes one vertex's window is moved off its degree, which may
+    # leave no factor
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    base = dict.fromkeys(G.vertices, 0)
+    for (u, v), keep in zip(pairs, kept):
+        base[u] += keep
+        base[v] += keep
+    g, f = {}, {}
+    for v in G.vertices:
+        g[v] = base[v] - draw(st.integers(0, 1))
+        f[v] = base[v] + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        z = draw(st.integers(1, n))
+        g[z] = f[z] = base[z] + draw(st.sampled_from((-1, 1)))
     return G, g, f
 
 
@@ -115,6 +149,26 @@ def test_interval_factor_property_against_oracle(case):
     assert (got is not None) == expect
     if got is not None:
         assert all(g[v] <= got.degree(v) <= f[v] for v in G.vertices)
+
+
+@_ORACLE_SETTINGS
+@given(_bipartite_multigraph_with_windows())
+def test_bipartite_window_flow_agrees_with_matching_and_oracle(case):
+    G, g, f = case
+    got = find_interval_factor(G, g, f)
+    lo = {v: max(0, g[v]) for v in G.vertices}
+    hi = {v: min(G.degree(v), f[v]) for v in G.vertices}
+    ids = list(G.edge_ids)
+    matched = _window_matching(
+        list(G.vertices), [G.endpoints(eid) for eid in ids], lo, hi
+    )
+    expect = factor_exists(
+        G, lambda degs: all(g[v] <= degs[v] <= f[v] for v in G.vertices)
+    )
+    assert (got is not None) == (matched is not None) == expect
+    if got is not None:
+        degs = got.degrees()
+        assert all(g[v] <= degs[v] <= f[v] for v in G.vertices)
 
 
 @_ORACLE_SETTINGS

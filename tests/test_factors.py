@@ -107,9 +107,10 @@ def test_interval_factor_agrees_with_criterion_past_the_oracle_cap():
 
 
 def test_window_gadget_is_linear_in_the_window_width(monkeypatch):
-    # a 40-leaf star with every edge doubled and windows [0, d]: the
-    # gadget has sum d (d - lo) slack edges, one per host edge and four
-    # per unit of window width, plus the parity pad's
+    # a 40-leaf star with every edge doubled, plus one edge between two
+    # leaves so that an odd cycle keeps the host on the matcher, and
+    # windows [0, d]: the gadget has sum d (d - lo) slack edges, one per
+    # host edge and four per unit of window width, plus the parity pad's
     sizes = []
     real = factors.perfect_matching
 
@@ -118,7 +119,7 @@ def test_window_gadget_is_linear_in_the_window_width(monkeypatch):
         return real(n, edges)
 
     monkeypatch.setattr(factors, "perfect_matching", spy)
-    G = MultiGraph(range(1, 42), [(1, v) for v in range(2, 42)] * 2)
+    G = MultiGraph(range(1, 42), [(1, v) for v in range(2, 42)] * 2 + [(2, 3)])
     lo = {v: 0 for v in G.vertices}
     hi = G.degrees()
     got = find_interval_factor(G, lo, hi)
@@ -130,6 +131,58 @@ def test_window_gadget_is_linear_in_the_window_width(monkeypatch):
         + 4
     )
     assert len(sizes) == 1 and sizes[0] <= bound
+
+
+def test_window_engine_is_picked_by_the_host(monkeypatch):
+    # a bipartite host with no parity window is a feasible flow; a loop,
+    # an odd cycle or a parity window sends the host to one matching
+    calls = {"perfect_matching": 0, "feasible_flow": 0}
+    for name in calls:
+        real = getattr(factors, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(factors, name, spy)
+    square = [(1, 2), (2, 3), (3, 4), (4, 1)] * 2
+    C4 = MultiGraph(range(1, 5), square)
+    looped = MultiGraph(range(1, 5), square + [(1, 1)])
+    odd = MultiGraph(range(1, 5), square + [(1, 3)])
+    two = {v: 2 for v in range(1, 5)}
+    three = {v: 3 for v in range(1, 5)}
+    cases = [
+        (lambda: find_f_factor(C4, two), 0),
+        (lambda: find_interval_factor(C4, {v: 1 for v in C4.vertices}, three), 0),
+        (lambda: find_two_point_factor(C4, two, three), 0),
+        (lambda: find_f_factor(looped, {1: 4, 2: 2, 3: 2, 4: 2}), 1),
+        (lambda: find_f_factor(odd, {1: 3, 2: 2, 3: 3, 4: 2}), 1),
+        (lambda: find_interval_factor(odd, two, three), 1),
+        (lambda: find_two_point_factor(C4, {1: 1, 2: 2, 3: 2, 4: 1}, {1: 3, 2: 2, 3: 2, 4: 1}), 1),
+    ]
+    for call, matchings in cases:
+        calls.update(perfect_matching=0, feasible_flow=0)
+        assert call() is not None
+        assert calls == {"perfect_matching": matchings, "feasible_flow": 1 - matchings}
+
+
+def test_f_factor_on_a_path_whose_flow_is_forced_end_to_end():
+    # the path x1 y1 ... xk yk with its vertices in the order
+    # x2 ... xk x1 y1 ... yk and x(i+1) - y(i) before x(i) - y(i): the
+    # flow's augmenting path runs through all 3,000 vertices
+    k = 1500
+    xs = list(range(2, k + 1)) + [1]
+    ys = list(range(k + 1, 2 * k + 1))
+    edges = []
+    for i in range(1, k + 1):
+        if i < k:
+            edges.append((i + 1, k + i))
+        edges.append((i, k + i))
+    G = MultiGraph(xs + ys, edges)
+    got = find_f_factor(G, {v: 1 for v in G.vertices})
+    assert got is not None
+    # x(i) - y(i) has id 2i, except the last edge, x(k) - y(k)
+    assert sorted(got.edge_ids) == [2 * i for i in range(1, k)] + [2 * k - 1]
 
 
 def test_two_point_factor_agrees_with_oracle():
@@ -211,7 +264,7 @@ def _orientation_exists(G, ok) -> bool:
 @pytest.mark.parametrize(
     "finder, key, seed, digest",
     [
-        (two_point_orientation, lambda D: sorted(D.directions.items()), 59, "672ce0458064885a"),
+        (two_point_orientation, lambda D: sorted(D.directions.items()), 59, "48248f16ba4967b3"),
         (find_two_point_factor, lambda F: sorted(F.degrees().items()), 61, "53d9187c9cbc1ae6"),
     ],
 )
@@ -221,7 +274,10 @@ def test_two_point_answers_without_gap_one_are_pinned(finder, key, seed, digest)
     # are two-point factors of the incidence graph.  A factor's degree
     # vector names the selector that produced it and the matcher's choice
     # at each parity window, while its edge ids depend on the matching
-    # engine.  An exhaustive oracle checks found-or-None on every host.
+    # engine.  The orientations were re-recorded when bipartite hosts with
+    # no parity window, the incidence graph among them, went to the
+    # feasible flow.  An exhaustive oracle checks found-or-None on every
+    # host.
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(300):

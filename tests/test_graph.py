@@ -56,6 +56,21 @@ def test_bipartition_validation():
     assert P.swapped().X == P.Y
 
 
+def test_bipartition_is_found_or_refused_at_an_odd_cycle():
+    # each component's first vertex goes to X, so an isolated one does too
+    P = MultiGraph([1, 2, 3, 4], [(1, 2), (2, 3)] * 2).bipartition()
+    assert (P.X, P.Y) == ({1, 3, 4}, {2})
+    assert MultiGraph([1, 2, 3], [(1, 2), (2, 3), (3, 1)]).bipartition() is None
+    assert MultiGraph([1, 2], [(1, 2), (2, 2)]).bipartition() is None
+
+
+def test_factor_degrees_count_a_loop_twice():
+    G = MultiGraph([1, 2, 3], [(1, 2), (2, 2), (2, 3), (1, 2)])
+    F = Factor(G, frozenset({1, 2, 4}))
+    assert F.degrees() == {1: 2, 2: 4, 3: 0}
+    assert F.degrees() == {v: F.degree(v) for v in G.vertices}
+
+
 def test_factor_algebra():
     G = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
     ids = sorted(G.edge_ids)

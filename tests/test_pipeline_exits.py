@@ -126,12 +126,14 @@ def test_pipeline_answers_are_pinned():
             kinds.append(f"{label} {assume}: {kind}")
     # how each case exits, without the factor's edges
     assert _digest(kinds) == "31f6991c03b2dbc416721a501f72058e3fb067c3c10a54590182aa627e4b8d58"
-    # the edges too: they follow the matcher's choice among valid factors,
-    # for one the balance factor that _split_complement asks
+    # the edges too: they follow the window engine's choice among valid
+    # factors, for one the balance factor that _split_complement asks
     # find_interval_factor for, and the two-point factor that the
-    # bipartite and defective stages ask find_two_point_factor for; and
-    # the Euler circuits that a half factor at t <= 1 is coloured along
-    assert _digest(lines) == "becf17b46140d14df10d06bd6c4263f293d422cbb4419e6bde9ce00cbfb7938a"
+    # bipartite and defective stages ask find_two_point_factor for (the
+    # feasible flow on a bipartite host with no parity window, the
+    # matcher otherwise); and the Euler circuits that a half factor at
+    # t <= 1 is coloured along
+    assert _digest(lines) == "92fe1059fd43a893aba79fc00171e6d9c2de1355b74963dfb2f40c3de6f364d0"
 
 
 def _stage_cases():
@@ -186,12 +188,13 @@ def test_stage_answers_are_pinned():
     # settings; recorded before the stages took the trees and bipartition
     # their callers had proved, which changed none of these answers, and
     # re-recorded when half factors at t <= 1 came to be coloured along
-    # Euler circuits, which moved factor edges but no kind of exit
+    # Euler circuits, and again when bipartite hosts with no parity window
+    # went to the feasible flow; each moved factor edges but no kind of exit
     lines = [
         f"{label} {assume}: {_outcome(lambda: call(assume))}"
         for label, call in _stage_cases() for assume in (False, True)
     ]
-    assert _digest(lines) == "257173f0ded9e9082bbdaf795a168909fd5fc41d4ffef6b90aa7f5943ab5d9b4"
+    assert _digest(lines) == "233199cf9b0066c4af85b7ddf07df7fc4e663ff1e70be304ac548e89972f62f8"
 
 
 def _k23(mult, intra=()):
