@@ -322,6 +322,14 @@ def _window_matching(
     the edges x_i - y_i and y_i - x_(i+1).  A perfect matching takes edge
     i exactly when it matches 2i to 2i + 1.
 
+    The 2|E| end nodes are numbered first, then the must and optional
+    nodes vertex by vertex, then the chain.  The matcher's greedy seed
+    runs from the highest node down, so the must, optional, port and
+    chain nodes are placed before any end node, and the slack nodes
+    claim end nodes before the seed takes any host edge 2i - (2i + 1).
+    That leaves far fewer nodes exposed for the augmenting searches than
+    a seed that starts at the end nodes.
+
     Exactness.  Must nodes see only end nodes, so all of them take an end
     node at v, which gives d_F(v) <= hi(v); at most d(v) - lo(v) end
     nodes at v can go to slack, which gives d_F(v) >= lo(v).  A pair
