@@ -13,10 +13,12 @@ therefore suffices, and it stops as soon as the forests hold m(n - 1)
 edges, m spanning trees, since no later search could succeed.  An edge
 whose ends lie in different trees of some forest goes straight into the
 first such forest, which is where the search's first step would put it,
-with no labels built.  When the pass ends short, one labeling pass repeats
-the failed searches in the final forests; it asserts that none of them
-augments, and their labeled edges give a vertex partition P with fewer
-than m(|P| - 1) crossing edges: the exact obstruction.
+with no labels built.  A failed search leaves a saturated part, which
+every forest spans from then on, and no later search starts inside one.
+When the pass ends short, one labeling pass repeats the failed searches
+in the final forests; it asserts that none of them augments, and their
+labeled edges give a vertex partition P with fewer than m(|P| - 1)
+crossing edges: the exact obstruction.  Every forest spans every part.
 
 Each forest is kept rooted, with a parent link, a depth and a root label
 per vertex.  "No path" is one comparison of root labels, and a cycle is
@@ -217,7 +219,10 @@ class TreePacking:
 
 @dataclass(frozen=True)
 class PackingRefusal:
-    """Partition certificate: fewer than m(|P| - 1) edges cross the parts."""
+    """Partition certificate: fewer than m(|P| - 1) edges cross the parts.
+
+    The parts are nonempty: an empty part would raise the bound by m
+    without a vertex to back it."""
 
     host: MultiGraph
     parts: tuple[frozenset[int], ...]
@@ -231,6 +236,8 @@ class PackingRefusal:
     def verify(self) -> bool:
         lookup = {}
         for i, part in enumerate(self.parts):
+            if not part:
+                return False
             for v in part:
                 if v in lookup:
                     return False
@@ -357,6 +364,26 @@ def spanning_tree_packing(
     forests; it raises AssertionError if one of them augments, and the
     labeled edges join the parts of the refusal.
 
+    Neither pass searches from an edge whose ends lie in one saturated
+    part, a vertex set that every forest spans: such a search fails.  A
+    failed search stops only when, in every forest, the ends of each
+    labeled edge are joined by labeled edges, so every forest spans each
+    component K of the labeled edges.  The forests then hold m(|K| - 1)
+    edges inside K, the most they can, and since an augmentation never
+    takes an edge out of their union, every later forest spans K too.  A
+    search from an edge inside K labels only edges inside K and fails;
+    parts that share a vertex merge, as every forest spans their union.
+    These are the saturated sets of the matroid-sum algorithms of Roskind
+    and Tarjan (1985, Math. Oper. Res. 10) and Gabow and Westermann (1992,
+    Algorithmica 7).  The insertion pass joins the ends of every labeled
+    edge of a failed search in a union-find, made only at the first
+    failure, and appends an edge inside one class to the failed edges
+    unsearched.  The labeling pass keeps its own union-find of the labels
+    it has read and skips a failed edge inside one class, whose search
+    would label nothing outside it, so the parts come out the same.  It
+    does not start from the insertion pass's classes, which may join
+    parts of the refusal.
+
     A single-vertex graph is m-tree-connected for every m (empty trees).
     """
     if m < 0:
@@ -439,13 +466,23 @@ def spanning_tree_packing(
     full = m * (n - 1)
     placed = 0
     failed = []
-    for eid, _, _ in nonloop:
+    # union-find of the saturated parts, made at the first failed search
+    clump: list[int] | None = None
+    for eid, u, v in nonloop:
         if placed == full:
             break
-        if try_augment(eid) is None:
-            placed += 1
-        else:
+        if clump is not None and _find(clump, u) == _find(clump, v):
             failed.append(eid)
+            continue
+        labels = try_augment(eid)
+        if labels is None:
+            placed += 1
+            continue
+        failed.append(eid)
+        if clump is None:
+            clump = list(range(n))
+        for x in labels:
+            _union(clump, *by_id[x])
 
     if placed == full:
         trees = tuple(Factor(G, frozenset(state.members[fi])) for fi in range(m))
@@ -455,19 +492,17 @@ def spanning_tree_packing(
         return packing
 
     # certificate: the failed edges' searches in the final forests label
-    # only intra-part edges
-    labeled: set[int] = set()
+    # only intra-part edges; an edge inside a part found so far is skipped
+    parent = list(range(n))
     for eid in failed:
+        u, v = by_id[eid]
+        if _find(parent, u) == _find(parent, v):
+            continue
         labels = try_augment(eid)
         if labels is None:
             raise AssertionError("an edge that failed to augment augmented later")
-        labeled.update(labels)
-    parent = list(range(n))
-    for eid in labeled:
-        u, v = by_id[eid]
-        ra, rb = _find(parent, u), _find(parent, v)
-        if ra != rb:
-            parent[ra] = rb
+        for x in labels:
+            _union(parent, *by_id[x])
     groups: dict[int, set[int]] = {}
     for v in verts:
         groups.setdefault(_find(parent, idx[v]), set()).add(v)

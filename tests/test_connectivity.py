@@ -155,6 +155,11 @@ def test_every_packer_answer_verifies():
         assert isinstance(result, TreePacking) == packing_bound_holds(G, m)
         assert result.verify()
         assert result.m == m
+        if isinstance(result, PackingRefusal):
+            # every final forest spans every part: the packer's skip rule
+            for part in result.parts:
+                inside = G.without_vertices(G.vertex_set - part)
+                assert isinstance(spanning_tree_packing(inside, m), TreePacking)
 
     check()
 
@@ -304,6 +309,40 @@ def test_packer_returns_the_pinned_trees_and_refusal():
     assert isinstance(refusal, PackingRefusal) and refusal.verify()
     assert refusal.parts == (frozenset(range(1, 11)), frozenset(range(11, 21)))
     assert refusal.cross_edges == 3
+
+
+def test_packer_searches_no_edge_inside_a_saturated_part(monkeypatch):
+    # each search builds one deque; once a search fails inside a half, no
+    # later edge inside that half is searched, in either pass (searching
+    # every failed edge in both passes makes 18 searches here)
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return deque(*args)
+
+    monkeypatch.setattr(connectivity, "deque", counted)
+    refusal = spanning_tree_packing(_two_halves_host(), 4, seed=7)
+    assert len(searches) == 10
+    assert refusal.parts == (frozenset(range(1, 11)), frozenset(range(11, 21)))
+    assert refusal.cross_edges == 3
+
+
+def test_packing_refusal_verify_rejects_tampered_parts():
+    # a doubled triangle is 2-tree-connected; an empty part would raise the
+    # bound to m with no crossing edge
+    triangle = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)] * 2)
+    assert not PackingRefusal(triangle, (frozenset({1, 2, 3}), frozenset()), 0, 2).verify()
+    G = _two_halves_host()
+    halves = (frozenset(range(1, 11)), frozenset(range(11, 21)))
+    assert PackingRefusal(G, halves, 3, 4).verify()
+    assert not PackingRefusal(G, halves + (frozenset(),), 3, 4).verify()
+    # the two parts merged into one, with the old count and with the recount
+    assert not PackingRefusal(G, (halves[0] | halves[1],), 3, 4).verify()
+    assert not PackingRefusal(G, (halves[0] | halves[1],), 0, 4).verify()
+    # a cross count off by one either way
+    assert not PackingRefusal(G, halves, 2, 4).verify()
+    assert not PackingRefusal(G, halves, 4, 4).verify()
 
 
 def test_packer_certifies_each_answer_once(monkeypatch):
