@@ -33,15 +33,19 @@ answer.  `TreePacking.verify()` rebuilds each tree with a union-find (n - 1
 edges, no cycle, on the host, none shared), and `PackingRefusal.verify()`
 recounts the crossing edges, a proof whatever the forests held.
 
-The two exact measures prune instead of enumerating.  `edge_connectivity`
+The three exact measures prune instead of enumerating.  `edge_connectivity`
 keeps lam, the smallest cut found, from the minimum degree down, and
 contracts every pair that no cut below lam can separate (Nagamochi and
 Ibaraki 1992, with the Padberg and Rinaldi 1990 tests), so it needs a few
 maximum-adjacency phases where Stoer and Wagner need n - 1.
 `bipartite_index` is a depth-first branch and bound whose leaves come in
 side-mask order, so it keeps the witness of a full sweep: the smallest
-mask among the minimisers.  Both run iteratively and build no closures,
-so a call leaves no reference cycles behind.
+mask among the minimisers.  `toughness` stays a sweep over cut sets, since
+recognising tough graphs is NP-hard (Bauer, Hakimi and Schmeichel 1990),
+but it takes them by size and skips every set that provably cannot beat
+the best ratio, and it too keeps the smallest-mask witness of the full
+sweep.  All three run iteratively and build no closures, so a call leaves
+no reference cycles behind.
 """
 from __future__ import annotations
 
@@ -51,6 +55,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable
 
 from .errors import InputError, SizeRefusal
@@ -858,11 +863,21 @@ def toughness(G: MultiGraph) -> Toughness:
     """Exact toughness: min |S| / comps over the vertex sets S whose removal
     leaves comps >= 2 components; value None (infinite) when no S does.
 
-    The sweep walks all 2^n masks over G.vertices.  G - S has at most
-    n - |S| components, so an S with |S| / (n - |S|) >= best cannot win
-    and is skipped before its components are counted.  Only a strictly
-    smaller ratio replaces the best, so the witness is the first minimiser
-    in increasing mask order.
+    The sweep runs over cut sets S by increasing size |S| = s and, within a
+    size, in combination order, and skips what cannot win:
+    - no S holds a vertex v with fewer than two distinct neighbours.  Such a
+      v meets at most one component of G - S, so S - v leaves as many
+      components, or one more, with one vertex less: a smaller ratio.
+    - G - S has at most n - s components, and s / (n - s) grows with s, so
+      the sweep stops at the first size with s / (n - s) above the best.
+    - G - S has at most iso + (n - s - iso) // 2 components, with iso its
+      isolated vertices, since every other component has two vertices or
+      more; S is skipped before its component scan when that bound cannot
+      beat the best.
+    A smaller ratio replaces the best, and an equal one does when S is the
+    smaller mask over G.vertices, so the witness is the first minimiser in
+    increasing mask order, as a sweep of all 2^n masks would give; that
+    sweep is also the worst case.
     """
     n = G.num_vertices
     if n > _TOUGHNESS_CAP:
@@ -876,29 +891,55 @@ def toughness(G: MultiGraph) -> Toughness:
         if u != v:
             adj[idx[u]] |= 1 << idx[v]
             adj[idx[v]] |= 1 << idx[u]
+    nbr = _neighbour_tables(adj)
+    lo, hi = nbr
     full = (1 << n) - 1
+    # the vertices a cut set may hold: two distinct neighbours or more
+    bits = [1 << i for i in range(n) if adj[i].bit_count() >= 2]
     # best ratio best_s / best_c, compared by cross-multiplication
     best_s = best_c = 0
     best_set: int | None = None
-    for S in range(1 << n):
-        rest = full & ~S
-        if rest == 0:
-            continue
-        s = S.bit_count()
-        if best_set is not None and s * best_c >= best_s * (n - s):
-            continue
-        comps = len(_mask_components(rest, adj))
-        if comps >= 2 and (best_set is None or s * best_c < best_s * comps):
-            best_s, best_c, best_set = s, comps, S
+    for s in range(min(len(bits), n - 1) + 1):
+        if best_set is not None and s * best_c > best_s * (n - s):
+            break
+        for S in map(sum, combinations(bits, s)):
+            rest = full ^ S
+            if best_set is not None:
+                iso = (rest & ~(lo[rest & 255] | hi[rest >> 8])).bit_count()
+                most, least = best_s * ((n - s + iso) >> 1), s * best_c
+                if least > most or least == most and S > best_set:
+                    continue
+            comps = len(_mask_components(rest, nbr))
+            if comps < 2:
+                continue
+            if best_set is None or s * best_c < best_s * comps or (
+                s * best_c == best_s * comps and S < best_set
+            ):
+                best_s, best_c, best_set = s, comps, S
     if best_set is None:
         return Toughness(None, None)
     witness = frozenset(verts[i] for i in range(n) if (best_set >> i) & 1)
     return Toughness(Fraction(best_s, best_c), witness)
 
 
-def _mask_components(rest: int, adj: list[int]) -> list[int]:
-    """Vertex masks of the components of the vertex set `rest`, where
-    adj[i] is the neighbour mask of vertex i."""
+def _neighbour_tables(adj: list[int]) -> tuple[list[int], list[int]]:
+    """(lo, hi) with lo[m] | hi[m2] the neighbour mask of the vertex set
+    m | m2 << 8, for adj[i] the neighbour mask of vertex i: one table per
+    byte of the mask, so a set's neighbours are two lookups.  The hi table
+    has 2^(n - 8) entries, 256 at the callers' caps of 16 vertices."""
+    tables = []
+    for part in (adj[:8], adj[8:]):
+        table = [0]
+        for a in part:
+            table += [x | a for x in table]
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _mask_components(rest: int, nbr: tuple[list[int], list[int]]) -> list[int]:
+    """Vertex masks of the components of the vertex set `rest`, where nbr
+    is the pair of `_neighbour_tables`."""
+    lo, hi = nbr
     comps = []
     left = rest
     while left:
@@ -906,13 +947,7 @@ def _mask_components(rest: int, adj: list[int]) -> list[int]:
         comp = 0
         while frontier:
             comp |= frontier
-            nxt = 0
-            bits = frontier
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & rest & ~comp
+            frontier = (lo[frontier & 255] | hi[frontier >> 8]) & rest & ~comp
         comps.append(comp)
         left &= ~comp
     return comps

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .connectivity import _mask_components
+from .connectivity import _mask_components, _neighbour_tables
 from .errors import InputError, SizeRefusal, UNKNOWN, Unknown
 from .flow import feasible_flow
 from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map
@@ -111,6 +111,16 @@ def _criterion_sweep(
     XOR of its vertices' odd masks, where vertex i's odd mask holds the
     vertices joined to i by an odd number of edges; e(C, B) is odd exactly
     when that mask meets B in an odd number of vertices.
+
+    A fourth table, L[M] = sum over M of min(f, d - g), gives every pair
+    of one S a floor: e(A, B) <= E[S], so RHS >= L[S] - E[S].  No pair of
+    S violates when the floor, plus 1 in strict mode, reaches omega's
+    ceiling, so S is skipped
+    - before its component scan, against the tight vertices of G - S,
+      since each tight component holds at least one;
+    - after it, against the number of tight components.
+    The skipped pairs hold, so the first violating pair is the same.  The
+    worst case, with no S skipped, is still 3^n pairs.
     """
     verts = list(G.vertices)
     n = len(verts)
@@ -131,6 +141,8 @@ def _criterion_sweep(
         adjmask[vi] |= 1 << ui
         oddmask[ui] ^= 1 << vi
         oddmask[vi] ^= 1 << ui
+    nbr = _neighbour_tables(adjmask)
+    tight = sum(1 << i for i in range(n) if gl[i] == fl[i])
     size = 1 << n
     full = size - 1
 
@@ -138,6 +150,7 @@ def _criterion_sweep(
     E = [0] * size
     P = [0] * size
     Q = [0] * size
+    L = [0] * size
     for h in range(n):
         top = 1 << h
         row = mult[h]
@@ -146,29 +159,36 @@ def _criterion_sweep(
             low = m & -m
             into[m] = into[m ^ low] + row[low.bit_length() - 1]
         fh, qh = fl[h], deg[h] - gl[h]
+        lh = min(fh, qh)
         for m in range(top):
             E[top | m] = E[m] + into[m]
             P[top | m] = P[m] + fh + into[m]
             Q[top | m] = Q[m] + qh + into[m]
+            L[top | m] = L[m] + lh
 
     for S in range(size):
         if skip_empty and S == 0:
             continue
+        ES = E[S]
+        floor = L[S] - ES + strict
+        rest = full & ~S
+        if floor >= (rest & tight).bit_count():
+            continue
         comps = []  # (parity of f-sum, odd mask) per tight component
-        for comp in _mask_components(full & ~S, adjmask):
+        for comp in _mask_components(rest, nbr):
+            if comp & ~tight:
+                continue
             par = odd = 0
             cm = comp
             while cm:
                 b = cm & -cm
                 cm ^= b
                 i = b.bit_length() - 1
-                if gl[i] != fl[i]:
-                    break
                 par ^= fl[i] & 1
                 odd ^= oddmask[i]
-            else:
-                comps.append((par, odd))
-        ES = E[S]
+            comps.append((par, odd))
+        if floor >= len(comps):
+            continue
         sub = S
         while True:
             B = S ^ sub
@@ -194,8 +214,14 @@ def check_lovasz_condition(
     """Exhaustive (g, f) criterion over all disjoint (A, B); witness on failure.
 
     The witness is the first violating pair in _criterion_sweep's order.
-    Cost: 3^n pairs with O(#tight components) work each, on top of three
-    2^n-entry subset tables and one component scan per A u B.
+    The sweep skips each A u B = S whose pairs all hold: RHS >= L[S] -
+    E[S] for L[S] the sum over S of min(f, d - g), since e(A, B) is at
+    most E[S], the edges inside S; and omega is at most the tight vertices
+    of G - S, and at most its tight components, since each of those holds
+    a tight vertex.  S is skipped when that floor reaches either ceiling.
+    Worst case, with no S skipped: 3^n pairs with O(#tight components)
+    work each, on top of four 2^n-entry subset tables and one component
+    scan per S.
     """
     validate_vertex_map(G, g, "g")
     validate_vertex_map(G, f, "f")

@@ -117,6 +117,21 @@ def test_toughness_and_bi(tmp_path, capsys):
     assert json.loads(out)["value"] == 1
 
 
+def test_toughness_at_the_cap(tmp_path, capsys):
+    # K_{4,4,4,4}: removing three whole parts leaves four lone vertices
+    part = lambda v: (v - 1) // 4
+    edges = [(u, v) for u in range(1, 17) for v in range(u + 1, 17) if part(u) != part(v)]
+    path = tmp_path / "k4444.txt"
+    path.write_text(
+        f"p multigraph 16 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    )
+    code, out, _ = run(capsys, "toughness", "--graph", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "outcome": "toughness", "value": "3", "witness": list(range(1, 13)),
+    }
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "bi", "--graph", "/no/such/file")
     assert code == 2

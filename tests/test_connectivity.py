@@ -4,7 +4,9 @@ The tree packer is checked against the Nash-Williams/Tutte partition
 bound (exhaustive over set partitions), edge connectivity against all
 2^(n-1) cuts and past them against networkx's Stoer-Wagner, and the
 bipartite index against an exhaustive max-cut and, up to 20 vertices,
-against a Gray-code sweep over all 2^(n-1) bipartitions.
+against a Gray-code sweep over all 2^(n-1) bipartitions.  Toughness is
+checked against brute force and, up to 14 vertices, against the sweep
+over all 2^n cut sets, and against closed forms up to its cap.
 """
 from __future__ import annotations
 
@@ -822,3 +824,159 @@ def test_toughness_skips_cut_sets_that_cannot_win(monkeypatch):
     assert result.value == Fraction(1, 2)
     assert result.witness == frozenset({2})
     assert calls < 2000
+
+
+def _components(rest, adj):
+    """Number of components of the vertex set `rest`, with adj[i] the
+    neighbour mask of vertex i."""
+    count = 0
+    left = rest
+    while left:
+        comp, frontier = 0, left & -left
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            bits = frontier
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & rest & ~comp
+        count += 1
+        left &= ~comp
+    return count
+
+
+def full_mask_toughness(G):
+    """(value, witness) of the sweep over all 2^n cut sets S by increasing
+    mask over G.vertices that `toughness` ran before it skipped by cut-set
+    size: an S with |S| / (n - |S|) at or above the best is skipped, and
+    only a strictly smaller ratio replaces the best.  (None, None) when no
+    S separates."""
+    n = G.num_vertices
+    verts = list(G.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    adj = [0] * n
+    for _, u, v in G.edges:
+        if u != v:
+            adj[idx[u]] |= 1 << idx[v]
+            adj[idx[v]] |= 1 << idx[u]
+    full = (1 << n) - 1
+    best_s = best_c = 0
+    best_set = None
+    for S in range(1 << n):
+        rest = full & ~S
+        if rest == 0:
+            continue
+        s = S.bit_count()
+        if best_set is not None and s * best_c >= best_s * (n - s):
+            continue
+        comps = _components(rest, adj)
+        if comps >= 2 and (best_set is None or s * best_c < best_s * comps):
+            best_s, best_c, best_set = s, comps, S
+    if best_set is None:
+        return None, None
+    return Fraction(best_s, best_c), frozenset(verts[i] for i in range(n) if best_set >> i & 1)
+
+
+def queries_host(n, extra, rng):
+    """A random recursive tree on 1..n plus `extra` random new vertex pairs
+    as edges, the host shape of the benchmark's toughness queries."""
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+    seen = {frozenset(e) for e in edges}
+    while len(edges) < n - 1 + extra:
+        u, v = rng.sample(range(1, n + 1), 2)
+        if frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
+    return MultiGraph(range(1, n + 1), edges)
+
+
+def _multipartite(*sizes):
+    """Complete multipartite graph with parts of the given sizes, numbered
+    part by part from 1."""
+    part = [i for i, a in enumerate(sizes) for _ in range(a)]
+    n = len(part)
+    return MultiGraph(
+        range(1, n + 1),
+        [(u + 1, v + 1) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]],
+    )
+
+
+def test_toughness_matches_the_full_mask_sweep():
+    rng = random.Random(59)
+    hosts = {}
+    for trial in range(15):
+        n = rng.randint(10, 14)
+        hosts[f"queries-shaped {trial}, n={n}"] = queries_host(n, n // 2, rng)
+    for n in range(10, 15):
+        hosts[f"C_{n}"] = _cycle_power(n, 1)
+        hosts[f"C_{n}^2"] = _cycle_power(n, 2)
+    for sizes in ((2, 3, 5), (1, 1, 4, 4), (3, 3, 3, 3), (2, 2, 2, 2, 2, 2), (1, 6, 6), (1,) * 11):
+        hosts[f"K_{sizes}"] = _multipartite(*sizes)
+    for trial in range(6):
+        # two or three pieces, each one queries-shaped or a lone vertex
+        n = rng.randint(10, 14)
+        cuts = sorted(rng.sample(range(2, n + 1), rng.randint(1, 2)))
+        edges = []
+        for a, b in zip([1] + cuts, cuts + [n + 1]):
+            k = b - a  # a piece of two vertices has no room for an extra edge
+            piece = queries_host(k, k // 2 if k > 2 else 0, rng)
+            edges += [(u + a - 1, v + a - 1) for _, u, v in piece.edges]
+        hosts[f"disconnected {trial}, n={n}"] = MultiGraph(range(1, n + 1), edges)
+    for trial in range(10):
+        # few distinct pairs, so parallel edges and tied minimisers are common
+        n = rng.randint(10, 14)
+        verts = list(range(1, n + 1))
+        pairs = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(n, 2 * n))]
+        edges = [rng.choice(pairs) for _ in range(rng.randint(n, 3 * n))]
+        edges += [(v, v) for v in rng.sample(verts, rng.randint(1, 3))]
+        hosts[f"multigraph {trial}, n={n}"] = MultiGraph(verts, edges)
+    values = set()
+    for name, G in hosts.items():
+        result = toughness(G)
+        assert (result.value, result.witness) == full_mask_toughness(G), name
+        values.add(result.value)
+    assert {None, Fraction(0)} < values and len(values) >= 6, values
+
+
+def test_toughness_scans_few_cut_sets(monkeypatch):
+    # the full-mask sweep counts components 1,471 times on this host of
+    # toughness 1/2; by cut-set size, with the isolated-vertex bound and
+    # without the vertices of fewer than two neighbours, ~80 times
+    calls = 0
+    real = connectivity._mask_components
+
+    def counted(rest, nbr):
+        nonlocal calls
+        calls += 1
+        return real(rest, nbr)
+
+    monkeypatch.setattr(connectivity, "_mask_components", counted)
+    G = queries_host(14, 7, random.Random(0))
+    result = toughness(G)
+    assert (result.value, result.witness) == (Fraction(1, 2), frozenset({4}))
+    assert calls <= 300
+
+
+def _cube(d):
+    n = 1 << d
+    return MultiGraph(
+        range(1, n + 1), [(v + 1, (v ^ 1 << i) + 1) for v in range(n) for i in range(d) if v >> i & 1 == 0]
+    )
+
+
+@pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+def test_toughness_closed_forms_up_to_the_cap(n):
+    assert toughness(_cycle_power(n, 1)).value == 1
+    star = toughness(MultiGraph(range(1, n + 1), [(1, v) for v in range(2, n + 1)]))
+    assert (star.value, star.witness) == (Fraction(1, n - 1), frozenset({1}))
+    assert toughness(MultiGraph(range(1, n + 1), _complete(n))).value is None
+    for a in range(2, n // 2 + 1):
+        if n % a:
+            continue
+        # r parts of a: the first r - 1 whole parts are the first minimiser
+        result = toughness(_multipartite(*[a] * (n // a)))
+        assert (result.value, result.witness) == (Fraction(n - a, a), frozenset(range(1, n - a + 1)))
+    if n == 16:
+        assert toughness(_cube(4)).value == 1

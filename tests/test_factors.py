@@ -1,7 +1,8 @@
 """Factor finders and existence criteria against the exhaustive oracle.
 
 Every clever route (matching reduction, criterion sweep) is compared to
-enumerate_factors / factor_exists, which walk all edge subsets.  The
+enumerate_factors / factor_exists, which walk all edge subsets, and the
+criterion sweep also to its form without the deficiency floor.  The
 two-point cases also run the orientation finder, which shares the
 selector search.
 """
@@ -27,7 +28,7 @@ from factorkit.factors import (
     lovasz_deficiency,
     omega_gf,
 )
-from factorkit.graph import MultiGraph
+from factorkit.graph import Factor, MultiGraph
 from factorkit.orientations import two_point_orientation
 
 
@@ -408,6 +409,158 @@ def test_strict_form_witness_is_the_first_violation_in_sweep_order():
         assert check_tutte_strict_form(G, f) == (expect is None, expect), (G.edges, f)
         witnesses += expect is not None
     assert 40 <= witnesses <= 160
+
+
+def _components(rest, adj):
+    """Vertex masks of the components of the vertex set `rest`, with adj[i]
+    the neighbour mask of vertex i."""
+    comps = []
+    left = rest
+    while left:
+        comp, frontier = 0, left & -left
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            bits = frontier
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & rest & ~comp
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def floorless_criterion_sweep(G, g, f, strict, skip_empty):
+    """The criterion sweep as it ran before its deficiency floor: every
+    S = A u B by increasing mask gets a component scan and every (A, B)
+    pair its omega and RHS, in the order of `factors._criterion_sweep`;
+    the first violating pair, or None."""
+    verts = list(G.vertices)
+    n = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    deg = [G.degree(v) for v in verts]
+    gl = [g[v] for v in verts]
+    fl = [f[v] for v in verts]
+    mult = [[0] * n for _ in range(n)]
+    adjmask = [0] * n
+    oddmask = [0] * n
+    for _, u, v in G.edges:
+        if u == v:
+            continue
+        ui, vi = idx[u], idx[v]
+        mult[ui][vi] += 1
+        mult[vi][ui] += 1
+        adjmask[ui] |= 1 << vi
+        adjmask[vi] |= 1 << ui
+        oddmask[ui] ^= 1 << vi
+        oddmask[vi] ^= 1 << ui
+    size = 1 << n
+    full = size - 1
+    E = [0] * size
+    P = [0] * size
+    Q = [0] * size
+    for h in range(n):
+        top = 1 << h
+        row = mult[h]
+        into = [0] * top
+        for m in range(1, top):
+            low = m & -m
+            into[m] = into[m ^ low] + row[low.bit_length() - 1]
+        fh, qh = fl[h], deg[h] - gl[h]
+        for m in range(top):
+            E[top | m] = E[m] + into[m]
+            P[top | m] = P[m] + fh + into[m]
+            Q[top | m] = Q[m] + qh + into[m]
+    for S in range(size):
+        if skip_empty and S == 0:
+            continue
+        comps = []
+        for comp in _components(full & ~S, adjmask):
+            par = odd = 0
+            cm = comp
+            while cm:
+                b = cm & -cm
+                cm ^= b
+                i = b.bit_length() - 1
+                if gl[i] != fl[i]:
+                    break
+                par ^= fl[i] & 1
+                odd ^= oddmask[i]
+            else:
+                comps.append((par, odd))
+        ES = E[S]
+        sub = S
+        while True:
+            B = S ^ sub
+            omega = 0
+            for par, odd in comps:
+                if ((odd & B).bit_count() & 1) != par:
+                    omega += 1
+            rhs = P[sub] + Q[B] - ES
+            bad = omega >= rhs + 2 if strict else omega > rhs
+            if bad:
+                Aset = frozenset(verts[i] for i in range(n) if (sub >> i) & 1)
+                Bset = frozenset(verts[i] for i in range(n) if (B >> i) & 1)
+                return Aset, Bset
+            if sub == 0:
+                break
+            sub = (sub - 1) & S
+    return None
+
+
+def planted_host(rng, n):
+    """A random recursive tree on 1..n plus 9 random edges, parallel ones
+    allowed, and the degrees of a random half of its edges: the host and
+    factor shape of the benchmark's criterion queries."""
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+    edges += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(9)]
+    G = MultiGraph(range(1, n + 1), edges)
+    planted = frozenset(eid for eid in G.edge_ids if rng.random() < 0.5)
+    return G, Factor(G, planted).degrees()
+
+
+def test_criterion_sweep_matches_the_floorless_sweep():
+    rng = random.Random(61)
+    outcomes = {(strict, found): 0 for strict in (False, True) for found in (False, True)}
+    for trial in range(48):
+        n = 7 + trial % 4
+        G, d = planted_host(rng, n) if trial % 2 else (sweep_host(rng, n, connected=True), None)
+        if d is not None:
+            # a planted window holds, so both sweeps run to the end
+            g = {v: max(0, d[v] - 1) for v in G.vertices}
+            f = {v: min(G.degree(v), d[v] + 1) for v in G.vertices}
+            exact = d
+        else:
+            f = {v: rng.randint(0, G.degree(v)) for v in G.vertices}
+            # g = f on about half the vertices, so tight components are common
+            g = {v: f[v] if rng.random() < 0.5 else rng.randint(0, f[v]) for v in G.vertices}
+            exact = f
+        for strict, lo, hi in ((False, g, f), (True, exact, exact)):
+            got = factors._criterion_sweep(G, lo, hi, strict=strict, skip_empty=strict)
+            expect = floorless_criterion_sweep(G, lo, hi, strict, strict)
+            assert got == expect, (G.edges, lo, hi, strict)
+            outcomes[strict, got is not None] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_criterion_sweep_scans_few_cut_sets(monkeypatch):
+    # without the floor, each of the 1,024 sets A u B gets a component scan
+    calls = 0
+    real = factors._mask_components
+
+    def counted(rest, nbr):
+        nonlocal calls
+        calls += 1
+        return real(rest, nbr)
+
+    monkeypatch.setattr(factors, "_mask_components", counted)
+    G, d = planted_host(random.Random(67), 10)
+    g = {v: max(0, d[v] - 1) for v in G.vertices}
+    f = {v: min(G.degree(v), d[v] + 1) for v in G.vertices}
+    assert check_lovasz_condition(G, g, f) == (True, None)
+    assert calls <= 64
 
 
 def test_omega_counts_odd_components():
