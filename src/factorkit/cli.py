@@ -242,10 +242,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("--theorem", choices=THEOREM_IDS, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--m0", type=int, default=0)
-    p.add_argument("--b", type=int, default=1)
+    only = "tough-check only; every other theorem fixes its own"
+    p.add_argument("--k", type=int, default=1, help=f"largest gap f - g ({only})")
+    p.add_argument("--m", type=int, default=1, help=f"factor trees ({only})")
+    p.add_argument("--m0", type=int, default=0, help=f"complement trees ({only})")
+    p.add_argument("--b", type=int, default=1, help=f"b of toughness >= 4b^2 ({only})")
     common(p, graph=False)
     p.set_defaults(func=_cmd_verify)
 

@@ -15,10 +15,10 @@ whose ends lie in different trees of some forest goes straight into the
 first such forest, which is where the search's first step would put it,
 with no labels built.  A failed search leaves a saturated part, which
 every forest spans from then on, and no later search starts inside one.
-When the pass ends short, one labeling pass repeats the failed searches
-in the final forests; it asserts that none of them augments, and their
-labeled edges give a vertex partition P with fewer than m(|P| - 1)
-crossing edges: the exact obstruction.  Every forest spans every part.
+When the pass ends short, its saturated parts are the refusal: a vertex
+partition P with fewer than m(|P| - 1) crossing edges, the exact
+obstruction.  Every forest spans every part, so the host's crossing
+edges are the forests' ones, placed - m(n - |P|) of them.
 
 Each forest is kept rooted, with a parent link, a depth and a root label
 per vertex.  "No path" is one comparison of root labels, and a cycle is
@@ -364,30 +364,34 @@ def spanning_tree_packing(
     separate, the forest the search's first step would pick; otherwise
     `try_augment` searches for an exchange chain.  The pass stops once the
     forests hold m(n - 1) edges.  A failed edge needs no second try, since
-    the union of the forests only grows.  Only when the forests end short
-    does a labeling pass search again from each failed edge, in the final
-    forests; it raises AssertionError if one of them augments, and the
-    labeled edges join the parts of the refusal.
+    the union of the forests only grows.
 
-    Neither pass searches from an edge whose ends lie in one saturated
-    part, a vertex set that every forest spans: such a search fails.  A
-    failed search stops only when, in every forest, the ends of each
-    labeled edge are joined by labeled edges, so every forest spans each
-    component K of the labeled edges.  The forests then hold m(|K| - 1)
-    edges inside K, the most they can, and since an augmentation never
-    takes an edge out of their union, every later forest spans K too.  A
-    search from an edge inside K labels only edges inside K and fails;
-    parts that share a vertex merge, as every forest spans their union.
-    These are the saturated sets of the matroid-sum algorithms of Roskind
-    and Tarjan (1985, Math. Oper. Res. 10) and Gabow and Westermann (1992,
-    Algorithmica 7).  The insertion pass joins the ends of every labeled
-    edge of a failed search in a union-find, made only at the first
-    failure, and appends an edge inside one class to the failed edges
-    unsearched.  The labeling pass keeps its own union-find of the labels
-    it has read and skips a failed edge inside one class, whose search
-    would label nothing outside it, so the parts come out the same.  It
-    does not start from the insertion pass's classes, which may join
-    parts of the refusal.
+    No search starts from an edge whose ends lie in one saturated part, a
+    vertex set that every forest spans: such a search fails.  A failed
+    search from e stops only when, in every forest, the ends of each
+    labeled edge are joined by labeled edges, so every forest spans the
+    component K of the labeled edges, and K is the smallest vertex set
+    that holds e's ends and that every forest spans.  The forests then
+    hold m(|K| - 1) edges inside K, the most they can, and since an
+    augmentation never takes an edge out of their union, their edges
+    inside K never change again and every later forest spans K too.  Parts
+    that share a vertex merge, as every forest spans their union.  These
+    are the saturated sets of the matroid-sum algorithms of Roskind and
+    Tarjan (1985, Math. Oper. Res. 10) and Gabow and Westermann (1992,
+    Algorithmica 7).  The pass joins the ends of every labeled edge of a
+    failed search in a union-find, made at the first failure, and skips an
+    edge inside one class unsearched.
+
+    When the forests end short, the classes are the parts of the refusal.
+    A search from a failed edge e in the final forests would label K again:
+    every vertex set inside K that the final forests span around e has all
+    its union edges inside K already at e's failure, so every forest
+    spanned it then, and K is the smallest such set.  Every edge outside
+    the forests failed or was skipped, so it lies inside a part, and each
+    forest holds |K| - 1 edges inside each part K.  The crossing edges of
+    the host are therefore the forests' crossing edges, placed - m(n - |P|)
+    of them; `PackingRefusal.verify()` recounts them from the host, so the
+    final check tests this arithmetic.
 
     A single-vertex graph is m-tree-connected for every m (empty trees).
     """
@@ -470,20 +474,17 @@ def spanning_tree_packing(
 
     full = m * (n - 1)
     placed = 0
-    failed = []
     # union-find of the saturated parts, made at the first failed search
     clump: list[int] | None = None
     for eid, u, v in nonloop:
         if placed == full:
             break
         if clump is not None and _find(clump, u) == _find(clump, v):
-            failed.append(eid)
             continue
         labels = try_augment(eid)
         if labels is None:
             placed += 1
             continue
-        failed.append(eid)
         if clump is None:
             clump = list(range(n))
         for x in labels:
@@ -496,25 +497,13 @@ def spanning_tree_packing(
             raise AssertionError("packer produced an invalid packing")
         return packing
 
-    # certificate: the failed edges' searches in the final forests label
-    # only intra-part edges; an edge inside a part found so far is skipped
-    parent = list(range(n))
-    for eid in failed:
-        u, v = by_id[eid]
-        if _find(parent, u) == _find(parent, v):
-            continue
-        labels = try_augment(eid)
-        if labels is None:
-            raise AssertionError("an edge that failed to augment augmented later")
-        for x in labels:
-            _union(parent, *by_id[x])
+    # the forests end short only after a failed search, so clump exists,
+    # and the host's crossing edges are the forests' ones (see above)
     groups: dict[int, set[int]] = {}
     for v in verts:
-        groups.setdefault(_find(parent, idx[v]), set()).add(v)
+        groups.setdefault(_find(clump, idx[v]), set()).add(v)
     parts = tuple(frozenset(g) for g in sorted(groups.values(), key=min))
-    lookup = {v: i for i, part in enumerate(parts) for v in part}
-    cross = sum(1 for eid, u, v in nonloop if lookup[verts[u]] != lookup[verts[v]])
-    refusal = PackingRefusal(G, parts, cross, m)
+    refusal = PackingRefusal(G, parts, placed - m * (n - len(parts)), m)
     if not refusal.verify():
         raise AssertionError("refusal certificate failed its own recount")
     return refusal

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 from .connectivity import _mask_components, _neighbour_tables
 from .errors import InputError, SizeRefusal, UNKNOWN, Unknown
 from .flow import feasible_flow
-from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map
+from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map, validate_window
 from .matching import perfect_matching
 
 VertexMap = Mapping[int, int]
@@ -223,10 +223,7 @@ def check_lovasz_condition(
     work each, on top of four 2^n-entry subset tables and one component
     scan per S.
     """
-    validate_vertex_map(G, g, "g")
-    validate_vertex_map(G, f, "f")
-    if any(g[v] > f[v] for v in G.vertices):
-        raise InputError("need g <= f")
+    validate_window(G, g, f)
     if G.num_vertices > _CRITERION_CAP:
         raise SizeRefusal("criterion sweep cap", f"{G.num_vertices} > {_CRITERION_CAP}")
     witness = _criterion_sweep(G, g, f, strict=False, skip_empty=False)
@@ -466,10 +463,7 @@ def find_interval_factor(
     parity chain.  G's edges go in, in G's edge order, so the chosen
     indices map back to G's edge ids.
     """
-    validate_vertex_map(G, g, "g")
-    validate_vertex_map(G, f, "f")
-    if any(g[v] > f[v] for v in G.vertices):
-        raise InputError("need g <= f")
+    validate_window(G, g, f)
     return _window_factor(G, g, f)
 
 
@@ -531,10 +525,7 @@ def find_two_point_factor(
     tried and exhaustion reports UNKNOWN rather than none.  Windows that miss two or more consecutive values
     are the NP-complete case of general factors (Cornuéjols 1988).
     """
-    validate_vertex_map(G, g, "g")
-    validate_vertex_map(G, f, "f")
-    if any(g[v] > f[v] for v in G.vertices):
-        raise InputError("need g <= f")
+    validate_window(G, g, f)
     lo = {v: g[v] for v in G.vertices}
     hi = {v: f[v] for v in G.vertices}
     if pin is not None:
@@ -634,6 +625,28 @@ def _selector_search(
 # -- exhaustive oracle ---------------------------------------------------
 
 
+def _gray_walk(G: MultiGraph, cap: int):
+    """Every edge subset of G in Gray-code order, one flip per step.
+
+    Yields the degree map and the membership flags (by position in
+    G.edge_ids), both updated in place; a loop adds 2 at its vertex."""
+    m = G.num_edges
+    if m > cap:
+        raise SizeRefusal("oracle cap", f"{m} edges exceeds cap {cap}")
+    ends = [G.endpoints(eid) for eid in G.edge_ids]
+    degs = {v: 0 for v in G.vertices}
+    in_set = [False] * m
+    yield degs, in_set
+    for i in range(1, 1 << m):
+        j = (i & -i).bit_length() - 1
+        u, v = ends[j]
+        delta = -1 if in_set[j] else 1
+        degs[u] += delta
+        degs[v] += delta
+        in_set[j] = not in_set[j]
+        yield degs, in_set
+
+
 def enumerate_factors(
     G: MultiGraph,
     predicate: Callable[[dict[int, int]], bool] | None = None,
@@ -644,32 +657,12 @@ def enumerate_factors(
     Pure Gray-code enumeration, independent of every finder above; this is
     the oracle that the clever routes are tested against.
     """
-    m = G.num_edges
-    if m > cap:
-        raise SizeRefusal("oracle cap", f"{m} edges exceeds cap {cap}")
     ids = list(G.edge_ids)
-    ends = [G.endpoints(eid) for eid in ids]
-    degs = {v: 0 for v in G.vertices}
-    in_set = [False] * m
-    out: list[Factor] = []
-
-    def flip(j: int) -> None:
-        u, v = ends[j]
-        delta = -1 if in_set[j] else 1
-        if u == v:
-            degs[u] += 2 * delta
-        else:
-            degs[u] += delta
-            degs[v] += delta
-        in_set[j] = not in_set[j]
-
-    if predicate is None or predicate(degs):
-        out.append(Factor(G, frozenset()))
-    for i in range(1, 1 << m):
-        flip((i & -i).bit_length() - 1)
-        if predicate is None or predicate(degs):
-            out.append(Factor(G, frozenset(ids[j] for j in range(m) if in_set[j])))
-    return out
+    return [
+        Factor(G, frozenset(eid for eid, kept in zip(ids, in_set) if kept))
+        for degs, in_set in _gray_walk(G, cap)
+        if predicate is None or predicate(degs)
+    ]
 
 
 def factor_exists(
@@ -678,25 +671,7 @@ def factor_exists(
     cap: int = 20,
 ) -> bool:
     """Early-exit variant of enumerate_factors."""
-    m = G.num_edges
-    if m > cap:
-        raise SizeRefusal("oracle cap", f"{m} edges exceeds cap {cap}")
-    ids = list(G.edge_ids)
-    ends = [G.endpoints(eid) for eid in ids]
-    degs = {v: 0 for v in G.vertices}
-    in_set = [False] * m
-    if predicate(degs):
-        return True
-    for i in range(1, 1 << m):
-        j = (i & -i).bit_length() - 1
-        u, v = ends[j]
-        delta = -1 if in_set[j] else 1
-        if u == v:
-            degs[u] += 2 * delta
-        else:
-            degs[u] += delta
-            degs[v] += delta
-        in_set[j] = not in_set[j]
+    for degs, _ in _gray_walk(G, cap):
         if predicate(degs):
             return True
     return False

@@ -93,7 +93,7 @@ def gen_tree_connected(spec: GenSpec) -> MultiGraph:
             return w
 
         def random_pair(r: random.Random) -> tuple[int, int]:
-            u, w = rng.sample(vertices, 2)
+            u, w = r.sample(vertices, 2)
             return u, w
 
     edges: list[tuple[int, int]] = []

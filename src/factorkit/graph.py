@@ -351,6 +351,19 @@ def validate_vertex_map(G: MultiGraph, m: Mapping[int, int], name: str = "map") 
         raise InputError(f"{name} names unknown vertices {sorted(extra)[:5]}")
 
 
+def validate_window(
+    G: MultiGraph, lo: Mapping[int, int], hi: Mapping[int, int], names: str = "gf"
+) -> None:
+    """Require lo and hi, named by the two letters of names, to be total
+    integer maps on V(G) with lo <= hi everywhere."""
+    low, high = names
+    validate_vertex_map(G, lo, low)
+    validate_vertex_map(G, hi, high)
+    bad = [v for v in G.vertices if lo[v] > hi[v]]
+    if bad:
+        raise InputError(f"need {low} <= {high}, violated at vertex {bad[0]}")
+
+
 def partition_stats(G: MultiGraph, X: Iterable[int], Y: Iterable[int] | None = None):
     """(d(X), e(X), d(X, Y)): boundary, intra (loops once), and cross counts.
 

@@ -20,7 +20,7 @@ from typing import Mapping
 from .errors import UNKNOWN, HypothesisError, InputError, Unknown
 from .factors import _euler_half_factor, find_two_point_factor
 from .flow import feasible_flow
-from .graph import Bipartition, Factor, MultiGraph, validate_vertex_map
+from .graph import Bipartition, Factor, MultiGraph, validate_window
 
 VertexMap = Mapping[int, int]
 
@@ -103,10 +103,7 @@ def interval_orientation(
     G: MultiGraph, p: VertexMap, q: VertexMap
 ) -> Orientation | None:
     """Orientation with p(v) <= d+(v) <= q(v) everywhere, or None.  Exact."""
-    validate_vertex_map(G, p, "p")
-    validate_vertex_map(G, q, "q")
-    if any(p[v] > q[v] for v in G.vertices):
-        raise InputError("need p <= q")
+    validate_window(G, p, q, "pq")
     verts = list(G.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     nonloop = [(eid, u, v) for eid, u, v in G.edges if u != v]
@@ -173,10 +170,7 @@ def two_point_orientation(
     (a flow, or a matching when some gap is 2), and UNKNOWN needs more
     than 20 vertices with a gap of 3 or more.
     """
-    validate_vertex_map(G, p, "p")
-    validate_vertex_map(G, q, "q")
-    if any(p[v] > q[v] for v in G.vertices):
-        raise InputError("need p <= q")
+    validate_window(G, p, q, "pq")
     if pin is not None:
         z, val = pin
         G._check_vertex(z)
@@ -222,6 +216,5 @@ def factor_from_orientation(G: MultiGraph, P: Bipartition, D: Orientation) -> Fa
 
 
 def _require_bipartite(G: MultiGraph, P: Bipartition) -> None:
-    P.validate_for(G)
     if not G.is_bipartite_with(P):
         raise InputError("graph is not bipartite with the given sides")

@@ -70,6 +70,7 @@ from .graph import (
     induced_bipartite_factor,
     partition_stats,
     validate_vertex_map,
+    validate_window,
 )
 from .rng import child_seed
 
@@ -208,14 +209,6 @@ def _entry(construction):
     return entry
 
 
-def _validate_gf(G: MultiGraph, g: VertexMap, f: VertexMap) -> None:
-    validate_vertex_map(G, g, "g")
-    validate_vertex_map(G, f, "f")
-    bad = [v for v in G.vertices if g[v] > f[v]]
-    if bad:
-        raise InputError(f"need g <= f, violated at vertex {bad[0]}")
-
-
 def _gap_bound(G: MultiGraph, g: VertexMap, f: VertexMap) -> int:
     """k = the largest gap f - g, and at least 1."""
     return max(1, max((f[v] - g[v] for v in G.vertices), default=0))
@@ -256,7 +249,6 @@ def _require_eulerian(gate: _Gate, G: MultiGraph, t: int) -> None:
 
 def _require_bipartite(gate: _Gate, G: MultiGraph, P: Bipartition) -> None:
     """Gate that every edge of G crosses the given bipartition P."""
-    P.validate_for(G)
     gate.require(
         G.is_bipartite_with(P),
         "bipartite with the given bipartition",
@@ -447,7 +439,7 @@ def balanced_selector(
     by +gap on X and -gap on Y, a subset-sum over the gaps.
     """
     P.validate_for(G)
-    _validate_gf(G, g, f)
+    validate_window(G, g, f)
     sign = {v: (1 if v in P.X else -1) for v in G.vertices}
     imbalance = sum(sign[v] * g[v] for v in G.vertices)
     movers = [
@@ -513,7 +505,7 @@ def gf_factor_bipartite(
     equivalence), UNKNOWN past the selector search cap: more than 20
     vertices with a gap f - g of 3 or more, so never when k <= 2.
     """
-    _validate_gf(G, g, f)
+    validate_window(G, g, f)
     gate = _Gate(assume_hypotheses)
     _require_bipartite(gate, G, P)
     k = _gap_bound(G, g, f)
@@ -624,7 +616,7 @@ def gf_factor_almost_bipartite(
     h must select within {g, f}, have even total, and obey the displayed
     near-balance window 0 <= sum_X h - sum_Y h <= 2e(X)+1.
     """
-    _validate_gf(G, g, f)
+    validate_window(G, g, f)
     _check_picks(G, g, f, h)
     k = _gap_bound(G, g, f)
     gate = _Gate(assume_hypotheses)
@@ -724,7 +716,7 @@ def gf_factor_bi_large(
     The factor exists iff some gap f-g is odd, or all gaps are even and
     sum f is even; the failing case returns a parity certificate.
     """
-    _validate_gf(G, g, f)
+    validate_window(G, g, f)
     k = _gap_bound(G, g, f)
     gate = _Gate(assume_hypotheses)
 
@@ -899,7 +891,7 @@ def tree_connected_gf_bipartite(
     """
     params = params or TheoremParams()
     m, m0 = params.m, params.m0
-    _validate_gf(G, g, f)
+    validate_window(G, g, f)
     gate = _Gate(assume_hypotheses)
     _require_bipartite(gate, G, P)
     packing = _gate_tree_connected(gate, G, g, f, params, 4, child_seed(seed, 0))
@@ -955,7 +947,7 @@ def tree_connected_gf(
     """
     params = params or TheoremParams()
     k, m, m0 = params.k, params.m, params.m0
-    _validate_gf(G, g, f)
+    validate_window(G, g, f)
     gate = _Gate(assume_hypotheses)
     # the gate packs as trial 0 of the keep-bi search would, so the search
     # takes this packing and answers as it would on its own
@@ -1032,7 +1024,7 @@ def tough_hypothesis_check(
 ) -> HypothesisReport:
     """Evaluate every hypothesis of the toughness statement with both
     sides shown; refuses only when the graph exceeds the toughness cap."""
-    _validate_gf(G, g, f)
+    validate_window(G, g, f)
     k, m, m0, b = params.k, params.m, params.m0, params.b
     rows = []
 

@@ -315,8 +315,8 @@ def test_packer_returns_the_pinned_trees_and_refusal():
 
 def test_packer_searches_no_edge_inside_a_saturated_part(monkeypatch):
     # each search builds one deque; once a search fails inside a half, no
-    # later edge inside that half is searched, in either pass (searching
-    # every failed edge in both passes makes 18 searches here)
+    # later edge inside that half is searched, and the refusal searches
+    # nothing again (searching every failed edge makes 12 searches here)
     searches = []
 
     def counted(*args):
@@ -325,9 +325,38 @@ def test_packer_searches_no_edge_inside_a_saturated_part(monkeypatch):
 
     monkeypatch.setattr(connectivity, "deque", counted)
     refusal = spanning_tree_packing(_two_halves_host(), 4, seed=7)
-    assert len(searches) == 10
+    assert len(searches) == 8
     assert refusal.parts == (frozenset(range(1, 11)), frozenset(range(11, 21)))
     assert refusal.cross_edges == 3
+
+
+def _block_hosts(count, seed):
+    """Dense random blocks of 1-7 vertices joined by a few random edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        verts, edges = [], []
+        for _ in range(rng.randint(2, 6)):
+            block = list(range(len(verts) + 1, len(verts) + rng.randint(1, 7) + 1))
+            verts += block
+            if len(block) > 1:
+                size = rng.randint(1, 9) * len(block)
+                edges += [tuple(rng.sample(block, 2)) for _ in range(size)]
+        edges += [(rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(0, 6))]
+        yield MultiGraph(verts, edges), rng.randint(0, 2**32 - 1)
+
+
+def test_packer_refusals_keep_their_pinned_parts_and_counts():
+    # the parts and crossing counts of many-part refusals, pinned: how the
+    # packer finds its parts may change, the parts it reports may not
+    answers, parts = [], 0
+    for G, seed in _block_hosts(150, seed=2024):
+        for m in range(1, 9):
+            refusal = spanning_tree_packing(G, m, seed=seed)
+            if isinstance(refusal, PackingRefusal):
+                parts += len(refusal.parts)
+                answers.append(([sorted(p) for p in refusal.parts], refusal.cross_edges))
+    assert (len(answers), parts) == (1134, 11797)
+    assert hashlib.sha256(repr(answers).encode()).hexdigest()[:16] == "c3cf819fd0e2f2eb"
 
 
 def test_packing_refusal_verify_rejects_tampered_parts():
