@@ -28,8 +28,9 @@ from .errors import (
 from .generators import GenSpec, gen_functions, gen_tree_connected
 from .graph import parse_graph, serialize_graph
 from .orientations import eulerian_orientation, two_point_orientation
-from .pipeline import FactorCertificate, NoFactorCertificate, TheoremParams, _gap_bound
-from .harness import FACTOR_THEOREMS, NO_SELECTOR, THEOREM_IDS, THEOREMS, verify_theorem
+from .pipeline import TheoremParams, _gap_bound
+from .harness import FACTOR_THEOREMS, NO_SELECTOR, THEOREM_IDS, THEOREMS, UNKNOWN_DETAIL
+from .harness import read_answer, verify_theorem
 
 
 def _load_graph(path: str, need_functions: bool = False):
@@ -67,9 +68,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _factor_result_payload(res, G, assume: bool) -> tuple[dict, int]:
-    if is_unknown(res):
-        return {"outcome": "unknown", "detail": "search budget exhausted"}, 0
+def _factor_result_payload(res, G, g, f, assume: bool) -> tuple[dict, int]:
     if res is NO_SELECTOR:
         return {"outcome": "none", "detail": "no admissible selector"}, 0
     if res is None:
@@ -77,11 +76,9 @@ def _factor_result_payload(res, G, assume: bool) -> tuple[dict, int]:
         detail = ("a stage found nothing under the assumed hypotheses"
                   if assume else "no balanced selector")
         return {"outcome": "none", "detail": detail}, 0
-    if isinstance(res, NoFactorCertificate):
-        return {"outcome": "none", "detail": res.reason}, 0
-    assert isinstance(res, FactorCertificate)
-    if not res.verify():
-        return {"outcome": "hard-error", "detail": "certificate failed re-verification"}, 1
+    outcome, _, detail = read_answer(res, G, g, f)
+    if outcome != "success":
+        return {"outcome": outcome, "detail": detail}, int(outcome == "hard-error")
     edges = sorted(res.factor.edge_ids)
     return {
         "outcome": "factor",
@@ -100,7 +97,11 @@ def _cmd_factor(args) -> int:
     except TheoremViolationError as exc:
         _emit({"outcome": "hard-error", "detail": str(exc)}, args.format)
         return 1
-    payload, code = _factor_result_payload(res, G, args.assume_hypotheses)
+    except AssertionError as exc:
+        _emit({"outcome": "hard-error", "detail": "internal invariant failed: %s" % exc},
+              args.format)
+        return 1
+    payload, code = _factor_result_payload(res, G, g, f, args.assume_hypotheses)
     _emit(payload, args.format)
     return code
 
@@ -111,7 +112,7 @@ def _cmd_orient(args) -> int:
     if parsed.g is not None:
         res = two_point_orientation(G, parsed.g, parsed.f, seed=args.seed)
         if is_unknown(res):
-            _emit({"outcome": "unknown", "detail": "search budget exhausted"}, args.format)
+            _emit({"outcome": "unknown", "detail": UNKNOWN_DETAIL}, args.format)
             return 0
         if res is None:
             _emit({"outcome": "none",

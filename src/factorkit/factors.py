@@ -95,13 +95,13 @@ def _criterion_sweep(
     g: VertexMap,
     f: VertexMap,
     strict: bool,
-    skip_empty: bool,
 ):
     """Shared (A, B) sweep; returns the first violating pair or None.
 
-    strict mode checks omega < 2 + RHS instead of omega <= RHS.  Pairs come
-    in one fixed order: S = A u B by increasing mask over G.vertices, then
-    A over the sub-masks of S from S itself down to the empty set.
+    strict mode checks omega < 2 + RHS instead of omega <= RHS, and only
+    over nonempty A u B.  Pairs come in one fixed order: S = A u B by
+    increasing mask over G.vertices, then A over the sub-masks of S from S
+    itself down to the empty set.
 
     Three subset tables, built once, make the RHS O(1) per pair.  With E[M]
     the non-loop edges inside M (with multiplicity), P[M] = f(M) + E[M] and
@@ -167,7 +167,7 @@ def _criterion_sweep(
             L[top | m] = L[m] + lh
 
     for S in range(size):
-        if skip_empty and S == 0:
+        if strict and S == 0:
             continue
         ES = E[S]
         floor = L[S] - ES + strict
@@ -226,7 +226,7 @@ def check_lovasz_condition(
     validate_window(G, g, f)
     if G.num_vertices > _CRITERION_CAP:
         raise SizeRefusal("criterion sweep cap", f"{G.num_vertices} > {_CRITERION_CAP}")
-    witness = _criterion_sweep(G, g, f, strict=False, skip_empty=False)
+    witness = _criterion_sweep(G, g, f, strict=False)
     return witness is None, witness
 
 
@@ -242,7 +242,7 @@ def check_tutte_strict_form(
         raise InputError("strict form needs an even f-sum")
     if G.num_vertices > _CRITERION_CAP:
         raise SizeRefusal("criterion sweep cap", f"{G.num_vertices} > {_CRITERION_CAP}")
-    witness = _criterion_sweep(G, f, f, strict=True, skip_empty=True)
+    witness = _criterion_sweep(G, f, f, strict=True)
     return witness is None, witness
 
 

@@ -139,10 +139,8 @@ class NoFactorCertificate:
     f_total: int
 
     def verify(self, G: MultiGraph, g: VertexMap, f: VertexMap) -> bool:
-        if any((f[v] - g[v]) % 2 != 0 for v in G.vertices):
-            return False
         total = sum(f[v] for v in G.vertices)
-        return total % 2 == 1 and self.f_total == total
+        return not parity_criterion(G, g, f) and self.f_total == total
 
 
 def parity_criterion(G: MultiGraph, g: VertexMap, f: VertexMap) -> bool:

@@ -9,9 +9,11 @@ import sys
 import pytest
 
 import factorkit
+from factorkit import harness
 from factorkit.cli import main
 from factorkit.generators import gen_functions
-from factorkit.graph import MultiGraph, parse_graph, serialize_graph
+from factorkit.graph import Factor, MultiGraph, parse_graph, serialize_graph
+from factorkit.pipeline import FactorCertificate, NoFactorCertificate
 
 
 def run(capsys, *argv):
@@ -290,3 +292,57 @@ def test_orient_decides_gap_two_past_the_selector_cap(tmp_path, capsys, n):
     payload = json.loads(out)
     assert payload["outcome"] == "orientation"
     assert set(payload["outdegrees"].values()) == {0, 2}
+
+
+def _factor_with_runner(tmp_path, capsys, monkeypatch, host, runner):
+    # `factor --theorem bi-large` on host, its pipeline replaced by runner
+    trial, _ = harness.THEOREMS["bi-large"]
+    monkeypatch.setitem(harness.THEOREMS, "bi-large", (trial, runner))
+    path = tmp_path / "g.txt"
+    path.write_text(host)
+    code, out, err = run(
+        capsys, "factor", "--theorem", "bi-large", "--graph", str(path), "--format", "json",
+    )
+    assert err == ""
+    return code, json.loads(out)
+
+
+# one edge, all gaps even and f summing to 1: only a parity refutation fits
+_ODD_TOTAL = "p multigraph 2 1\ne 1 2\nf 1 1 1\nf 2 0 0\n"
+
+
+def test_factor_checks_a_nonexistence_certificate(tmp_path, capsys, monkeypatch):
+    def oracle(*_):
+        raise AssertionError("the CLI must not run the brute-force oracle")
+
+    monkeypatch.setattr(harness, "factor_exists", oracle)
+    reason = "all gaps f-g are even and sum f is odd"
+    honest = _factor_with_runner(
+        tmp_path, capsys, monkeypatch, _ODD_TOTAL, lambda *_: NoFactorCertificate(reason, 1)
+    )
+    assert honest == (0, {"outcome": "none", "detail": reason})
+    forged = _factor_with_runner(
+        tmp_path, capsys, monkeypatch, _ODD_TOTAL, lambda *_: NoFactorCertificate(reason, 3)
+    )
+    assert forged == (1, {"outcome": "hard-error",
+                          "detail": "nonexistence certificate failed re-verification"})
+
+
+def test_factor_checks_degrees_against_the_file_windows(tmp_path, capsys, monkeypatch):
+    def runner(G, g, f, *_):
+        # self-consistent: the empty factor, with a report that allows 0
+        return FactorCertificate(Factor(G, frozenset()), {v: (0, (0,)) for v in G.vertices})
+
+    host = "p multigraph 2 2\ne 1 2\ne 1 2\nf 1 1 1\nf 2 1 1\n"
+    code, payload = _factor_with_runner(tmp_path, capsys, monkeypatch, host, runner)
+    assert (code, payload) == (1, {"outcome": "hard-error",
+                                   "detail": "factor degree outside {g, f}"})
+
+
+def test_factor_internal_invariant_is_a_hard_error(tmp_path, capsys, monkeypatch):
+    def runner(*_):
+        raise AssertionError("forged invariant")
+
+    code, payload = _factor_with_runner(tmp_path, capsys, monkeypatch, _ODD_TOTAL, runner)
+    assert (code, payload) == (1, {"outcome": "hard-error",
+                                   "detail": "internal invariant failed: forged invariant"})

@@ -538,7 +538,7 @@ def test_criterion_sweep_matches_the_floorless_sweep():
             g = {v: f[v] if rng.random() < 0.5 else rng.randint(0, f[v]) for v in G.vertices}
             exact = f
         for strict, lo, hi in ((False, g, f), (True, exact, exact)):
-            got = factors._criterion_sweep(G, lo, hi, strict=strict, skip_empty=strict)
+            got = factors._criterion_sweep(G, lo, hi, strict=strict)
             expect = floorless_criterion_sweep(G, lo, hi, strict, strict)
             assert got == expect, (G.edges, lo, hi, strict)
             outcomes[strict, got is not None] += 1

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from factorkit.errors import InputError
-from factorkit.harness import THEOREM_IDS, verify_theorem
-from factorkit.pipeline import TheoremParams
+from factorkit.errors import UNKNOWN, InputError
+from factorkit.graph import Factor, MultiGraph
+from factorkit.harness import THEOREM_IDS, UNKNOWN_DETAIL, read_answer, verify_theorem
+from factorkit.pipeline import FactorCertificate, NoFactorCertificate, TheoremParams
 
 
 def test_unknown_theorem_id_is_an_input_error():
@@ -109,3 +110,19 @@ def test_all_listed_ids_run():
         report = verify_theorem(tid, trials, master_seed=11)
         assert report.trials == trials
         assert report.hard_errors == 0, report.render()
+
+
+def test_read_answer_checks_what_it_reads():
+    G = MultiGraph([1, 2], [(1, 2)])
+    g, f = {1: 1, 2: 0}, {1: 1, 2: 0}  # all gaps even, f sums to 1
+    reason = "all gaps f-g are even and sum f is odd"
+    assert read_answer(UNKNOWN, G, g, f) == ("unknown", "", UNKNOWN_DETAIL)
+    assert read_answer(NoFactorCertificate(reason, 1), G, g, f) == ("none", "", reason)
+    forged_total = NoFactorCertificate(reason, 3)
+    # verify() passes, but the report allows degrees outside the windows
+    empty = FactorCertificate(Factor(G, frozenset()), {1: (0, (0,)), 2: (0, (0,))})
+    assert empty.verify()
+    for forged in (forged_total, empty, None):
+        assert read_answer(forged, G, g, f)[0] == "hard-error", forged
+    # the same factor under windows that admit it is a success
+    assert read_answer(empty, G, {1: 0, 2: 0}, {1: 1, 2: 0}) == ("success", "", "")
