@@ -1,18 +1,18 @@
 """Decompositions: parity forests, Eulerian splits of tree-connected
-graphs, and the search-based splitting lemmas.
+graphs, and the splitting lemmas of the tree-connected pipelines.
 
 An Eulerian split is cut from spanning trees of the cross factor G[X, Y]:
-the pipelines pass the packing their structure gate or keep-bi search
+the pipelines pass the packing their structure gate or keep-bi split
 made, and decompose_eulerian packs its own.
 
-Two of the operations here (decompose_keep_bi, split_tree_connected_
-complement) implement lemmas whose proofs live outside the source
-material, so they run verified randomized searches over proof-shaped
-candidates: every returned object has had its postconditions re-checked
-against the carried trees it was built from, and budget exhaustion
-returns UNKNOWN instead of a guess.  The keep-bi search takes a packing
-of G that its caller has made as its first trial, and returns its
-packing of G2[X, Y] with P, so no part is packed twice.
+The two private splitting lemmas (_keep_bi, _split_complement) have
+proofs that live outside the source material, so they build from
+proof-shaped candidates and re-check every postcondition against the
+carried trees the result was built from; a lemma that finds nothing
+returns UNKNOWN instead of a guess.  Keep-bi is one construction on the
+packing of G that its caller's gate proved, and returns its packing of
+G2[X, Y] with P, so no part is packed twice.  The complement split is a
+randomized search of _BUDGET trials.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .connectivity import (
     TreePacking,
     _find_structure,
     bipartite_index_upper,
-    edge_connectivity,
     spanning_tree_packing,
 )
 from .errors import HypothesisError, InputError, UNKNOWN, Unknown
@@ -40,8 +39,9 @@ from .graph import (
 
 VertexMap = Mapping[int, int]
 
-# trials of the two randomized splitting searches before they answer UNKNOWN
+# trials of the split search before it answers UNKNOWN
 _BUDGET = 40
+
 
 def parity_forest(T: Factor, targets: VertexMap) -> Factor:
     """The unique subforest F of the spanning tree T with
@@ -187,101 +187,54 @@ def _assert_part_sum_identity(G2: MultiGraph, P: Bipartition) -> None:
         raise AssertionError("part-sum identity failed on a decomposition")
 
 
-def decompose_keep_bi(
-    G: MultiGraph,
-    m1: int,
-    m2: int,
-    k0: int,
-    seed: int = 0,
-) -> tuple[Factor, Factor, Bipartition] | Unknown:
-    """Split G into G1 (2m1-edge-connected Eulerian) and G2 with a
-    bipartition P making G2[X, Y] m2-tree-connected while G2 keeps at
-    least min(k0, bi(G)) intra-part edges.
-
-    Verified randomized search (the guiding proof is external): tree
-    packings supply candidates, postconditions are re-checked exactly,
-    UNKNOWN after _BUDGET trials.
-    """
-    if not 0 <= k0 <= m2:
-        raise InputError("need m2 >= k0 >= 0")
-    if m1 < 0 or (m1 and not m2):
-        raise InputError("need m1 >= 0, and m2 >= 1 for the parity donor when m1 >= 1")
-    found = _keep_bi(G, m1, m2, k0, seed)
-    return found if found is UNKNOWN else found[:3]
-
-
 def _keep_bi(
     G: MultiGraph, m1: int, m2: int, k0: int, seed: int,
-    packing: TreePacking | PackingRefusal | None = None, cross_seed: int | None = None,
+    packing: TreePacking | PackingRefusal, rng: random.Random, cross_seed: int,
 ) -> tuple[Factor, Factor, Bipartition, TreePacking] | Unknown:
-    """decompose_keep_bi past its input checks, also returning the packing
-    of m2 trees of G2[X, Y] made at packer seed cross_seed.
+    """Split G into G1 (2m1-edge-connected Eulerian) and G2 with a
+    bipartition P making G2[X, Y] m2-tree-connected while G2 keeps at
+    least min(k0, bi(G)) intra-part edges; returns (G1, G2, P, the packing
+    of m2 trees of G2[X, Y] made at packer seed cross_seed).
 
-    Trial t packs 2m1+2m2 trees of G at the t-th seed drawn from
-    random.Random(seed); a given packing is the one trial 0 would make.
+    packing holds the 2m1+2m2 trees of G its caller proved, m1, m2 >= 1:
+    G1 is the first 2m1 closed by the parity forest of the next.  P comes
+    from the structure search on G2, which draws from rng and bounds bi(G)
+    at `seed`; if it finds no P the answer is UNKNOWN.
     """
+    if isinstance(packing, PackingRefusal):
+        raise HypothesisError(
+            "(2m1+2m2)-tree-connected",
+            f"graph is not {2 * m1 + 2 * m2}-tree-connected",
+            certificate=packing,
+        )
     intra_target = min(k0, bipartite_index_upper(G, seed=seed)[0]) if k0 else 0
-    rng = random.Random(seed)
-    for trial in range(_BUDGET):
-        packer_seed = rng.randrange(1 << 30)
-        if trial or packing is None:
-            packing = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=packer_seed)
-        if isinstance(packing, PackingRefusal):
-            # the packer is exact: the first trial refuses or none does
-            raise HypothesisError(
-                "(2m1+2m2)-tree-connected",
-                f"graph is not {2 * m1 + 2 * m2}-tree-connected",
-                certificate=packing,
-            )
-        trees = packing.trees
-        g1 = Factor(G, frozenset())
-        if m1:
-            core = frozenset().union(*(t.edge_ids for t in trees[: 2 * m1]))
-            g1 = _even_closure(Factor(G, core), trees[2 * m1])
-        g2 = g1.complement()
-        found = _find_structure(g2.as_graph(), rng, m2, lambda i: i >= intra_target, cross_seed)
-        if found is None:
-            continue
-        g1_graph = g1.as_graph()
-        if not g1_graph.is_eulerian():
-            raise AssertionError("G1 is not even")
-        # 2m1 edge-disjoint spanning trees make G1 2m1-edge-connected
-        _carried_packing(g1_graph, trees[: 2 * m1])
-        return g1, g2, *found
-    return UNKNOWN
+    trees = packing.trees
+    core = frozenset().union(*(t.edge_ids for t in trees[: 2 * m1]))
+    g1 = _even_closure(Factor(G, core), trees[2 * m1])
+    g2 = g1.complement()
+    found = _find_structure(g2.as_graph(), rng, m2, lambda i: i >= intra_target, cross_seed)
+    if found is None:
+        return UNKNOWN
+    g1_graph = g1.as_graph()
+    if not g1_graph.is_eulerian():
+        raise AssertionError("G1 is not even")
+    # 2m1 edge-disjoint spanning trees make G1 2m1-edge-connected
+    _carried_packing(g1_graph, trees[: 2 * m1])
+    return g1, g2, *found
 
 
-def split_tree_connected_complement(
-    G: MultiGraph,
-    m: int,
-    m0: int,
-    seed: int = 0,
+def _split_complement(
+    G: MultiGraph, m: int, m0: int, seed: int
 ) -> tuple[Factor, Factor, TreePacking, TreePacking] | Unknown:
     """Factor H with floor(d/2) - m0 <= d_H(v) <= ceil(d/2) + m everywhere,
-    returned as (H, G - E(H), m trees of H, m0 trees of G - E(H)).
+    returned as (H, G - E(H), m trees of H, m0 trees of G - E(H)), for a G
+    whose 2(m+m0)-edge-connectivity the caller has proved.
 
     Verified randomized search (external proof): m packed trees seed H,
     an interval factor over the leftover edges balances the degrees, so
     the other m0 trees stay in the complement; postconditions re-checked
     exactly, UNKNOWN after _BUDGET trials.
     """
-    if m < 0 or m0 < 0 or m + m0 == 0:
-        raise InputError("need m, m0 >= 0 and m + m0 > 0")
-    need = 2 * (m + m0)
-    lam = edge_connectivity(G)
-    if lam < need:
-        raise HypothesisError(
-            "2(m+m0)-edge-connected",
-            f"edge connectivity {lam} is below {need}",
-        )
-    return _split_complement(G, m, m0, seed)
-
-
-def _split_complement(
-    G: MultiGraph, m: int, m0: int, seed: int
-) -> tuple[Factor, Factor, TreePacking, TreePacking] | Unknown:
-    """split_tree_connected_complement past its gate, for a G whose
-    2(m+m0)-edge-connectivity the caller has proved."""
     lo = {v: G.degree(v) // 2 - m0 for v in G.vertices}
     hi = {v: (G.degree(v) + 1) // 2 + m for v in G.vertices}
 

@@ -11,7 +11,7 @@ Degree conventions used everywhere in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import GraphParseError, InputError
 

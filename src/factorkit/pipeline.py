@@ -17,10 +17,10 @@ An entry ends in one of these ways:
   verified hypotheses rule out.  That means a bug or a counterexample and
   raises TheoremViolationError.  Under assume_hypotheses the gates let
   failed hypotheses pass, so a failed stage returns None instead;
-* UNKNOWN, only from the three searches that give up at a budget: the
-  selector sampling of find_two_point_factor past 20 vertices with a gap
-  f - g of 3 or more (so never at k <= 2), the keep-bi search and the
-  split lemma.
+* UNKNOWN, only from three searches that can find nothing: the selector
+  sampling of find_two_point_factor past 20 vertices with a gap f - g of
+  3 or more (so never at k <= 2), after its budget; keep-bi's one
+  structure search on G2; and the split lemma, after its budget.
 
 Stages raise and each entry translates once: _stage turns a nested
 refusal or None into _StageFailed and UNKNOWN into _GaveUp, and the
@@ -947,10 +947,11 @@ def tree_connected_gf(
     k, m, m0 = params.k, params.m, params.m0
     validate_window(G, g, f)
     gate = _Gate(assume_hypotheses)
-    # the gate packs as trial 0 of the keep-bi search would, so the search
-    # takes this packing and answers as it would on its own
-    packer_seed = random.Random(child_seed(seed, 2)).randrange(1 << 30)
-    packing = _gate_tree_connected(gate, G, g, f, params, 6, packer_seed)
+    # the gate's packing is seeded by the first draw of the keep-bi rng,
+    # whose later draws go to keep-bi's structure search on G2
+    s2 = child_seed(seed, 2)
+    rng = random.Random(s2)
+    packing = _gate_tree_connected(gate, G, g, f, params, 6, rng.randrange(1 << 30))
     gate.require(
         _bi_at_least(G, k - 1, seed=seed),
         "bi(G) >= k-1",
@@ -978,8 +979,8 @@ def tree_connected_gf(
     # the largest gap f - g is k the stage answers as gf_factor_bi_large
     # would at seed child_seed(seed, 4)
     g1f, g2f, P, cross_packing = _stage(
-        "decomposition", _keep_bi, G, m + m0, 3 * k * k, k - 1, child_seed(seed, 2),
-        packing, child_seed(child_seed(seed, 4), 1),
+        "decomposition", _keep_bi, G, m + m0, 3 * k * k, k - 1, s2,
+        packing, rng, child_seed(child_seed(seed, 4), 1),
     )
     g1_graph = g1f.as_graph()
     g2_graph = g2f.as_graph()

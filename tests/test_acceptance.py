@@ -22,7 +22,7 @@ from factorkit.factors import (
     find_interval_factor,
 )
 from factorkit.generators import GenSpec, balanced_bipartition_of, gen_tree_connected
-from factorkit.graph import Bipartition, Factor, MultiGraph, induced_bipartite_factor
+from factorkit.graph import Factor, MultiGraph, induced_bipartite_factor
 from factorkit.connectivity import is_tree_connected
 from factorkit.harness import verify_theorem
 from factorkit.orientations import interval_orientation

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from factorkit.connectivity import (
+    bipartite_index,
     edge_connectivity,
     is_tree_connected,
     spanning_tree_packing,
@@ -16,12 +17,13 @@ from factorkit.decompositions import (
     _carried_packing,
     _eulerian_split,
     _even_closure,
+    _keep_bi,
+    _split_complement,
     decompose_eulerian,
-    decompose_keep_bi,
     parity_forest,
-    split_tree_connected_complement,
 )
-from factorkit.errors import HypothesisError, InputError, is_unknown
+from factorkit.errors import HypothesisError, is_unknown
+from factorkit.generators import GenSpec, gen_tree_connected
 from factorkit.graph import Bipartition, Factor, MultiGraph, induced_bipartite_factor
 
 
@@ -31,6 +33,11 @@ def random_tree(rng, n):
     for v in verts[1:]:
         edges.append((v, rng.choice(verts[: v - 1])))
     return MultiGraph(verts, edges)
+
+
+def _doubled(G: MultiGraph) -> MultiGraph:
+    pairs = [(u, v) for _, u, v in G.edges]
+    return MultiGraph(list(G.vertices), pairs + pairs)
 
 
 def test_parity_forest_realizes_targets():
@@ -156,55 +163,47 @@ def test_eulerian_split_refuses_a_packing_short_of_its_trees():
     assert exc.value.hypothesis == "(m1+m2+1)-tree-connected cross factor"
 
 
-def test_decompose_keep_bi_keeps_intra_edges():
-    rng = random.Random(71)
-    done = 0
-    while done < 20:
-        c = rng.randint(3, 4)
-        edges = [(1, 2)]
-        for u in (1, 2):
-            for v in (3, 4, 5):
-                edges += [(u, v)] * c
-        G = MultiGraph([1, 2, 3, 4, 5], edges)
-        res = decompose_keep_bi(G, 1, 1, 1, seed=done)
-        if is_unknown(res):
-            done += 1
-            continue
-        g1, g2, P = res
-        done += 1
+def test_keep_bi_keeps_intra_edges():
+    # the shape tree_connected_gf passes at k = 2, m = 1: m1 = m + m0,
+    # m2 = 3k^2, k0 = k - 1, on the 26 trees of G its gate packed with the
+    # first draw of the rng whose later draws the structure search takes
+    m1, m2, k0 = 1, 12, 1
+    for seed in range(20):
+        n = 5 + seed % 4
+        G = _doubled(gen_tree_connected(GenSpec(n=n, trees=13, extra_edges=seed, seed=seed)))
+        rng = random.Random(seed)
+        packing = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=rng.randrange(1 << 30))
+        res = _keep_bi(G, m1, m2, k0, seed, packing, rng, seed + 1)
+        assert not is_unknown(res), seed
+        g1, g2, P, cross_packing = res
+        assert g1.edge_ids | g2.edge_ids == frozenset(G.edge_ids)
+        assert g1.edge_ids & g2.edge_ids == frozenset()
         H1, H2 = g1.as_graph(), g2.as_graph()
         assert H1.is_eulerian()
-        assert edge_connectivity(H1) >= 2
-        cross = induced_bipartite_factor(H2, P)
-        assert is_tree_connected(cross.as_graph(), 1)
+        assert edge_connectivity(H1) >= 2 * m1
+        cross = induced_bipartite_factor(H2, P).as_graph()
+        assert cross_packing.m == m2 and cross_packing.verify()
+        assert set(cross_packing.host.edges) == set(cross.edges)
         intra = sum(
             1 for _, u, v in H2.edges if u == v or (u in P.X) == (v in P.X)
         )
-        assert intra >= 1
+        assert intra >= min(k0, bipartite_index(G)[0])
 
 
-def test_decompose_keep_bi_refuses_hosts_without_the_trees():
-    # K_{2,3} has 6 edges, too few for the 2m1+2m2 = 4 spanning trees
+def test_keep_bi_refuses_a_handed_in_refusal():
+    # K_{2,3} has 6 edges, too few for the 2m1+2m2 = 8 spanning trees of
+    # the k = 1, m = 1 shape; keep-bi raises the refusal its gate let pass
     G = MultiGraph([1, 2, 3, 4, 5], [(u, v) for u in (1, 2) for v in (3, 4, 5)])
+    refusal = spanning_tree_packing(G, 8, seed=3)
+    assert isinstance(refusal, PackingRefusal)
     with pytest.raises(HypothesisError) as exc:
-        decompose_keep_bi(G, 1, 1, 0, seed=3)
+        _keep_bi(G, 1, 3, 0, 3, refusal, random.Random(3), 4)
     assert exc.value.hypothesis == "(2m1+2m2)-tree-connected"
-    assert isinstance(exc.value.certificate, PackingRefusal)
+    assert exc.value.certificate is refusal
     assert exc.value.certificate.verify()
 
 
-def test_decompose_keep_bi_needs_m2_for_the_parity_donor():
-    # G1 is 2m1 trees plus the parity forest of one more tree, which only
-    # the 2m2 trees of G2 can give; without one every trial used to fail
-    # and the search ended in UNKNOWN
-    G = MultiGraph(range(1, 6), list(itertools.combinations(range(1, 6), 2)) * 3)
-    with pytest.raises(InputError):
-        decompose_keep_bi(G, 1, 0, 0, seed=1)
-    g1, g2, P = decompose_keep_bi(G, 1, 1, 0, seed=1)
-    assert g1.as_graph().is_eulerian()
-
-
-def test_split_tree_connected_complement_window():
+def test_split_complement_window():
     rng = random.Random(73)
     done = 0
     while done < 25:
@@ -217,13 +216,11 @@ def test_split_tree_connected_complement_window():
         pairs = base_edges + base_edges
         G = MultiGraph(verts, pairs)
         m, m0 = 1, 0
-        try:
-            res = split_tree_connected_complement(G, m, m0, seed=done)
-        except HypothesisError:
+        # the split's hypothesis, which its callers prove
+        if edge_connectivity(G) < 2 * (m + m0):
             continue
-        if is_unknown(res):
-            done += 1
-            continue
+        res = _split_complement(G, m, m0, seed=done)
+        assert not is_unknown(res), done
         h, rest, pack_h, pack_c = res
         done += 1
         assert h.edge_ids | rest.edge_ids == frozenset(G.edge_ids)

@@ -1,0 +1,35 @@
+"""Every name a module of the package imports is used in that module."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import factorkit
+
+PACKAGE = Path(factorkit.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports to re-export, so it is left out
+    found = {
+        path.name: unused
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}
+

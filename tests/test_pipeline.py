@@ -425,10 +425,10 @@ def _spy_packer(monkeypatch) -> list[frozenset[int]]:
 def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
     # postconditions check the trees the construction holds: the packer
     # runs on G once, at the gate, whose trees tree_connected_gf hands to
-    # its keep-bi search as trial 0.  It never runs on G2, on the factor or
-    # on its complement.  G2[X, Y] (G2 itself when G is bipartite) is
-    # packed only by tree_connected_gf's keep-bi search, whose trees its
-    # bi-large stage takes, and that stage's Eulerian part is never packed
+    # its keep-bi split.  It never runs on G2, on the factor or on its
+    # complement.  G2[X, Y] (G2 itself when G is bipartite) is packed only
+    # by keep-bi's structure search, whose trees the bi-large stage of
+    # tree_connected_gf takes, and that stage's Eulerian part is never packed
     hosts = _spy_packer(monkeypatch)
     params = TheoremParams(k=1, m=1, m0=0)
     for G, run, cross_packings in (
@@ -452,6 +452,32 @@ def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
         assert hosts.count(cross2) == cross_packings
         for part in (g2, cert.factor.edge_ids, edges - cert.factor.edge_ids, *inner):
             assert part not in hosts
+
+
+def test_keep_bi_that_finds_no_bipartition_is_unknown_at_once(monkeypatch):
+    # keep-bi is one construction on the gate's trees: when its structure
+    # search on G2 finds nothing, tree_connected_gf answers UNKNOWN after
+    # that one search, and G is packed only at the gate
+    hosts = _spy_packer(monkeypatch)
+    searches = []
+
+    def find_nothing(*args, **kwargs):
+        searches.append(args)
+        return None
+
+    monkeypatch.setattr(decompositions, "_find_structure", find_nothing)
+    G = _k5_times_4()
+    d = G.degrees()
+    g = {v: d[v] // 2 for v in G.vertices}
+    f = {v: d[v] // 2 + 1 for v in G.vertices}
+    for assume in (False, True):
+        hosts.clear()
+        searches.clear()
+        res = tree_connected_gf(
+            G, g, f, params=TheoremParams(k=1, m=1), assume_hypotheses=assume, seed=3)
+        assert is_unknown(res)
+        assert len(searches) == 1
+        assert hosts.count(frozenset(G.edge_ids)) == 1
 
 
 def test_eulerian_stages_take_the_split_they_are_cut_from(monkeypatch):
@@ -507,15 +533,15 @@ def test_structure_gate_trees_build_the_eulerian_split(monkeypatch):
 def test_tree_connected_pipelines_trust_the_proved_g1_connectivity(monkeypatch):
     # G1's 2(m+m0)-edge-connectivity is proved once: by the bipartite
     # pipeline's own postcondition, and in tree_connected_gf by the trees
-    # its keep-bi search carries; the split does not run Stoer-Wagner again
+    # its keep-bi split carries; the split does not run Stoer-Wagner again
+    # (decompositions does not import it)
     hosts = []
 
     def spy(G):
         hosts.append(frozenset(G.edge_ids))
         return edge_connectivity(G)
 
-    for module in (pipeline, decompositions):
-        monkeypatch.setattr(module, "edge_connectivity", spy)
+    monkeypatch.setattr(pipeline, "edge_connectivity", spy)
     params = TheoremParams(k=1, m=1, m0=0)
     for G, run, g1_calls in (
         (k23(8), lambda G, g, f: tree_connected_gf_bipartite(
