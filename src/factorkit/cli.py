@@ -29,8 +29,8 @@ from .generators import GenSpec, gen_functions, gen_tree_connected
 from .graph import parse_graph, serialize_graph
 from .orientations import eulerian_orientation, two_point_orientation
 from .pipeline import TheoremParams, _gap_bound
-from .harness import FACTOR_THEOREMS, NO_SELECTOR, THEOREM_IDS, THEOREMS, UNKNOWN_DETAIL
-from .harness import read_answer, verify_theorem
+from .harness import FACTOR_THEOREMS, THEOREM_IDS, THEOREMS, UNKNOWN_DETAIL
+from .harness import _read_run, verify_theorem
 
 
 def _load_graph(path: str, need_functions: bool = False):
@@ -69,14 +69,7 @@ def _cmd_gen(args) -> int:
 
 
 def _factor_result_payload(res, G, g, f, assume: bool) -> tuple[dict, int]:
-    if res is NO_SELECTOR:
-        return {"outcome": "none", "detail": "no admissible selector"}, 0
-    if res is None:
-        # ungated, only the bipartite pipelines answer None: no balanced h
-        detail = ("a stage found nothing under the assumed hypotheses"
-                  if assume else "no balanced selector")
-        return {"outcome": "none", "detail": detail}, 0
-    outcome, _, detail = read_answer(res, G, g, f)
+    outcome, _, detail = _read_run(res, G, g, f, assume)
     if outcome != "success":
         return {"outcome": outcome, "detail": detail}, int(outcome == "hard-error")
     edges = sorted(res.factor.edge_ids)

@@ -843,10 +843,6 @@ class Toughness:
     value: Fraction | None
     witness: frozenset[int] | None
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
 
 def toughness(G: MultiGraph) -> Toughness:
     """Exact toughness: min |S| / comps over the vertex sets S whose removal

@@ -256,11 +256,6 @@ class Bipartition:
         if self.X & self.Y:
             raise InputError("bipartition sides overlap")
 
-    @staticmethod
-    def of(G: MultiGraph, X: Iterable[int]) -> "Bipartition":
-        Xs = G._check_vertices(X)
-        return Bipartition(Xs, G.vertex_set - Xs)
-
     def validate_for(self, G: MultiGraph) -> None:
         if self.X | self.Y != G.vertex_set:
             raise InputError("bipartition does not cover the vertex set")

@@ -2,6 +2,13 @@
 re-verify every certificate, and cross-check against the exhaustive
 oracle whenever the instance is small enough.
 
+Each factor theorem has one call path, its runner in THEOREMS: a
+campaign trial draws a host and calls the runner that `factorkit factor`
+calls, gated, and reads the answer as the CLI does (`_read_run`).  The
+campaign adds only its own checks: the oracle cross-check of every
+`none`, and bipartite-gf's pinned degree and a None returned while a
+balanced selector exists.
+
 A campaign's report is deterministic in (theorem, trials, params,
 master_seed): per-trial randomness comes from counter-split child seeds,
 and the canonical JSON excludes wall-clock time (the human rendering
@@ -14,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .connectivity import bipartite_index
+from .connectivity import bipartite_index_upper
 from .errors import (
     HypothesisError,
     InputError,
@@ -29,7 +36,7 @@ from .factors import (
     find_interval_factor,
 )
 from .generators import GenSpec, balanced_bipartition_of, gen_functions, gen_tree_connected
-from .graph import Bipartition, Factor, MultiGraph
+from .graph import Bipartition, Factor, MultiGraph, partition_stats
 from .orientations import (
     Orientation,
     factor_from_orientation,
@@ -39,6 +46,7 @@ from .pipeline import (
     FactorCertificate,
     NoFactorCertificate,
     TheoremParams,
+    _selector_within,
     balanced_selector,
     eulerian_half_factor,
     gf_factor_almost_bipartite,
@@ -173,6 +181,9 @@ def _with_intra_edge(G: MultiGraph, P: Bipartition, rng: random.Random) -> Multi
 
 Outcome = tuple[str, str, str]
 
+# the factor-theorem trials' regime; only tough-check reads params
+_TRIAL_PARAMS = TheoremParams(k=1, m=1, m0=0)
+
 
 def _trial_tutte(index: int, seed: int, params: TheoremParams) -> Outcome:
     rng = random.Random(seed)
@@ -270,7 +281,7 @@ def _trial_eulerian_half(index: int, seed: int, params: TheoremParams) -> Outcom
     if cert is None:
         return "hard-error", "", "construction returned none under verified hypotheses"
     half = {v: G.degree(v) // 2 + i[v] for v in G.vertices}
-    return _read_trial_answer(cert, G, half, half)
+    return _oracle_checked(read_answer(cert, G, half, half), G, half, half)
 
 
 def _trial_bipartite_gf(index: int, seed: int, params: TheoremParams) -> Outcome:
@@ -279,19 +290,14 @@ def _trial_bipartite_gf(index: int, seed: int, params: TheoremParams) -> Outcome
         GenSpec(n=rng.randint(4, 8), trees=4, extra_edges=rng.randint(0, 3),
                 bipartite=True, seed=seed)
     )
-    P = balanced_bipartition_of(G)
     g, f = gen_functions(G, k=1, seed=seed)
+    res, outcome = _run_trial("bipartite-gf", seed, G, g, f)
+    # the runner selects on the balanced bipartition and pins d_F(min X)
+    P = balanced_bipartition_of(G)
     h = balanced_selector(G, P, g, f)
-    if h is None:
-        if _oracle_finds_factor(G, g, f):
-            return "hard-error", "", "no balanced selector, yet an oracle factor exists"
-        return "none", "", "no balanced selector"
-    z = min(P.X)
-    cert = gf_factor_bipartite(G, P, g, f, h=h, z=z, seed=seed)
-    if cert is None:
+    if res is None and h is not None:
         return "hard-error", "", "selector succeeded but no factor was produced"
-    outcome = _read_trial_answer(cert, G, g, f)
-    if outcome[0] == "success" and cert.factor.degree(z) != h[z]:
+    if outcome[0] == "success" and res.factor.degree(min(P.X)) != h[min(P.X)]:
         return "hard-error", "", "pinned degree law fails at z"
     return outcome
 
@@ -304,19 +310,11 @@ def _trial_almost_bipartite(index: int, seed: int, params: TheoremParams) -> Out
         for v in (3, 4, 5):
             edges += [(u, v)] * c
     G = MultiGraph([1, 2, 3, 4, 5], edges)
-    P = Bipartition(frozenset({1, 2}), frozenset({3, 4, 5}))
     g, f = gen_functions(G, k=2, seed=seed)
     v0 = 3  # force a gap-2 vertex so the derived k really is 2
     d0 = G.degree(v0)
     g[v0], f[v0] = d0 // 2 - 1, d0 // 2 + 1
-
-    choices = _almost_selector(P, 3, g, f)  # 2 e(X) + 1 with e(X) = 1
-    if choices is None:
-        return "none", "", "no admissible selector"
-    cert = gf_factor_almost_bipartite(G, g, f, choices, P=P, seed=seed)
-    if cert is None:
-        return "hard-error", "", "selector admissible but no factor was produced"
-    return _read_trial_answer(cert, G, g, f)
+    return _run_trial("almost-bipartite", seed, G, g, f)[1]
 
 
 def _trial_bi_large(index: int, seed: int, params: TheoremParams) -> Outcome:
@@ -329,8 +327,7 @@ def _trial_bi_large(index: int, seed: int, params: TheoremParams) -> Outcome:
     if rng.random() < 0.5 and min(len(P.X), len(P.Y)) >= 2:
         G = _with_intra_edge(G, P, rng)
     g, f = gen_functions(G, k=1, seed=seed)
-    res = gf_factor_bi_large(G, g, f, P=P, seed=seed)
-    return _read_trial_answer(res, G, g, f)
+    return _run_trial("bi-large", seed, G, g, f)[1]
 
 
 def _trial_tree_gf_bipartite(index: int, seed: int, params: TheoremParams) -> Outcome:
@@ -340,13 +337,8 @@ def _trial_tree_gf_bipartite(index: int, seed: int, params: TheoremParams) -> Ou
                 bipartite=True, seed=seed)
     )
     G = _doubled(base)  # 6-tree-connected, all degrees even
-    P = balanced_bipartition_of(G)
-    params = TheoremParams(k=1, m=1, m0=0)
     g, f = gen_functions(G, k=1, m=1, m0=0, seed=seed)
-    res = tree_connected_gf_bipartite(G, P, g, f, params=params, seed=seed)
-    if res is None:
-        return "none", "", "no balanced selector"
-    return _read_trial_answer(res, G, g, f)
+    return _run_trial("tree-gf-bipartite", seed, G, g, f)[1]
 
 
 def _trial_tree_gf(index: int, seed: int, params: TheoremParams) -> Outcome:
@@ -355,10 +347,8 @@ def _trial_tree_gf(index: int, seed: int, params: TheoremParams) -> Outcome:
         GenSpec(n=rng.randint(4, 7), trees=4, extra_edges=rng.randint(0, 2), seed=seed)
     )
     G = _doubled(base)  # 8-tree-connected, all degrees even
-    params = TheoremParams(k=1, m=1, m0=0)
     g, f = gen_functions(G, k=1, m=1, m0=0, seed=seed)
-    res = tree_connected_gf(G, g, f, params=params, seed=seed)
-    return _read_trial_answer(res, G, g, f)
+    return _run_trial("tree-gf", seed, G, g, f)[1]
 
 
 def _trial_tough_check(index: int, seed: int, params: TheoremParams) -> Outcome:
@@ -403,6 +393,20 @@ def read_answer(res, G: MultiGraph, g: dict[int, int], f: dict[int, int]) -> Out
     return "success", "", ""
 
 
+def _read_run(
+    res, G: MultiGraph, g: dict[int, int], f: dict[int, int], assume: bool
+) -> Outcome:
+    """read_answer after a runner's own nones: NO_SELECTOR, and None (gated,
+    only a bipartite pipeline answers it: no balanced h)."""
+    if res is NO_SELECTOR:
+        return "none", "", "no admissible selector"
+    if res is None:
+        detail = ("a stage found nothing under the assumed hypotheses"
+                  if assume else "no balanced selector")
+        return "none", "", detail
+    return read_answer(res, G, g, f)
+
+
 def _oracle_finds_factor(G: MultiGraph, g: dict[int, int], f: dict[int, int]) -> bool:
     """A {g, f}-factor by brute force, on hosts within ORACLE_EDGE_CAP."""
     return G.num_edges <= ORACLE_EDGE_CAP and factor_exists(
@@ -410,17 +414,23 @@ def _oracle_finds_factor(G: MultiGraph, g: dict[int, int], f: dict[int, int]) ->
     )
 
 
-def _read_trial_answer(
-    res, G: MultiGraph, g: dict[int, int], f: dict[int, int]
+def _oracle_checked(
+    outcome: Outcome, G: MultiGraph, g: dict[int, int], f: dict[int, int]
 ) -> Outcome:
-    """read_answer, with a certified `none` cross-checked by the oracle."""
-    outcome = read_answer(res, G, g, f)
+    """outcome, with a `none` cross-checked by the oracle."""
     if outcome[0] == "none" and _oracle_finds_factor(G, g, f):
-        return "hard-error", "", "nonexistence certified, yet an oracle factor exists"
+        return "hard-error", "", outcome[2] + ", yet an oracle factor exists"
     return outcome
 
 
-# -- pipeline runners for `factorkit factor` ------------------------------
+def _run_trial(tid: str, seed: int, G: MultiGraph, g: dict[int, int], f: dict[int, int]):
+    """(answer, outcome) of tid's runner, gated, on a trial host, read as
+    `factorkit factor` reads it and with a `none` checked by the oracle."""
+    res = THEOREMS[tid][1](G, g, f, _TRIAL_PARAMS, False, seed)
+    return res, _oracle_checked(_read_run(res, G, g, f, False), G, g, f)
+
+
+# -- pipeline runners, for `factorkit factor` and the campaign -------------
 # each runner takes (G, g, f, params, assume_hypotheses, seed) and answers
 # what its pipeline answers, or NO_SELECTOR
 
@@ -435,26 +445,14 @@ def _run_bipartite_gf(G, g, f, params, assume, seed):
 
 
 def _run_almost_bipartite(G, g, f, params, assume, seed):
-    # small hosts only: the selector walks 2^n masks, so the exact index
-    # refuses above 16 vertices
-    ex_ey, P = bipartite_index(G, cap=16)
-    h = _almost_selector(P, 2 * ex_ey + 1, g, f)
-    if h is None:
-        return NO_SELECTOR
-    return gf_factor_almost_bipartite(G, g, f, h, assume_hypotheses=assume, seed=seed)
-
-
-def _almost_selector(P: Bipartition, window: int, g, f):
-    """First h in {g, f}^V, by mask over X then Y in sorted order, with an
-    even sum and 0 <= h(X) - h(Y) <= window; None when there is none."""
-    xs, ys = sorted(P.X), sorted(P.Y)
-    verts = xs + ys
-    for mask in range(1 << len(verts)):
-        h = {v: (f[v] if mask >> j & 1 else g[v]) for j, v in enumerate(verts)}
-        s = sum(h[v] for v in xs) - sum(h[v] for v in ys)
-        if sum(h.values()) % 2 == 0 and 0 <= s <= window:
-            return h
-    return None
+    # the entry's structure search tries this witness first, as given and
+    # then swapped: h is admissible for the first orientation that has one
+    _, P = bipartite_index_upper(G)
+    for Q in (P, P.swapped()):
+        h = _selector_within(G, Q, g, f, 2 * partition_stats(G, Q.X)[1] + 1)
+        if h is not None:
+            return gf_factor_almost_bipartite(G, g, f, h, assume_hypotheses=assume, seed=seed)
+    return NO_SELECTOR
 
 
 def _run_bi_large(G, g, f, params, assume, seed):
@@ -472,7 +470,7 @@ def _run_tree_gf(G, g, f, params, assume, seed):
     return tree_connected_gf(G, g, f, params=params, assume_hypotheses=assume, seed=seed)
 
 
-# theorem id -> (campaign trial, runner for `factorkit factor` or None)
+# theorem id -> (campaign trial, runner or None)
 THEOREMS = {
     "tutte-equiv": (_trial_tutte, None),
     "lovasz-equiv": (_trial_lovasz, None),

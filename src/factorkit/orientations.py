@@ -52,11 +52,6 @@ class Orientation:
             out[tail] += 1
         return out
 
-    def reversed(self) -> "Orientation":
-        return Orientation(
-            self.host, {eid: (h, t) for eid, (t, h) in self.directions.items()}
-        )
-
 
 def _incidence_graph(G: MultiGraph) -> tuple[MultiGraph, range]:
     """G's edge-vertex incidence graph and its edge nodes: non-loop edge j

@@ -431,10 +431,19 @@ def _build_half_factor(
 def balanced_selector(
     G: MultiGraph, P: Bipartition, g: VertexMap, f: VertexMap
 ) -> dict[int, int] | None:
-    """h with h(v) in {g(v), f(v)} and equal part sums, or None.
+    """h with h(v) in {g(v), f(v)} and equal part sums, or None."""
+    return _selector_within(G, P, g, f, 0)
 
-    Decided exactly: switching v from g to f moves the signed imbalance
-    by +gap on X and -gap on Y, a subset-sum over the gaps.
+
+def _selector_within(
+    G: MultiGraph, P: Bipartition, g: VertexMap, f: VertexMap, top: int
+) -> dict[int, int] | None:
+    """h with h(v) in {g(v), f(v)} whose signed imbalance
+    s = sum_X h - sum_Y h is even with 0 <= s <= top, or None.
+
+    Decided exactly: switching v from g to f moves s by +gap on X and -gap
+    on Y, a subset-sum over the gaps.  The smallest such s wins.  An even s
+    is an even sum of h.
     """
     P.validate_for(G)
     validate_window(G, g, f)
@@ -452,8 +461,10 @@ def balanced_selector(
             if s2 not in reach and s2 not in additions:
                 additions[s2] = (pos, s)
         reach.update(additions)
-    want = -imbalance
-    if want not in reach:
+    want = next(
+        (s - imbalance for s in range(0, top + 1, 2) if s - imbalance in reach), None
+    )
+    if want is None:
         return None
     h = {v: g[v] for v in G.vertices}
     cur = want
@@ -462,8 +473,8 @@ def balanced_selector(
         v = movers[pos][0]
         h[v] = f[v]
         cur = prev
-    if sum(sign[v] * h[v] for v in G.vertices) != 0:
-        raise AssertionError("selector reconstruction lost its balance")
+    if sum(sign[v] * h[v] for v in G.vertices) != imbalance + want:
+        raise AssertionError("selector reconstruction lost its imbalance")
     return h
 
 

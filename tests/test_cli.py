@@ -206,9 +206,11 @@ def test_decompose_nonbipartite_above_cap_uses_local_search(tmp_path, capsys, n)
     assert payload["hypothesis"] == "(m1+m2+1)-tree-connected cross factor"
 
 
-def test_almost_bipartite_above_its_cap_is_a_refusal(tmp_path, capsys):
+def test_almost_bipartite_answers_past_the_exact_index_cap(tmp_path, capsys):
+    # the selector is a subset sum over the gaps, exact at any size
     code, out, _ = run(
-        capsys, "gen", "--n", "20", "--trees", "8", "--k", "1", "--seed", "1",
+        capsys, "gen", "--n", "24", "--trees", "6", "--bipartite", "--k", "1",
+        "--seed", "3",
     )
     path = tmp_path / "g.txt"
     path.write_text(out)
@@ -216,12 +218,8 @@ def test_almost_bipartite_above_its_cap_is_a_refusal(tmp_path, capsys):
         capsys, "factor", "--theorem", "almost-bipartite", "--graph", str(path),
         "--format", "json",
     )
-    assert code == 0
-    assert err == ""
-    payload = json.loads(out)
-    assert payload["outcome"] == "refusal"
-    assert payload["hypothesis"] == "bipartite index exact cap"
-    assert payload["detail"] == "bipartite index exact cap: 20 vertices exceeds cap 16"
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"] == "factor"
 
 
 def test_a_none_names_what_found_nothing(tmp_path, capsys):

@@ -6,9 +6,16 @@ import json
 
 import pytest
 
+from factorkit import harness
 from factorkit.errors import UNKNOWN, InputError
 from factorkit.graph import Factor, MultiGraph
-from factorkit.harness import THEOREM_IDS, UNKNOWN_DETAIL, read_answer, verify_theorem
+from factorkit.harness import (
+    FACTOR_THEOREMS,
+    THEOREM_IDS,
+    UNKNOWN_DETAIL,
+    read_answer,
+    verify_theorem,
+)
 from factorkit.pipeline import FactorCertificate, NoFactorCertificate, TheoremParams
 
 
@@ -126,3 +133,20 @@ def test_read_answer_checks_what_it_reads():
         assert read_answer(forged, G, g, f)[0] == "hard-error", forged
     # the same factor under windows that admit it is a success
     assert read_answer(empty, G, {1: 0, 2: 0}, {1: 1, 2: 0}) == ("success", "", "")
+
+
+def test_factor_trials_run_the_cli_runners(monkeypatch):
+    # a factor theorem has one call path: each campaign trial calls the
+    # runner that `factorkit factor` calls, gated, in the trials' regime
+    for tid in FACTOR_THEOREMS:
+        trial, run = harness.THEOREMS[tid]
+        calls = []
+
+        def recorder(*args, run=run, calls=calls):
+            calls.append(args[3:5])
+            return run(*args)
+
+        monkeypatch.setitem(harness.THEOREMS, tid, (trial, recorder))
+        report = verify_theorem(tid, 3, master_seed=11)
+        assert report.hard_errors == 0, report.render()
+        assert calls == [(TheoremParams(k=1, m=1, m0=0), False)] * 3, tid

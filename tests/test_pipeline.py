@@ -184,6 +184,65 @@ def test_balanced_selector_none_when_unbalanceable():
     assert balanced_selector(G, P23, g, f) is None
 
 
+def _selector_walk(P, top, g, f):
+    """Reference for pipeline._selector_within: every h in {g, f}^V by mask
+    over X then Y in sorted order, the first with an even sum and
+    0 <= h(X) - h(Y) <= top; None when there is none."""
+    xs, ys = sorted(P.X), sorted(P.Y)
+    verts = xs + ys
+    for mask in range(1 << len(verts)):
+        h = {v: (f[v] if mask >> j & 1 else g[v]) for j, v in enumerate(verts)}
+        s = sum(h[v] for v in xs) - sum(h[v] for v in ys)
+        if sum(h.values()) % 2 == 0 and 0 <= s <= top:
+            return h
+    return None
+
+
+def test_selector_within_matches_the_mask_walk():
+    rng = random.Random(27)
+    found = missed = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        verts = list(range(1, n + 1))
+        G = MultiGraph(verts, [tuple(rng.sample(verts, 2)) for _ in range(n - 1) if n > 1])
+        g = {v: rng.randint(0, 6) for v in verts}
+        f = {v: g[v] + rng.choice((0, 0, 1, 2, 3, 5)) for v in verts}
+        X = frozenset(v for v in verts if rng.random() < 0.5)
+        P = Bipartition(X, frozenset(verts) - X)
+        top = rng.randint(0, 7)
+        h = pipeline._selector_within(G, P, g, f, top)
+        assert (h is None) == (_selector_walk(P, top, g, f) is None)
+        if h is None:
+            missed += 1
+            continue
+        found += 1
+        assert all(h[v] in (g[v], f[v]) for v in verts)
+        s = sum(h[v] for v in P.X) - sum(h[v] for v in P.Y)
+        assert sum(h.values()) % 2 == 0 and 0 <= s <= top
+    assert found > 200 and missed > 100
+
+
+def test_almost_bipartite_runner_selects_in_the_window_it_hands_over():
+    # K_{2,3} plus the intra edge (3, 4): the witness ({1, 2}, {3, 4, 5})
+    # admits s = h(X) - h(Y) = 0 only (e(X) = 0), its swap s in {0, -2}; an
+    # h with s = 2 fits no orientation, so the entry's search refuses it
+    run = harness.THEOREMS["almost-bipartite"][1]
+    factors = 0
+    for seed in range(60):
+        G = k23(14 + seed % 3, intra=[(3, 4)])
+        g, f = gen_functions(G, k=2, seed=seed)
+        g[1], f[1] = G.degree(1) // 2 - 1, G.degree(1) // 2 + 1
+        res = run(G, g, f, TheoremParams(k=2), False, seed)
+        walks = [_selector_walk(Q, top, g, f) for Q, top in ((P23, 1), (P23.swapped(), 3))]
+        if res is harness.NO_SELECTOR:
+            assert walks == [None, None], seed
+            continue
+        assert isinstance(res, FactorCertificate) and res.verify(), seed
+        assert all(res.factor.degree(v) in (g[v], f[v]) for v in G.vertices)
+        factors += 1
+    assert factors == 49
+
+
 def test_gf_factor_bipartite_pins_z():
     G = k23(4)
     d = G.degrees()
