@@ -233,7 +233,9 @@ def _split_complement(
     Verified randomized search (external proof): m packed trees seed H,
     an interval factor over the leftover edges balances the degrees, so
     the other m0 trees stay in the complement; postconditions re-checked
-    exactly, UNKNOWN after _BUDGET trials.
+    exactly, UNKNOWN after _BUDGET trials.  The proved connectivity gives
+    the m + m0 trees (Nash-Williams-Tutte), so a packer refusal is a
+    broken invariant and raises AssertionError.
     """
     lo = {v: G.degree(v) // 2 - m0 for v in G.vertices}
     hi = {v: (G.degree(v) + 1) // 2 + m for v in G.vertices}
@@ -242,7 +244,9 @@ def _split_complement(
     for trial in range(_BUDGET):
         packing = spanning_tree_packing(G, m + m0, seed=rng.randrange(1 << 30))
         if isinstance(packing, PackingRefusal):
-            continue
+            raise AssertionError(
+                f"a 2(m+m0)-edge-connected G refused m + m0 = {m + m0} spanning trees"
+            )
         h_core = frozenset().union(*(t.edge_ids for t in packing.trees[:m]))
         used = h_core.union(*(t.edge_ids for t in packing.trees[m:]))
         have = Factor(G, h_core).degrees()

@@ -522,8 +522,9 @@ def find_two_point_factor(
     left, one matching otherwise.  So with no gap of 3 or more (k <= 2)
     one call decides.  The search is complete while at most 20 vertices
     have a gap of 3 or more; beyond that a seeded sample of selectors is
-    tried and exhaustion reports UNKNOWN rather than none.  Windows that miss two or more consecutive values
-    are the NP-complete case of general factors (Cornuéjols 1988).
+    tried and exhaustion reports UNKNOWN rather than none.  Windows that
+    miss two or more consecutive values are the NP-complete case of
+    general factors (Cornuéjols 1988).
     """
     validate_window(G, g, f)
     lo = {v: g[v] for v in G.vertices}

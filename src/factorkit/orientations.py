@@ -8,9 +8,9 @@ factors of the edge-vertex incidence graph, where each edge keeps the end
 that is its tail: Euler circuits colour the half-degree one, and
 find_two_point_factor decides the two-point one, in one exact call while
 no gap q - p exceeds 2: the incidence graph is bipartite, so that call is
-a feasible flow unless some gap is 2, a parity window for the matcher.  The theorem pipelines ask that finder on the
-host itself, since on a bipartite host the X-to-Y edges of an
-orientation are a factor.
+a feasible flow unless some gap is 2, a parity window for the matcher.
+The theorem pipelines ask that finder on the host itself, since on a
+bipartite host the X-to-Y edges of an orientation are a factor.
 """
 from __future__ import annotations
 

@@ -19,8 +19,10 @@ An entry ends in one of these ways:
   failed hypotheses pass, so a failed stage returns None instead;
 * UNKNOWN, only from three searches that can find nothing: the selector
   sampling of find_two_point_factor past 20 vertices with a gap f - g of
-  3 or more (so never at k <= 2), after its budget; keep-bi's one
-  structure search on G2; and the split lemma, after its budget.
+  3 or more (so never at k <= 2), after its budget; the one structure
+  search of tree_connected_gf, on G2 of its keep-bi split, or on G itself
+  for the bi-large stage at m = m0 = 0; and the split lemma, after its
+  budget.
 
 Stages raise and each entry translates once: _stage turns a nested
 refusal or None into _StageFailed and UNKNOWN into _GaveUp, and the
@@ -234,17 +236,6 @@ def _require_window(
     gate.require(not bad, name, f"violated at vertex {bad[0]}" if bad else "")
 
 
-def _require_eulerian(gate: _Gate, G: MultiGraph, t: int) -> None:
-    """Gate even degrees, and connectivity when the total shift t is 0."""
-    gate.require(G.is_eulerian(), "Eulerian", "some degree is odd")
-    if t == 0:
-        gate.require(
-            G.is_connected(),
-            "connected (needed when t = 0)",
-            "half-degree factors can fail componentwise",
-        )
-
-
 def _require_bipartite(gate: _Gate, G: MultiGraph, P: Bipartition) -> None:
     """Gate that every edge of G crosses the given bipartition P."""
     gate.require(
@@ -333,7 +324,13 @@ def eulerian_half_factor(
     validate_vertex_map(G, i, "i")
     gate = _Gate(assume_hypotheses)
     t = sum(abs(i[v]) for v in G.vertices)
-    _require_eulerian(gate, G, t)
+    gate.require(G.is_eulerian(), "Eulerian", "some degree is odd")
+    if t == 0:
+        gate.require(
+            G.is_connected(),
+            "connected (needed when t = 0)",
+            "half-degree factors can fail componentwise",
+        )
     gate.require(
         G.num_edges % 2 == t % 2,
         "|E| = t (mod 2)",
@@ -353,56 +350,16 @@ def eulerian_half_factor(
         "bi(G) >= t-1",
         f"bipartite index below {t - 1}",
     )
-    return _build_half_factor(
-        G, i, derivation=(("shift", {v: i[v] for v in G.vertices}),)
-    )
+    return _build_half_factor(G, i)
 
 
-@_entry
-def eulerian_half_factor_at(
-    G: MultiGraph,
-    z: int,
-    t: int,
-    assume_hypotheses: bool = False,
-    seed: int = 0,
-) -> FactorCertificate | None:
-    """Half-degree factor shifted by t at the single vertex z.
-
-    The displayed parity condition is read as t = |E(G)| (mod 2); the
-    hypothesis name records that reading.
-    """
-    G._check_vertex(z)
-    gate = _Gate(assume_hypotheses)
-    _require_eulerian(gate, G, t)
-    if t != 0:
-        gate.require_trees(
-            spanning_tree_packing(G, 2 * abs(t), seed=seed),
-            "2|t|-tree-connected",
-            f"no {2 * abs(t)} disjoint spanning trees",
-        )
-    gate.require(
-        t % 2 == G.num_edges % 2,
-        "t = |E| (mod 2), reading of the displayed parity condition",
-        f"t = {t}, |E| = {G.num_edges}",
-    )
-    gate.require(
-        _bi_at_least(G, abs(t) - 1, seed=seed),
-        "bi(G) >= |t|-1",
-        f"bipartite index below {abs(t) - 1}",
-    )
-    return _build_half_factor(G, {z: t}, derivation=(("shift-at", (z, t)),))
-
-
-def _build_half_factor(
-    G: MultiGraph,
-    i: VertexMap,
-    derivation: tuple[tuple[str, object], ...],
-) -> FactorCertificate:
+def _build_half_factor(G: MultiGraph, i: VertexMap) -> FactorCertificate:
     """The factor with d_F(v) = d(v)/2 + i(v), where i is 0 off its keys,
-    past the gates of the two entries above.  The Eulerian stages ask it
-    for t at z on the G2 of a split, which proves the gates of
-    eulerian_half_factor_at: G2 is even and carries the split's m2 >= 2|t|
-    trees, and its intra edges and cross trees pack |t| - 1 odd cycles.
+    past the gates of eulerian_half_factor.  The Eulerian stages ask it
+    for i = {z: t} on the G2 of a split, which proves that entry's gates
+    there: G2 is even, its m2 >= 2|t| trees make it (2|t|-1)-edge-connected
+    (connected at |t| = 1), and its intra edges and cross trees pack
+    |t| - 1 odd cycles.
 
     For t = sum |i| <= 1 on an even host, _euler_half_factor colours Euler
     circuits alternately in linear time.  That is exact, and a parity miss
@@ -422,7 +379,8 @@ def _build_half_factor(
         factor = _stage(what, _euler_half_factor, G, i)
     else:
         factor = _stage(what, find_f_factor, G, f)
-    return _certify(factor, f, f, None, derivation)
+    shift = {v: i.get(v, 0) for v in G.vertices}
+    return _certify(factor, f, f, None, (("shift", shift),))
 
 
 # -- balanced selectors ---------------------------------------------------
@@ -685,7 +643,7 @@ def gf_factor_almost_bipartite(
     f1[z] -= t
     h1[z] -= t
     sub = _pinned_bipartite(g1_graph, P, g1, f1, h1, z, child_seed(seed, 2))
-    f2cert = _build_half_factor(g2f.as_graph(), {z: t}, (("shift-at", (z, t)),))
+    f2cert = _build_half_factor(g2f.as_graph(), {z: t})
     F = Factor(G, sub.factor.edge_ids | f2cert.factor.edge_ids)
     derivation = (
         ("bipartition", (tuple(sorted(P.X)), tuple(sorted(P.Y)))),
@@ -788,7 +746,7 @@ def _bi_large(
     if abs(t) > k:
         raise _StageFailed(f"|t| = {abs(t)} escaped the proof bound k = {k}")
 
-    f2cert = _build_half_factor(g2f.as_graph(), {z: t}, (("shift-at", (z, t)),))
+    f2cert = _build_half_factor(g2f.as_graph(), {z: t})
     F = Factor(G, F1.edge_ids | f2cert.factor.edge_ids)
     derivation = (
         ("bipartition", (tuple(sorted(P.X)), tuple(sorted(P.Y)))),
@@ -976,14 +934,15 @@ def tree_connected_gf(
 
     if m + m0 == 0:
         # the bi-large construction at the seeds gf_factor_bi_large would
-        # draw; the gates above proved its parity criterion and window
+        # draw; the gates above proved its parity criterion and window.  The
+        # search tries a few candidates, so a miss is UNKNOWN, as in keep-bi
         s1 = child_seed(seed, 1)
         found = _find_structure(
             G, random.Random(child_seed(s1, 0)), 3 * kb * kb,
             lambda intra: intra >= kb - 1, child_seed(s1, 1),
         )
         if found is None:
-            raise _StageFailed("bi-large stage found no bipartition to split")
+            raise _GaveUp("bi-large structure search")
         return _bi_large(G, g, f, *found, kb, s1)
 
     # G2[X, Y] is packed at the seed of bi-large's structure gate, so while

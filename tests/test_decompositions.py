@@ -233,3 +233,11 @@ def test_split_complement_window():
         for part, packing, count in ((h, pack_h, m), (rest, pack_c, m0)):
             assert packing.m == count and packing.verify()
             assert set(packing.host.edges) == set(part.edges())
+
+
+def test_split_complement_refused_trees_are_a_broken_invariant():
+    # the callers prove G 2(m+m0)-edge-connected, which gives the m + m0
+    # trees; a path has no two, so the packer's refusal is no budget miss
+    path = MultiGraph([1, 2, 3], [(1, 2), (2, 3)])
+    with pytest.raises(AssertionError):
+        _split_complement(path, 1, 1, seed=0)

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every theorem entry is reached by the harness."""
 from __future__ import annotations
 
 import ast
@@ -33,3 +34,20 @@ def test_no_module_imports_a_name_it_does_not_use():
     }
     assert found == {}
 
+
+
+def test_the_harness_calls_every_theorem_entry():
+    # each @_entry function of the pipeline module is called by name in the
+    # harness, so a campaign trial or a `factorkit factor` runner reaches it
+    pipeline = ast.parse((PACKAGE / "pipeline.py").read_text())
+    entries = {
+        node.name for node in pipeline.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "_entry" for d in node.decorator_list)
+    }
+    harness = ast.parse((PACKAGE / "harness.py").read_text())
+    called = {
+        node.func.id for node in ast.walk(harness)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert entries and entries - called == set()

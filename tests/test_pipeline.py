@@ -20,7 +20,6 @@ from factorkit.pipeline import (
     TheoremParams,
     balanced_selector,
     eulerian_half_factor,
-    eulerian_half_factor_at,
     gf_factor_almost_bipartite,
     gf_factor_bi_large,
     gf_factor_bipartite,
@@ -147,20 +146,55 @@ def test_eulerian_half_factor_may_be_disconnected(monkeypatch):
     assert not cert.factor.as_graph().is_connected()
 
 
-def test_eulerian_half_factor_at_pinned_vertex():
+def test_eulerian_half_factor_pinned_vertex():
     G = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (3, 1)] * 4)
-    cert = eulerian_half_factor_at(G, z=1, t=2)
+    cert = eulerian_half_factor(G, {1: 2, 2: 0, 3: 0})
     assert cert.verify()
     assert cert.factor.degree(1) == 6
     assert cert.factor.degree(2) == 4
     assert cert.factor.degree(3) == 4
 
 
-def test_eulerian_half_factor_at_refuses_thin_graphs():
+def test_eulerian_half_factor_refuses_thin_graphs():
     G = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (3, 1)] * 2)
     with pytest.raises(HypothesisError) as exc:
-        eulerian_half_factor_at(G, z=1, t=4)
-    assert "tree-connected" in exc.value.hypothesis
+        eulerian_half_factor(G, {1: 4, 2: 0, 3: 0})
+    assert exc.value.hypothesis == "(2t-1)-edge-connected"
+
+
+def test_a_shift_at_one_vertex_past_its_tree_gates_is_certified():
+    # the whole shift t at one vertex z: even degrees, t = |E| (mod 2),
+    # 2|t| disjoint spanning trees and bi(G) >= |t| - 1 imply the gates of
+    # eulerian_half_factor at i = {z: t}, so the entry certifies every such
+    # (G, z, t), with d_F(z) = d(z)/2 + t and no oracle
+    rng = random.Random(28)
+    certified = set()
+    for seed in range(40):
+        base = gen_tree_connected(GenSpec(
+            n=rng.randint(3, 9), trees=rng.randint(1, 3),
+            extra_edges=rng.randint(0, 3), seed=seed))
+        pairs = [(u, v) for _, u, v in base.edges]
+        loops = [(v, v) for v in rng.choices(base.vertices, k=rng.randint(0, 3))]
+        G = MultiGraph(list(base.vertices), pairs + pairs + loops)
+        assert G.is_eulerian()
+        z = rng.choice(G.vertices)
+        for t in range(-3, 4):
+            if t % 2 != G.num_edges % 2:
+                continue
+            if t == 0 and not G.is_connected():
+                continue
+            if t != 0 and isinstance(
+                    spanning_tree_packing(G, 2 * abs(t)), connectivity.PackingRefusal):
+                continue
+            if connectivity.bipartite_index(G)[0] < abs(t) - 1:
+                continue
+            i = {v: 0 for v in G.vertices}
+            i[z] = t
+            cert = eulerian_half_factor(G, i)
+            assert cert.verify()
+            assert cert.factor.degree(z) == G.degree(z) // 2 + t
+            certified.add(abs(t))
+    assert certified == {0, 1, 2, 3}
 
 
 def test_balanced_selector_balances():
@@ -540,17 +574,17 @@ def test_keep_bi_that_finds_no_bipartition_is_unknown_at_once(monkeypatch):
 
 
 def test_eulerian_stages_take_the_split_they_are_cut_from(monkeypatch):
-    # the split proves every gate of eulerian_half_factor_at on its G2, so
-    # the Eulerian stages neither enter that entry nor pack G2
+    # the split proves every gate of eulerian_half_factor at i = {z: t} on
+    # its G2, so the Eulerian stages neither enter that entry nor pack G2
     hosts = _spy_packer(monkeypatch)
     entered = []
-    half_at = pipeline.eulerian_half_factor_at
+    half = pipeline.eulerian_half_factor
 
     def spy(*args, **kwargs):
         entered.append(args)
-        return half_at(*args, **kwargs)
+        return half(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "eulerian_half_factor_at", spy)
+    monkeypatch.setattr(pipeline, "eulerian_half_factor", spy)
     runs = [(k23(14, intra=[(1, 2)]), lambda G: gf_factor_almost_bipartite(
         G, *_almost_k2_windows(), seed=7))]
     runs += [(k23(10, intra=[(1, 2)]), lambda G, s=s: gf_factor_bi_large(
