@@ -13,8 +13,10 @@ therefore suffices, and it stops as soon as the forests hold m(n - 1)
 edges, m spanning trees, since no later search could succeed.  An edge
 whose ends lie in different trees of some forest goes straight into the
 first such forest, which is where the search's first step would put it,
-with no labels built.  A failed search leaves a saturated part, which
-every forest spans from then on, and no later search starts inside one.
+with no labels built.  The search tests each edge for a free forest as it
+labels it, so it stops at the first one.  A failed search leaves a
+saturated part, which every forest spans from then on, and no later
+search starts inside one.
 When the pass ends short, its saturated parts are the refusal: a vertex
 partition P with fewer than m(|P| - 1) crossing edges, the exact
 obstruction.  Every forest spans every part, so the host's crossing
@@ -202,9 +204,11 @@ class TreePacking:
 
     def verify(self) -> bool:
         seen: set[int] = set()
-        n = self.host.num_vertices
+        host = self.host
+        n = host.num_vertices
+        idx = {v: i for i, v in enumerate(host.vertices)}
         for tree in self.trees:
-            if tree.host is not self.host:
+            if tree.host is not host:
                 return False
             if seen & tree.edge_ids:
                 return False
@@ -212,10 +216,10 @@ class TreePacking:
             if tree.num_edges != max(n - 1, 0):
                 return False
             # n - 1 edges span a tree iff none closes a cycle (loops included)
-            parent = {v: v for v in self.host.vertices}
+            parent = list(range(n))
             for eid in tree.edge_ids:
-                u, v = self.host.endpoints(eid)
-                ru, rv = _find(parent, u), _find(parent, v)
+                u, v = host.endpoints(eid)
+                ru, rv = _find(parent, idx[u]), _find(parent, idx[v])
                 if ru == rv:
                     return False
                 parent[ru] = rv
@@ -362,9 +366,22 @@ def spanning_tree_packing(
     The non-loop edges, shuffled under a seed, get one insertion pass.
     An edge goes straight into the first forest whose trees its ends
     separate, the forest the search's first step would pick; otherwise
-    `try_augment` searches for an exchange chain.  The pass stops once the
-    forests hold m(n - 1) edges.  A failed edge needs no second try, since
-    the union of the forests only grows.
+    `search` looks for an exchange chain.  The pass stops once the forests
+    hold m(n - 1) edges.  A failed edge needs no second try, since the
+    union of the forests only grows.
+
+    The search is a BFS over labeled edges: the path of a dequeued edge x
+    in each forest labels its unlabeled edges with (x, forest).  Each edge
+    is tested for a free forest, one whose trees separate its ends, when it
+    is labeled, and the search exchanges along the first such edge's chain
+    into its first free forest.  This is the edge, chain and forest that a
+    test at dequeue finds: the forests do not change during a search, the
+    FIFO queue hands edges out in labeling order, and a label is set once,
+    so the first labeled edge with a free forest is the first dequeued one,
+    with the same labels behind it.  The test at labeling only skips the
+    rest of the BFS level, which a test at dequeue would still probe and
+    label.  Every queued edge is blocked in every forest, and a failed
+    search labels what a test at dequeue labels.
 
     No search starts from an edge whose ends lie in one saturated part, a
     vertex set that every forest spans: such a search fails.  A failed
@@ -416,22 +433,25 @@ def spanning_tree_packing(
         rng.shuffle(nonloop)
 
     state = _ForestState(n, m)
+    roots = state.root
     by_id = {eid: (u, v) for eid, u, v in nonloop}
 
-    # None once e0 is in a forest, else the labels of the failed search
-    def try_augment(e0: int) -> dict[int, tuple[int, int] | None] | None:
-        xu, xv = by_id[e0]
-        # the search's first step: e0's own loop stops at the first forest
-        # with no path, where e0 alone is the chain
+    def free(u: int, v: int) -> int | None:
+        """The first forest whose trees separate u and v, or None."""
         for fi in range(m):
-            if state.root[fi][xu] != state.root[fi][xv]:
-                state.add(fi, e0, xu, xv)
-                return None
+            if roots[fi][u] != roots[fi][v]:
+                return fi
+        return None
+
+    # None once e0 is in a forest, else the labels of the failed search;
+    # e0 itself is blocked in every forest
+    def search(e0: int) -> dict[int, tuple[int, int] | None] | None:
         labels: dict[int, tuple[int, int] | None] = {e0: None}
         # cluster[fi][v]: v's component in the labeled edges of forest fi,
         # as a vertex label, with grouped[fi][label] listing the clusters of
-        # two or more; a path within one cluster is labeled already
-        cluster = [list(range(n)) for _ in range(m)]
+        # two or more; a path within one cluster is labeled already.  A
+        # forest's list is made when the search first probes it.
+        cluster: list[list[int] | None] = [None] * m
         grouped: list[dict[int, list[int]]] = [{} for _ in range(m)]
         q = deque([e0])
         while q:
@@ -439,37 +459,42 @@ def spanning_tree_packing(
             xu, xv = by_id[x]
             for fi in range(m):
                 cl = cluster[fi]
-                if cl[xu] == cl[xv]:
+                if cl is None:
+                    cl = cluster[fi] = list(range(n))
+                elif cl[xu] == cl[xv]:
                     continue
-                path = state.path(fi, xu, xv)
-                if path is None:
-                    # each chain edge leaves the forest where it blocked its
-                    # predecessor and enters the one it was probed against
-                    chain = [(x, fi)]
-                    while labels[chain[-1][0]] is not None:
-                        chain.append(labels[chain[-1][0]])
-                    # removals first: every forest then only grows towards
-                    # its final edge set, so no add can close a cycle
-                    for (cur, _), (_, source) in zip(chain, chain[1:]):
-                        state.remove(source, cur, *by_id[cur])
-                    for cur, target in chain:
-                        state.add(target, cur, *by_id[cur])
-                    return None
                 groups = grouped[fi]
-                for y in path:
-                    if y not in labels:
-                        labels[y] = (x, fi)
-                        q.append(y)
-                        # merge the smaller cluster of y's ends into the other
-                        yu, yv = by_id[y]
-                        cu, cv = cl[yu], cl[yv]
-                        gu, gv = groups.pop(cu, [cu]), groups.pop(cv, [cv])
-                        if len(gu) > len(gv):
-                            cu, cv, gu, gv = cv, cu, gv, gu
-                        for w in gu:
-                            cl[w] = cv
-                        gv += gu
-                        groups[cv] = gv
+                for y in state.path(fi, xu, xv):
+                    if y in labels:
+                        continue
+                    labels[y] = (x, fi)
+                    yu, yv = by_id[y]
+                    target = free(yu, yv)
+                    if target is not None:
+                        # the chain runs back from y along the labels: y
+                        # enters its free forest, and each edge after it
+                        # enters the forest whose path labeled the edge
+                        # before it, which that edge leaves.  Removals
+                        # first, so every forest only grows towards its
+                        # final edge set and no add can close a cycle
+                        chain = [(y, target)]
+                        while labels[chain[-1][0]] is not None:
+                            chain.append(labels[chain[-1][0]])
+                        for (cur, _), (_, source) in zip(chain, chain[1:]):
+                            state.remove(source, cur, *by_id[cur])
+                        for cur, into in chain:
+                            state.add(into, cur, *by_id[cur])
+                        return None
+                    q.append(y)
+                    # merge the smaller cluster of y's ends into the other
+                    cu, cv = cl[yu], cl[yv]
+                    gu, gv = groups.pop(cu, [cu]), groups.pop(cv, [cv])
+                    if len(gu) > len(gv):
+                        cu, cv, gu, gv = cv, cu, gv, gu
+                    for w in gu:
+                        cl[w] = cv
+                    gv += gu
+                    groups[cv] = gv
         return labels
 
     full = m * (n - 1)
@@ -481,7 +506,12 @@ def spanning_tree_packing(
             break
         if clump is not None and _find(clump, u) == _find(clump, v):
             continue
-        labels = try_augment(eid)
+        fi = free(u, v)
+        if fi is not None:
+            state.add(fi, eid, u, v)
+            placed += 1
+            continue
+        labels = search(eid)
         if labels is None:
             placed += 1
             continue

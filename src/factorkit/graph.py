@@ -44,7 +44,7 @@ class MultiGraph:
         self._vertices = tuple(vs)
         self._vset = frozenset(vs)
 
-        raw = [tuple(int(x) for x in e) for e in edges]
+        raw = [tuple(map(int, e)) for e in edges]
         if raw and len({len(e) for e in raw}) > 1:
             raise InputError("mix of (u, v) and (id, u, v) edge forms")
         triples: list[Edge] = []
@@ -281,9 +281,9 @@ class Factor:
 
     def __post_init__(self):
         object.__setattr__(self, "edge_ids", frozenset(self.edge_ids))
-        for eid in self.edge_ids:
-            if not self.host.has_edge_id(eid):
-                raise InputError(f"factor uses unknown edge id {eid}")
+        unknown = self.edge_ids.difference(self.host._by_id)
+        if unknown:
+            raise InputError(f"factor uses unknown edge id {min(unknown)}")
 
     @property
     def num_edges(self) -> int:

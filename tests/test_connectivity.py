@@ -222,6 +222,12 @@ def test_tree_packing_verify_rejects_non_trees():
     assert not packing([(1, 2), (2, 3), (1, 1)]).verify()  # a loop
     assert not packing([(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 4), (1, 4)]).verify()
     assert not packing([(1, 2), (2, 3)]).verify()
+    # a spanning tree of a copy of G: same vertices, edges and ids, but
+    # its Factor lives on the copy, not on the packing's host
+    twin = MultiGraph(G.vertices, G.edges)
+    stray = Factor(twin, frozenset(ids[frozenset(e)] for e in [(1, 3), (2, 4), (1, 4)]))
+    assert TreePacking(twin, (stray,)).verify()
+    assert not TreePacking(G, (packing([(1, 2), (2, 3), (3, 4)]).trees[0], stray)).verify()
     one = MultiGraph([5], [(5, 5)])
     assert TreePacking(one, (Factor(one, frozenset()),) * 2).verify()
     assert not TreePacking(one, (Factor(one, one.edge_ids),)).verify()
@@ -428,6 +434,21 @@ def test_packer_stops_searching_once_its_trees_span(monkeypatch):
     ]
     for G, m, seed in hosts:
         assert isinstance(spanning_tree_packing(G, m, seed=seed), TreePacking)
+
+
+def test_packer_tests_each_edge_for_a_free_forest_when_it_labels_it(monkeypatch):
+    # a search ends at the first labeled edge whose ends some forest's
+    # trees separate, without probing the rest of its BFS level
+    real_path = _ForestState.path
+    probes = []
+
+    def path(self, fi, a, b):
+        probes.append(fi)
+        return real_path(self, fi, a, b)
+
+    monkeypatch.setattr(_ForestState, "path", path)
+    assert isinstance(spanning_tree_packing(_bipartite_host(128), 4, seed=3), TreePacking)
+    assert len(probes) <= 325
 
 
 def test_single_vertex_packs_any_m():

@@ -91,6 +91,21 @@ def test_factor_union_requires_same_host():
         Factor(G1, frozenset()).union(Factor(G2, frozenset()))
 
 
+def test_factor_names_its_smallest_unknown_edge_id():
+    G = MultiGraph([1, 2, 3], [(7, 1, 2), (9, 2, 3)])
+    assert Factor(G, [9, 7]).edge_ids == frozenset({7, 9})
+    with pytest.raises(InputError, match="unknown edge id 8$"):
+        Factor(G, [12, 7, 8, 30])
+
+
+def test_edge_forms_are_checked():
+    with pytest.raises(InputError, match="mix of"):
+        MultiGraph([1, 2], [(1, 2), (5, 1, 2)])
+    with pytest.raises(InputError, match="must be"):
+        MultiGraph([1, 2], [(1, 2, 1, 2)])
+    assert MultiGraph([1, 2], [("3", 1.0, "2")]).edges == ((3, 1, 2),)
+
+
 def test_partition_stats_loop_convention():
     # loops count once in e(X), never in the boundary or cross counts
     G = MultiGraph([1, 2, 3], [(1, 1), (1, 2), (1, 3), (2, 3)])
