@@ -556,26 +556,6 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return ra != rb
 
 
-def is_tree_connected(G: MultiGraph, m: int, seed: int | None = None) -> bool:
-    return isinstance(spanning_tree_packing(G, m, seed=seed), TreePacking)
-
-
-def tree_connectivity(G: MultiGraph, max_m: int | None = None) -> int:
-    """Largest m with an m-tree packing (linear scan; desk scale)."""
-    if G.num_vertices <= 1:
-        return max_m if max_m is not None else 10**9
-    nonloop = sum(1 for _, u, v in G.edges if u != v)
-    ceiling = nonloop // max(1, G.num_vertices - 1)
-    if max_m is not None:
-        ceiling = min(ceiling, max_m)
-    best = 0
-    for m in range(1, ceiling + 1):
-        if not is_tree_connected(G, m):
-            break
-        best = m
-    return best
-
-
 # -- bipartite index -----------------------------------------------------
 
 # hosts up to this many vertices get the exact search; the bounded variants
@@ -585,7 +565,7 @@ _EXACT_CAP = 20
 _LOCAL_RESTARTS = 8
 
 
-def bipartite_index(G: MultiGraph, cap: int = _EXACT_CAP) -> tuple[int, Bipartition]:
+def bipartite_index(G: MultiGraph) -> tuple[int, Bipartition]:
     """Exact bi(G): the minimum of e(X) + e(Y) over bipartitions, with witness.
 
     The first vertex stays in X, and bit i - 1 of a side mask puts vertex i
@@ -612,8 +592,8 @@ def bipartite_index(G: MultiGraph, cap: int = _EXACT_CAP) -> tuple[int, Bipartit
     call bipartite_index_bounds.
     """
     n = G.num_vertices
-    if n > cap:
-        raise SizeRefusal("bipartite index exact cap", f"{n} vertices exceeds cap {cap}")
+    if n > _EXACT_CAP:
+        raise SizeRefusal("bipartite index exact cap", f"{n} vertices exceeds cap {_EXACT_CAP}")
     verts = list(G.vertices)
     loops = sum(1 for _, u, v in G.edges if u == v)
     if n <= 1:
@@ -785,7 +765,7 @@ def bipartite_index_bounds(G: MultiGraph, seed: int = 0) -> tuple[int, int, Bipa
 
 def _find_structure(
     G: MultiGraph, rng: random.Random, need: int, intra_ok: Callable[[int], bool],
-    seed: int | None = None, window_ok: Callable[[Bipartition], bool] | None = None,
+    seed: int, window_ok: Callable[[Bipartition], bool] | None = None,
 ) -> tuple[Bipartition, TreePacking] | None:
     """(P, packing of need trees of G[X, Y] at packer seed `seed`) for the
     first candidate P whose intra-part count passes intra_ok and that passes

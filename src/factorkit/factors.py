@@ -11,7 +11,7 @@ targets a selector enumeration over the gaps f - g of 3 or more sits on
 top of that (a gap of at most 1 is an interval, a gap of 2 a parity
 window).  Half-degree factors on even hosts, shifted by at most 1 at one
 vertex, need no matching: one alternately coloured Euler circuit per
-component gives them.  The oracle (enumerate_factors) shares none of that
+component gives them.  The oracle (factor_exists) shares none of that
 machinery; it walks all edge subsets in Gray-code order so the two routes
 stay independent witnesses against each other.
 """
@@ -626,18 +626,26 @@ def _selector_search(
 # -- exhaustive oracle ---------------------------------------------------
 
 
-def _gray_walk(G: MultiGraph, cap: int):
-    """Every edge subset of G in Gray-code order, one flip per step.
+def factor_exists(
+    G: MultiGraph,
+    predicate: Callable[[dict[int, int]], bool],
+    cap: int = 20,
+) -> bool:
+    """Whether some edge subset's degree map satisfies the predicate.
 
-    Yields the degree map and the membership flags (by position in
-    G.edge_ids), both updated in place; a loop adds 2 at its vertex."""
+    Walks every edge subset of G in Gray-code order, one flip per step,
+    independent of every finder above, and stops at the first match; the
+    degree map is updated in place, and a loop adds 2 at its vertex.  This
+    is the oracle that the clever routes are tested against.
+    """
     m = G.num_edges
     if m > cap:
         raise SizeRefusal("oracle cap", f"{m} edges exceeds cap {cap}")
     ends = [G.endpoints(eid) for eid in G.edge_ids]
     degs = {v: 0 for v in G.vertices}
     in_set = [False] * m
-    yield degs, in_set
+    if predicate(degs):
+        return True
     for i in range(1, 1 << m):
         j = (i & -i).bit_length() - 1
         u, v = ends[j]
@@ -645,34 +653,6 @@ def _gray_walk(G: MultiGraph, cap: int):
         degs[u] += delta
         degs[v] += delta
         in_set[j] = not in_set[j]
-        yield degs, in_set
-
-
-def enumerate_factors(
-    G: MultiGraph,
-    predicate: Callable[[dict[int, int]], bool] | None = None,
-    cap: int = 20,
-) -> list[Factor]:
-    """All edge subsets whose degree vectors satisfy the predicate.
-
-    Pure Gray-code enumeration, independent of every finder above; this is
-    the oracle that the clever routes are tested against.
-    """
-    ids = list(G.edge_ids)
-    return [
-        Factor(G, frozenset(eid for eid, kept in zip(ids, in_set) if kept))
-        for degs, in_set in _gray_walk(G, cap)
-        if predicate is None or predicate(degs)
-    ]
-
-
-def factor_exists(
-    G: MultiGraph,
-    predicate: Callable[[dict[int, int]], bool],
-    cap: int = 20,
-) -> bool:
-    """Early-exit variant of enumerate_factors."""
-    for degs, _ in _gray_walk(G, cap):
         if predicate(degs):
             return True
     return False

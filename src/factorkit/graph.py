@@ -260,14 +260,6 @@ class Bipartition:
         if self.X | self.Y != G.vertex_set:
             raise InputError("bipartition does not cover the vertex set")
 
-    def side(self, v: int) -> int:
-        """0 for X, 1 for Y."""
-        if v in self.X:
-            return 0
-        if v in self.Y:
-            return 1
-        raise InputError(f"vertex {v} is on neither side")
-
     def swapped(self) -> "Bipartition":
         return Bipartition(self.Y, self.X)
 
@@ -314,23 +306,8 @@ class Factor:
         """Standalone multigraph on the host's vertices with the same edge ids."""
         return self.host.subgraph_of_edges(self.edge_ids)
 
-    def union(self, other: "Factor") -> "Factor":
-        self._check_same_host(other)
-        return Factor(self.host, self.edge_ids | other.edge_ids)
-
-    def minus(self, other: "Factor") -> "Factor":
-        self._check_same_host(other)
-        return Factor(self.host, self.edge_ids - other.edge_ids)
-
     def complement(self) -> "Factor":
         return Factor(self.host, frozenset(self.host.edge_ids) - self.edge_ids)
-
-    def _check_same_host(self, other: "Factor") -> None:
-        if self.host is not other.host:
-            raise InputError("factors live on different hosts")
-
-    def __contains__(self, eid: int) -> bool:
-        return eid in self.edge_ids
 
     def __repr__(self) -> str:
         return f"Factor({self.num_edges} of {self.host.num_edges} edges)"

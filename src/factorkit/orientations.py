@@ -42,10 +42,6 @@ class Orientation:
                 raise InputError(f"edge {eid} directed between wrong endpoints")
         object.__setattr__(self, "directions", dirs)
 
-    def outdegree(self, v: int) -> int:
-        self.host._check_vertex(v)
-        return sum(1 for tail, _ in self.directions.values() if tail == v)
-
     def outdegrees(self) -> dict[int, int]:
         out = {v: 0 for v in self.host.vertices}
         for tail, _ in self.directions.values():
@@ -151,31 +147,23 @@ def two_point_orientation(
     G: MultiGraph,
     p: VertexMap,
     q: VertexMap,
-    pin: tuple[int, int] | None = None,
     seed: int = 0,
 ) -> Orientation | None | Unknown:
     """Orientation with d+(v) in {p(v), q(v)} everywhere, or None, or UNKNOWN.
 
-    pin = (z, value) additionally fixes d+(z) = value.  The orientation is
-    a two-point factor of the edge-vertex incidence graph, which
-    find_two_point_factor finds: each non-loop edge is a node held at
-    degree exactly 1 and joined to both of its ends, the end it keeps is
-    its tail, and the loops at v, each an out-edge of v, lower p(v), q(v)
-    and the pin.  So one exact call decides while no gap q - p exceeds 2
+    The orientation is a two-point factor of the edge-vertex incidence
+    graph, which find_two_point_factor finds: each non-loop edge is a node
+    held at degree exactly 1 and joined to both of its ends, the end it
+    keeps is its tail, and the loops at v, each an out-edge of v, lower
+    p(v) and q(v).  So one exact call decides while no gap q - p exceeds 2
     (a flow, or a matching when some gap is 2), and UNKNOWN needs more
     than 20 vertices with a gap of 3 or more.
     """
     validate_window(G, p, q, "pq")
-    if pin is not None:
-        z, val = pin
-        G._check_vertex(z)
-        if val not in (p[z], q[z]):
-            raise InputError(f"pinned value {val} is neither p({z}) nor q({z})")
-        pin = (z, val - G.loops_at(z))
     incidence, nodes = _incidence_graph(G)
     lo = {v: p[v] - G.loops_at(v) for v in G.vertices} | dict.fromkeys(nodes, 1)
     hi = {v: q[v] - G.loops_at(v) for v in G.vertices} | dict.fromkeys(nodes, 1)
-    F = find_two_point_factor(incidence, lo, hi, pin=pin, seed=seed)
+    F = find_two_point_factor(incidence, lo, hi, seed=seed)
     if F is None or F is UNKNOWN:
         return F
     return _oriented(G, F)

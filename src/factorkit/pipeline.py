@@ -5,7 +5,13 @@ construction, the one the corresponding proof describes, which
 re-verifies the result and returns a certificate.  A construction calls
 only private constructions and hands them the bipartition and the
 spanning trees it has already proved, so no part is packed twice and no
-entry enters another.
+entry enters another.  Each entry is one path: what its theorem says
+exists, it finds itself.  The balanced selector h of the bipartite
+entries comes from the subset sum of _selector_within and their pinned
+vertex is min(P.X); the bipartition of the almost-bipartite and bi-large
+entries comes from the structure search.  Only the bipartite entries take
+a bipartition, the one their host is bipartite on, and only the
+almost-bipartite entry takes h, which its statement quantifies over.
 An entry ends in one of these ways:
 
 * a refusal: one of the entry's own hypotheses fails, and it raises a
@@ -69,7 +75,6 @@ from .graph import (
     Bipartition,
     Factor,
     MultiGraph,
-    induced_bipartite_factor,
     partition_stats,
     validate_vertex_map,
     validate_window,
@@ -436,21 +441,6 @@ def _selector_within(
     return h
 
 
-def _selector(
-    G: MultiGraph, P: Bipartition, g: VertexMap, f: VertexMap, h: VertexMap | None
-) -> VertexMap | None:
-    """The given h, checked to be a balanced selector (InputError if not),
-    or when h is None the one balanced_selector finds, or None."""
-    if h is None:
-        return balanced_selector(G, P, g, f)
-    _check_picks(G, g, f, h)
-    lhs = sum(h[v] for v in P.X)
-    rhs = sum(h[v] for v in P.Y)
-    if lhs != rhs:
-        raise InputError(f"selector is unbalanced: {lhs} != {rhs}")
-    return h
-
-
 # -- the bipartite two-point theorem --------------------------------------
 
 
@@ -460,13 +450,12 @@ def gf_factor_bipartite(
     P: Bipartition,
     g: VertexMap,
     f: VertexMap,
-    h: VertexMap | None = None,
-    z: int | None = None,
     assume_hypotheses: bool = False,
     seed: int = 0,
 ) -> FactorCertificate | None | Unknown:
     """{g,f}-factor of a 4k^2-tree-connected bipartite graph with
-    d_F(z) = h(z), where h is a balanced selector (computed when omitted).
+    d_F(z) = h(z) at z = min(P.X), where h is the balanced selector that
+    balanced_selector finds.
 
     Returns None when no balanced selector exists (that direction is an
     equivalence), UNKNOWN past the selector search cap: more than 20
@@ -483,10 +472,10 @@ def gf_factor_bipartite(
     )
     _require_window(gate, G, g, f, "g <= d/2 <= f")
 
-    h = _selector(G, P, g, f, h)
+    h = balanced_selector(G, P, g, f)
     if h is None:
         return None
-    return _pinned_bipartite(G, P, g, f, h, z, seed)
+    return _pinned_bipartite(G, P, g, f, h, None, seed)
 
 
 def _pinned_bipartite(
@@ -499,7 +488,9 @@ def _pinned_bipartite(
     seed: int,
 ) -> FactorCertificate:
     """gf_factor_bipartite past its gates, which the caller has proved, for
-    a selector h that the gates make balanced on a bipartite G.
+    a selector h that the gates make balanced on a bipartite G, pinned at
+    z, or at min(P.X) when z is None; only the almost-bipartite
+    construction at k >= 2 passes a z, its shift vertex.
 
     The paper orients G and keeps the X-to-Y edges, so d_F = d+ on X and
     d - d+ on Y: the orientation it asks for is a two-point factor with
@@ -507,8 +498,6 @@ def _pinned_bipartite(
     """
     if z is None:
         z = min(P.X)
-    else:
-        G._check_vertex(z)
     if not G.is_bipartite_with(P):
         raise _StageFailed("an edge stays inside one part")
     if sum(h[v] for v in P.X) != sum(h[v] for v in P.Y):
@@ -532,39 +521,26 @@ def _pinned_bipartite(
 def _gate_structure(
     gate: _Gate,
     G: MultiGraph,
-    P: Bipartition | None,
     need: int,
     seed: int,
     intra_ok: Callable[[int], bool],
     search: tuple[str, str],
-    given: tuple[str, str, str],
     window_ok: Callable[[Bipartition], bool] | None = None,
-) -> tuple[Bipartition, TreePacking | PackingRefusal]:
+) -> tuple[Bipartition, TreePacking]:
     """The bipartition the almost-bipartite and bi-large theorems run on,
     with the packing of its cross factor that their Eulerian split uses.
 
-    A given P is gated: its intra-part count must pass intra_ok and its
-    cross factor must be need-tree-connected; `given` holds the intra
-    hypothesis, the intra detail that follows the count, and the cross
-    hypothesis.  Under assume_hypotheses the packing may be a refusal.
-    Otherwise `_find_structure` searches the candidates, and when none
+    `_find_structure` searches the candidates with the rng at
+    child_seed(seed, 0) and packs at child_seed(seed, 1).  When none
     passes, `search` (hypothesis, detail) names the refusal, or the stage
-    fails under assume_hypotheses.  Both pack with child_seed(seed, 1).
+    fails under assume_hypotheses.
     """
-    if P is None:
-        rng = random.Random(child_seed(seed, 0))
-        found = _find_structure(G, rng, need, intra_ok, child_seed(seed, 1), window_ok)
-        if found is None:
-            gate.require(False, *search)
-            raise _StageFailed(f"{search[0]}: {search[1]}")
-        return found
-    P.validate_for(G)
-    intra = G.num_edges - partition_stats(G, P.X)[0]
-    gate.require(intra_ok(intra), given[0], f"{intra} {given[1]}")
-    cross = induced_bipartite_factor(G, P)
-    packing = spanning_tree_packing(cross.as_graph(), need, seed=child_seed(seed, 1))
-    gate.require_trees(packing, given[2], f"no {need} disjoint spanning trees in G[X,Y]")
-    return P, packing
+    rng = random.Random(child_seed(seed, 0))
+    found = _find_structure(G, rng, need, intra_ok, child_seed(seed, 1), window_ok)
+    if found is None:
+        gate.require(False, *search)
+        raise _StageFailed(f"{search[0]}: {search[1]}")
+    return found
 
 
 @_entry
@@ -573,12 +549,12 @@ def gf_factor_almost_bipartite(
     g: VertexMap,
     f: VertexMap,
     h: VertexMap,
-    P: Bipartition | None = None,
     assume_hypotheses: bool = False,
     seed: int = 0,
 ) -> FactorCertificate | None | Unknown:
     """{g,f}-factor when some bipartition leaves at most k-1 edges inside
-    parts and the cross factor is (4k^2+2k)-tree-connected.
+    parts and the cross factor is (4k^2+2k)-tree-connected; the bipartition
+    is searched for.
 
     h must select within {g, f}, have even total, and obey the displayed
     near-balance window 0 <= sum_X h - sum_Y h <= 2e(X)+1.
@@ -594,17 +570,12 @@ def gf_factor_almost_bipartite(
         return 0 <= diff <= 2 * partition_stats(G, Q.X)[1] + 1
 
     P, cross_packing = _gate_structure(
-        gate, G, P, need, seed,
+        gate, G, need, seed,
         intra_ok=lambda intra: intra <= k - 1,
         search=(
             "almost-bipartite structure",
             f"no bipartition with ({need})-tree-connected cross factor, "
             f"at most {k - 1} intra edges, and the h window",
-        ),
-        given=(
-            "e(X)+e(Y) <= k-1",
-            f"intra-part edges exceed {k - 1}",
-            "(4k^2+2k)-tree-connected cross factor",
         ),
         window_ok=window_ok,
     )
@@ -673,12 +644,12 @@ def gf_factor_bi_large(
     G: MultiGraph,
     g: VertexMap,
     f: VertexMap,
-    P: Bipartition | None = None,
     assume_hypotheses: bool = False,
     seed: int = 0,
 ) -> FactorCertificate | NoFactorCertificate | None | Unknown:
     """{g,f}-factor when some bipartition has a 3k^2-tree-connected cross
-    factor and at least k-1 intra-part edges.
+    factor and at least k-1 intra-part edges; the bipartition is searched
+    for.
 
     The factor exists iff some gap f-g is odd, or all gaps are even and
     sum f is even; the failing case returns a parity certificate.
@@ -692,17 +663,12 @@ def gf_factor_bi_large(
 
     need = 3 * k * k
     P, cross_packing = _gate_structure(
-        gate, G, P, need, seed,
+        gate, G, need, seed,
         intra_ok=lambda intra: intra >= k - 1,
         search=(
             "bi-large structure",
             f"no bipartition with {need}-tree-connected cross factor and "
             f"at least {k - 1} intra edges",
-        ),
-        given=(
-            "e(X)+e(Y) >= k-1",
-            f"intra-part edges, need {k - 1}",
-            "3k^2-tree-connected cross factor",
         ),
     )
 
@@ -712,7 +678,7 @@ def gf_factor_bi_large(
 
 def _bi_large(
     G: MultiGraph, g: VertexMap, f: VertexMap, P: Bipartition,
-    cross_packing: TreePacking | PackingRefusal, k: int, seed: int,
+    cross_packing: TreePacking, k: int, seed: int,
 ) -> FactorCertificate:
     """gf_factor_bi_large past its gates, on a bipartition P whose cross
     factor cross_packing packs; the parity criterion and the window
@@ -844,14 +810,13 @@ def tree_connected_gf_bipartite(
     P: Bipartition,
     g: VertexMap,
     f: VertexMap,
-    h: VertexMap | None = None,
     params: TheoremParams | None = None,
-    z: int | None = None,
     assume_hypotheses: bool = False,
     seed: int = 0,
 ) -> FactorCertificate | None | Unknown:
     """m-tree-connected {g,f}-factor with m0-tree-connected complement in
-    a (2m+2m0+4k^2)-tree-connected bipartite graph; d_H(z) = h(z).
+    a (2m+2m0+4k^2)-tree-connected bipartite graph; d_H(z) = h(z) at
+    z = min(P.X) for the balanced selector h that balanced_selector finds.
 
     Exists iff a balanced selector exists.  The certificate carries tree
     packings for the factor and its complement.
@@ -863,12 +828,12 @@ def tree_connected_gf_bipartite(
     _require_bipartite(gate, G, P)
     packing = _gate_tree_connected(gate, G, g, f, params, 4, child_seed(seed, 0))
 
-    h = _selector(G, P, g, f, h)
+    h = balanced_selector(G, P, g, f)
     if h is None:
         return None
 
     if m + m0 == 0:
-        return _pinned_bipartite(G, P, g, f, h, z, child_seed(seed, 1))
+        return _pinned_bipartite(G, P, g, f, h, None, child_seed(seed, 1))
     if isinstance(packing, PackingRefusal):
         raise _StageFailed("too few spanning trees to pair")
 
@@ -893,7 +858,7 @@ def tree_connected_gf_bipartite(
     # h2 stays balanced only on a bipartite G, which assume_hypotheses may
     # leave ungated; _pinned_bipartite checks it
     g2, f2, h2 = _shifted(g2_graph, split[0].degrees(), g, f, h)
-    sub = _pinned_bipartite(g2_graph, P, g2, f2, h2, z, child_seed(seed, 3))
+    sub = _pinned_bipartite(g2_graph, P, g2, f2, h2, None, child_seed(seed, 3))
     return _certify_tree_connected(G, g, f, params, g1f, split, sub)
 
 
@@ -972,17 +937,6 @@ class HypothesisReport:
     construction is attempted at that scale."""
 
     rows: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(ok for _, ok, _ in self.rows)
-
-    def render(self) -> str:
-        out = []
-        for name, ok, detail in self.rows:
-            mark = "holds" if ok else "FAILS"
-            out.append(f"{mark:6} {name}  [{detail}]")
-        return "\n".join(out)
 
 
 def tough_hypothesis_check(

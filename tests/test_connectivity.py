@@ -32,11 +32,9 @@ from factorkit.connectivity import (
     bipartite_index_bounds,
     bipartite_index_upper,
     edge_connectivity,
-    is_tree_connected,
     odd_cycle_packing_bound,
     spanning_tree_packing,
     toughness,
-    tree_connectivity,
 )
 from factorkit.errors import SizeRefusal
 from factorkit.generators import GenSpec, gen_tree_connected
@@ -460,12 +458,18 @@ def test_single_vertex_packs_any_m():
 
 
 def test_tree_connectivity_value():
+    # the packer's answers are monotone in m, so they name one tree
+    # connectivity tc: it packs every m <= tc and refuses every m > tc
     rng = random.Random(19)
     for _ in range(40):
         G = random_multigraph(rng, n_hi=5, max_edges=12)
-        tc = tree_connectivity(G, max_m=4)
-        for m in range(1, 5):
-            assert is_tree_connected(G, m) == (m <= tc)
+        packs = [
+            isinstance(spanning_tree_packing(G, m), TreePacking)
+            for m in range(1, 6)
+        ]
+        tc = packs.count(True)
+        assert packs == [m <= tc for m in range(1, 6)], G.edges
+        assert all(packing_bound_holds(G, m) == (m <= tc) for m in range(1, 6))
 
 
 def test_edge_connectivity_matches_brute_cuts():

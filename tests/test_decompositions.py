@@ -9,9 +9,9 @@ import pytest
 from factorkit.connectivity import (
     bipartite_index,
     edge_connectivity,
-    is_tree_connected,
     spanning_tree_packing,
     PackingRefusal,
+    TreePacking,
 )
 from factorkit.decompositions import (
     _carried_packing,
@@ -25,6 +25,10 @@ from factorkit.decompositions import (
 from factorkit.errors import HypothesisError, is_unknown
 from factorkit.generators import GenSpec, gen_tree_connected
 from factorkit.graph import Bipartition, Factor, MultiGraph, induced_bipartite_factor
+
+
+def _tree_connected(G, m):
+    return isinstance(spanning_tree_packing(G, m), TreePacking)
 
 
 def random_tree(rng, n):
@@ -136,12 +140,12 @@ def test_decompose_eulerian_postconditions():
         # (2) G1 bipartite with (X, Y) and m1-tree-connected
         H1 = g1.as_graph()
         assert H1.is_bipartite_with(P)
-        assert is_tree_connected(H1, m1)
+        assert _tree_connected(H1, m1)
         # (3) G2 Eulerian with m2-tree-connected cross factor
         H2 = g2.as_graph()
         assert H2.is_eulerian()
         cross = induced_bipartite_factor(H2, P)
-        assert is_tree_connected(cross.as_graph(), m2)
+        assert _tree_connected(cross.as_graph(), m2)
         # (4) all intra-part edges land in G2
         for eid, u, v in G.edges:
             same = (u in P.X) == (v in P.X)
@@ -225,7 +229,7 @@ def test_split_complement_window():
         done += 1
         assert h.edge_ids | rest.edge_ids == frozenset(G.edge_ids)
         assert h.edge_ids & rest.edge_ids == frozenset()
-        assert is_tree_connected(h.as_graph(), m)
+        assert _tree_connected(h.as_graph(), m)
         for v in G.vertices:
             d = G.degree(v)
             assert d // 2 - m0 <= h.degree(v) <= (d + 1) // 2 + m

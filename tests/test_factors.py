@@ -1,7 +1,7 @@
 """Factor finders and existence criteria against the exhaustive oracle.
 
 Every clever route (matching reduction, criterion sweep) is compared to
-enumerate_factors / factor_exists, which walk all edge subsets, and the
+the oracle factor_exists, which walks all edge subsets, and the
 criterion sweep also to its form without the deficiency floor.  The
 two-point cases also run the orientation finder, which shares the
 selector search.
@@ -20,7 +20,6 @@ from factorkit.factors import (
     _selector_subsets,
     check_lovasz_condition,
     check_tutte_strict_form,
-    enumerate_factors,
     factor_exists,
     find_f_factor,
     find_interval_factor,
@@ -292,7 +291,13 @@ def test_two_point_answers_without_gap_one_are_pinned(finder, key, seed, digest)
         if rng.random() < 0.3:
             z = rng.choice(list(G.vertices))
             pin = (z, rng.choice((lo[z], hi[z])))
-        got = finder(G, lo, hi, pin=pin)
+        if pin is None:
+            got = finder(G, lo, hi)
+        elif finder is find_two_point_factor:
+            got = finder(G, lo, hi, pin=pin)
+        else:
+            # an orientation pinned at z is one with the window {value} there
+            got = finder(G, {**lo, z: pin[1]}, {**hi, z: pin[1]})
         if is_unknown(got):
             h.update(b"unknown")
         else:
@@ -573,17 +578,24 @@ def test_omega_counts_odd_components():
         omega_gf(G, [1], [1], f, f)
 
 
-def test_enumerate_factors_cap():
+def test_factor_exists_cap():
     G = MultiGraph([1, 2], [(1, 2)] * 21)
-    with pytest.raises(SizeRefusal):
-        enumerate_factors(G)
+    with pytest.raises(SizeRefusal, match="21 edges exceeds cap 20"):
+        factor_exists(G, lambda degs: True)
 
 
-def test_enumerate_factors_counts_subsets():
-    G = MultiGraph([1, 2], [(1, 2), (1, 2)])
-    assert len(enumerate_factors(G)) == 4
-    even = enumerate_factors(G, lambda degs: degs[1] % 2 == 0)
-    assert len(even) == 2
+def test_factor_exists_walks_every_subset_and_stops_at_a_match():
+    # two parallel edges and a loop at 1, which adds 2 there
+    G = MultiGraph([1, 2], [(1, 2), (1, 2), (1, 1)])
+    seen = []
+    assert not factor_exists(G, lambda degs: seen.append((degs[1], degs[2])))
+    assert sorted(seen) == sorted(
+        (a + b + 2 * c, a + b) for a in (0, 1) for b in (0, 1) for c in (0, 1)
+    )
+    # the Gray-code walk reaches {first edge} at its second step
+    calls = []
+    assert factor_exists(G, lambda degs: calls.append(degs[1]) or degs[1] == 1)
+    assert calls == [0, 1]
 
 
 def test_selector_subsets_leave_no_cyclic_garbage():

@@ -52,7 +52,6 @@ def test_bipartition_validation():
     assert G.is_bipartite_with(P)
     bad = Bipartition(frozenset({1, 2}), frozenset({3}))
     assert not G.is_bipartite_with(bad)
-    assert P.side(1) == 0 and P.side(2) == 1
     assert P.swapped().X == P.Y
 
 
@@ -79,16 +78,7 @@ def test_factor_algebra():
     assert F.degree(2) == 2
     comp = F.complement()
     assert comp.edge_ids == frozenset(ids[2:])
-    assert F.union(comp).edge_ids == frozenset(ids)
-    assert F.minus(Factor(G, frozenset(ids[:1]))).edge_ids == frozenset(ids[1:2])
-    assert ids[0] in F and ids[2] not in F
-
-
-def test_factor_union_requires_same_host():
-    G1 = MultiGraph([1, 2], [(1, 2)])
-    G2 = MultiGraph([1, 2], [(1, 2)])
-    with pytest.raises(InputError):
-        Factor(G1, frozenset()).union(Factor(G2, frozenset()))
+    assert comp.complement().edge_ids == F.edge_ids
 
 
 def test_factor_names_its_smallest_unknown_edge_id():

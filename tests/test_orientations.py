@@ -84,16 +84,6 @@ def test_two_point_orientation_agrees_with_enumeration():
             assert all(outs[v] in (p[v], q[v]) for v in G.vertices)
 
 
-def test_two_point_pin_is_enforced():
-    G = MultiGraph([1, 2], [(1, 2)] * 4)
-    p = {1: 1, 2: 1}
-    q = {1: 3, 2: 3}
-    got = two_point_orientation(G, p, q, pin=(1, 3))
-    assert got is not None and got.outdegree(1) == 3
-    with pytest.raises(InputError):
-        two_point_orientation(G, p, q, pin=(1, 2))
-
-
 @pytest.mark.parametrize("n", range(21, 26))
 def test_two_point_orientation_decides_gap_two_past_the_selector_cap(n):
     # d+(v) in {0, 2} around C_n, with a loop at 1 when n is odd: past 20
@@ -104,11 +94,9 @@ def test_two_point_orientation_decides_gap_two_past_the_selector_cap(n):
     )
     p = {v: 0 for v in G.vertices}
     q = {v: 2 for v in G.vertices}
-    for pin in (None, (1, 2)):
-        got = two_point_orientation(G, p, q, pin=pin)
-        assert not is_unknown(got) and got is not None
-        assert set(got.outdegrees().values()) == {0, 2}
-        assert pin is None or got.outdegree(1) == 2
+    got = two_point_orientation(G, p, q)
+    assert not is_unknown(got) and got is not None
+    assert set(got.outdegrees().values()) == {0, 2}
     odd = two_point_orientation(G, {**p, 2: 1}, {**q, 2: 1})
     assert not is_unknown(odd) and odd is None
 
@@ -170,6 +158,17 @@ def test_factor_orientation_round_trip():
         F0 = factor_from_orientation(G, P, D0)
         D1 = orientation_from_factor(G, P, F0)
         assert D1.directions == D0.directions
+
+
+def test_factor_orientation_correspondence_requires_same_host():
+    G1 = MultiGraph([1, 2], [(1, 2)])
+    G2 = MultiGraph([1, 2], [(1, 2)])
+    P = Bipartition(frozenset({1}), frozenset({2}))
+    with pytest.raises(InputError):
+        orientation_from_factor(G1, P, Factor(G2, frozenset()))
+    D2 = orientation_from_factor(G2, P, Factor(G2, frozenset()))
+    with pytest.raises(InputError):
+        factor_from_orientation(G1, P, D2)
 
 
 def test_orientation_validates_all_edges_directed():

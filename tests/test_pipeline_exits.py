@@ -142,8 +142,8 @@ def test_pipeline_answers_are_pinned():
 
 def _stage_cases():
     """(label, call taking assume_hypotheses) for the stages _cases does not
-    reach: tree-gf with m0 = 1 and at k = 2, bi-large at k = 2 (P given and
-    searched), and almost-bipartite at k = 2 with |t| up to 2."""
+    reach: tree-gf with m0 = 1 and at k = 2, bi-large at k = 2, and
+    almost-bipartite at k = 2 with |t| up to 2."""
     for seed in range(4):
         # at k = 2 every gap is 2, so an even vertex count keeps sum f even;
         # 24 trees are 4 too few, which only assume_hypotheses lets through
@@ -170,11 +170,12 @@ def _stage_cases():
     for seed in range(6):
         G = _k23(10 + seed % 3, intra=[(1, 2)] * (1 + seed % 2))
         g, f = gen_functions(G, k=2, seed=seed)
-        for P in (None, P23):
-            yield f"bi-large k=2 {seed} {P is None}", (
-                lambda a, G=G, g=g, f=f, P=P, seed=seed:
-                gf_factor_bi_large(G, g, f, P=P, assume_hypotheses=a, seed=seed)
-            )
+        # "True": the bipartition is searched, as the label read when the
+        # digest below was recorded
+        yield f"bi-large k=2 {seed} True", (
+            lambda a, G=G, g=g, f=f, seed=seed:
+            gf_factor_bi_large(G, g, f, assume_hypotheses=a, seed=seed)
+        )
     for seed in range(8):
         G = _k23(14 + seed % 3, intra=[(1, 2)])
         g, f = gen_functions(G, k=2, seed=seed)
@@ -195,12 +196,14 @@ def test_stage_answers_are_pinned():
     # Euler circuits, again when bipartite hosts with no parity window
     # went to the feasible flow, and again when the matcher's greedy seed
     # came to run from the highest gadget node down; each moved factor
-    # edges but no kind of exit
+    # edges but no kind of exit.  Re-pinned when gf_factor_bi_large stopped
+    # taking a bipartition, by dropping the 12 lines of the given-P cases
+    # and keeping the other 68 as they were
     lines = [
         f"{label} {assume}: {_outcome(lambda: call(assume))}"
         for label, call in _stage_cases() for assume in (False, True)
     ]
-    assert _digest(lines) == "b08aa40d8cb675ac053767c4ff9b130376dfdeb260cd7563239501b34b28c147"
+    assert _digest(lines) == "d620fd044cfa8009a25acb42a8b8e858c5e61e334ef7c1213633ed722baf0ee9"
 
 
 def _k23(mult, intra=()):
