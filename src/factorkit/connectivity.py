@@ -68,6 +68,7 @@ from .graph import (
     induced_bipartite_factor,
     partition_stats,
 )
+from .rng import child_seed
 
 # random halves that the structure searches try after the index witness
 _CANDIDATE_TRIES = 6
@@ -764,19 +765,21 @@ def bipartite_index_bounds(G: MultiGraph, seed: int = 0) -> tuple[int, int, Bipa
 
 
 def _find_structure(
-    G: MultiGraph, rng: random.Random, need: int, intra_ok: Callable[[int], bool],
-    seed: int, window_ok: Callable[[Bipartition], bool] | None = None,
+    G: MultiGraph, need: int, intra_ok: Callable[[int], bool], seed: int,
+    window_ok: Callable[[Bipartition], bool] | None = None,
 ) -> tuple[Bipartition, TreePacking] | None:
-    """(P, packing of need trees of G[X, Y] at packer seed `seed`) for the
-    first candidate P whose intra-part count passes intra_ok and that passes
-    window_ok as given or else swapped (P is that orientation); or None.
+    """(P, packing of need trees of G[X, Y] at packer seed child_seed(seed,
+    1)) for the first candidate P whose intra-part count passes intra_ok and
+    that passes window_ok as given or else swapped (P is that orientation);
+    or None.
 
     The candidates are the witness of `bipartite_index_upper`, then random
-    halves drawn from rng as the search reaches them.  A swapped bipartition
-    has the same cross factor, so each unordered pair is tried once; both
-    sides are nonempty.
+    halves drawn at child_seed(seed, 0) as the search reaches them.  A
+    swapped bipartition has the same cross factor, so each unordered pair is
+    tried once; both sides are nonempty.
     """
     _, P = bipartite_index_upper(G)
+    rng = random.Random(child_seed(seed, 0))
     verts = list(G.vertices)
     seen = set()
     for trial in range(_CANDIDATE_TRIES + 1):
@@ -792,7 +795,7 @@ def _find_structure(
         if Q is None or not intra_ok(G.num_edges - partition_stats(G, P.X)[0]):
             continue
         cross = induced_bipartite_factor(G, P).as_graph()
-        packing = spanning_tree_packing(cross, need, seed=seed)
+        packing = spanning_tree_packing(cross, need, seed=child_seed(seed, 1))
         if isinstance(packing, TreePacking):
             return Q, packing
     return None

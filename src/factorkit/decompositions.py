@@ -179,8 +179,8 @@ def _eulerian_split(
 
 def _assert_part_sum_identity(G2: MultiGraph, P: Bipartition) -> None:
     # both sides equal half the cross count of the even graph G2
-    _, intra_x, _ = partition_stats(G2, P.X, P.Y)
-    _, intra_y, _ = partition_stats(G2, P.Y, P.X)
+    _, intra_x = partition_stats(G2, P.X)
+    _, intra_y = partition_stats(G2, P.Y)
     left = sum(G2.degree(v) for v in P.X) // 2 - intra_x
     right = sum(G2.degree(v) for v in P.Y) // 2 - intra_y
     if left != right:
@@ -188,18 +188,19 @@ def _assert_part_sum_identity(G2: MultiGraph, P: Bipartition) -> None:
 
 
 def _keep_bi(
-    G: MultiGraph, m1: int, m2: int, k0: int, seed: int,
-    packing: TreePacking | PackingRefusal, rng: random.Random, cross_seed: int,
+    G: MultiGraph, m1: int, m2: int, k0: int,
+    packing: TreePacking | PackingRefusal, seed: int,
 ) -> tuple[Factor, Factor, Bipartition, TreePacking] | Unknown:
     """Split G into G1 (2m1-edge-connected Eulerian) and G2 with a
     bipartition P making G2[X, Y] m2-tree-connected while G2 keeps at
     least min(k0, bi(G)) intra-part edges; returns (G1, G2, P, the packing
-    of m2 trees of G2[X, Y] made at packer seed cross_seed).
+    of m2 trees of G2[X, Y]).
 
-    packing holds the 2m1+2m2 trees of G its caller proved, m1, m2 >= 1:
-    G1 is the first 2m1 closed by the parity forest of the next.  P comes
-    from the structure search on G2, which draws from rng and bounds bi(G)
-    at `seed`; if it finds no P the answer is UNKNOWN.
+    packing holds the 2m1+2m2 trees of G its caller proved, m1 >= 0 and
+    m2 >= 1: G1 is the first 2m1 closed by the parity forest of the next,
+    so at m1 = 0 it is empty and G2 is G.  P comes from the structure
+    search on G2 at `seed`, the seed that also bounds bi(G); if it finds
+    no P the answer is UNKNOWN.
     """
     if isinstance(packing, PackingRefusal):
         raise HypothesisError(
@@ -212,7 +213,7 @@ def _keep_bi(
     core = frozenset().union(*(t.edge_ids for t in trees[: 2 * m1]))
     g1 = _even_closure(Factor(G, core), trees[2 * m1])
     g2 = g1.complement()
-    found = _find_structure(g2.as_graph(), rng, m2, lambda i: i >= intra_target, cross_seed)
+    found = _find_structure(g2.as_graph(), m2, lambda i: i >= intra_target, seed)
     if found is None:
         return UNKNOWN
     g1_graph = g1.as_graph()

@@ -508,33 +508,26 @@ def find_two_point_factor(
     G: MultiGraph,
     g: VertexMap,
     f: VertexMap,
-    pin: tuple[int, int] | None = None,
     seed: int = 0,
 ) -> Factor | None | Unknown:
     """Factor with d_F(v) in {g(v), f(v)} everywhere, or None, or UNKNOWN.
 
-    pin = (z, value) additionally fixes d_F(z) = value.  A gap f - g of at
-    most 1 is the interval [g, f] and a gap of 2 the parity window of
-    _window_matching; a gap of 2 with one end outside [0, d(v)] is its
-    other end.  Each gap of 3 or more is pinned to g or f by a selector,
-    and each selector is decided exactly by one call of _window_factor:
-    a feasible flow when the host is bipartite and no parity window is
-    left, one matching otherwise.  So with no gap of 3 or more (k <= 2)
-    one call decides.  The search is complete while at most 20 vertices
-    have a gap of 3 or more; beyond that a seeded sample of selectors is
-    tried and exhaustion reports UNKNOWN rather than none.  Windows that
-    miss two or more consecutive values are the NP-complete case of
-    general factors (Cornuéjols 1988).
+    A gap f - g of at most 1 is the interval [g, f] and a gap of 2 the
+    parity window of _window_matching; a gap of 2 with one end outside
+    [0, d(v)] is its other end.  Each gap of 3 or more is pinned to g or f
+    by a selector, and each selector is decided exactly by one call of
+    _window_factor: a feasible flow when the host is bipartite and no
+    parity window is left, one matching otherwise.  So with no gap of 3 or
+    more (k <= 2) one call decides.  A gap of 0 fixes d_F(v), so a window
+    {value} at z asks for d_F(z) = value.  The search is complete while at
+    most 20 vertices have a gap of 3 or more; beyond that a seeded sample
+    of selectors is tried and exhaustion reports UNKNOWN rather than none.
+    Windows that miss two or more consecutive values are the NP-complete
+    case of general factors (Cornuéjols 1988).
     """
     validate_window(G, g, f)
     lo = {v: g[v] for v in G.vertices}
     hi = {v: f[v] for v in G.vertices}
-    if pin is not None:
-        z, val = pin
-        G._check_vertex(z)
-        if val not in (g[z], f[z]):
-            raise InputError(f"pinned value {val} is neither g({z}) nor f({z})")
-        lo[z] = hi[z] = val
     pairs = set()
     wide = []
     for v in G.vertices:

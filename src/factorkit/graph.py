@@ -336,20 +336,11 @@ def validate_window(
         raise InputError(f"need {low} <= {high}, violated at vertex {bad[0]}")
 
 
-def partition_stats(G: MultiGraph, X: Iterable[int], Y: Iterable[int] | None = None):
-    """(d(X), e(X), d(X, Y)): boundary, intra (loops once), and cross counts.
-
-    The cross count is None when Y is omitted; X and Y must be disjoint.
-    """
+def partition_stats(G: MultiGraph, X: Iterable[int]) -> tuple[int, int]:
+    """(d(X), e(X)): boundary and intra (loops once) counts."""
     Xs = G._check_vertices(X)
-    Ys = None
-    if Y is not None:
-        Ys = G._check_vertices(Y)
-        if Xs & Ys:
-            raise InputError("cross count needs disjoint sets")
     boundary = 0
     intra = 0
-    cross = 0 if Ys is not None else None
     for _, u, v in G.edges:
         u_in = u in Xs
         v_in = v in Xs
@@ -357,9 +348,7 @@ def partition_stats(G: MultiGraph, X: Iterable[int], Y: Iterable[int] | None = N
             intra += 1
         elif u_in != v_in:
             boundary += 1
-            if Ys is not None and ((u_in and v in Ys) or (v_in and u in Ys)):
-                cross += 1
-    return boundary, intra, cross
+    return boundary, intra
 
 
 def induced_bipartite_factor(G: MultiGraph, P: Bipartition) -> Factor:

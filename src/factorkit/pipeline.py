@@ -26,9 +26,8 @@ An entry ends in one of these ways:
 * UNKNOWN, only from three searches that can find nothing: the selector
   sampling of find_two_point_factor past 20 vertices with a gap f - g of
   3 or more (so never at k <= 2), after its budget; the one structure
-  search of tree_connected_gf, on G2 of its keep-bi split, or on G itself
-  for the bi-large stage at m = m0 = 0; and the split lemma, after its
-  budget.
+  search of tree_connected_gf, keep-bi's on G2 at every m; and the split
+  lemma, after its budget.
 
 Stages raise and each entry translates once: _stage turns a nested
 refusal or None into _StageFailed and UNKNOWN into _GaveUp, and the
@@ -504,7 +503,8 @@ def _pinned_bipartite(
         raise _StageFailed("the selector h lost its balance")
     F = _stage(
         f"pinned two-point factor (z = {z}, target {h[z]})",
-        find_two_point_factor, G, g, f, pin=(z, h[z]), seed=child_seed(seed, 1),
+        find_two_point_factor, G, {**g, z: h[z]}, {**f, z: h[z]},
+        seed=child_seed(seed, 1),
     )
     if F.degree(z) != h[z]:
         raise TheoremViolationError("factor missed its pinned degree")
@@ -530,13 +530,11 @@ def _gate_structure(
     """The bipartition the almost-bipartite and bi-large theorems run on,
     with the packing of its cross factor that their Eulerian split uses.
 
-    `_find_structure` searches the candidates with the rng at
-    child_seed(seed, 0) and packs at child_seed(seed, 1).  When none
-    passes, `search` (hypothesis, detail) names the refusal, or the stage
-    fails under assume_hypotheses.
+    `_find_structure` searches at `seed`.  When no candidate passes,
+    `search` (hypothesis, detail) names the refusal, or the stage fails
+    under assume_hypotheses.
     """
-    rng = random.Random(child_seed(seed, 0))
-    found = _find_structure(G, rng, need, intra_ok, child_seed(seed, 1), window_ok)
+    found = _find_structure(G, need, intra_ok, seed, window_ok)
     if found is None:
         gate.require(False, *search)
         raise _StageFailed(f"{search[0]}: {search[1]}")
@@ -832,8 +830,6 @@ def tree_connected_gf_bipartite(
     if h is None:
         return None
 
-    if m + m0 == 0:
-        return _pinned_bipartite(G, P, g, f, h, None, child_seed(seed, 1))
     if isinstance(packing, PackingRefusal):
         raise _StageFailed("too few spanning trees to pair")
 
@@ -846,7 +842,7 @@ def tree_connected_gf_bipartite(
     )))
     g2f = g1f.complement()
     g1_graph = g1f.as_graph()
-    if not g1_graph.is_eulerian() or not g1_graph.is_connected():
+    if not g1_graph.is_eulerian():
         raise AssertionError("paired Eulerian factor broke its contract")
     if edge_connectivity(g1_graph) < 2 * (m + m0):
         raise AssertionError("paired Eulerian factor lost edge connectivity")
@@ -881,11 +877,8 @@ def tree_connected_gf(
     k, m, m0 = params.k, params.m, params.m0
     validate_window(G, g, f)
     gate = _Gate(assume_hypotheses)
-    # the gate's packing is seeded by the first draw of the keep-bi rng,
-    # whose later draws go to keep-bi's structure search on G2
-    s2 = child_seed(seed, 2)
-    rng = random.Random(s2)
-    packing = _gate_tree_connected(gate, G, g, f, params, 6, rng.randrange(1 << 30))
+    packer_seed = random.Random(child_seed(seed, 2)).randrange(1 << 30)
+    packing = _gate_tree_connected(gate, G, g, f, params, 6, packer_seed)
     gate.require(
         _bi_at_least(G, k - 1, seed=seed),
         "bi(G) >= k-1",
@@ -897,25 +890,12 @@ def tree_connected_gf(
     # the bi-large stages take k from the largest gap, not from params.k
     kb = _gap_bound(G, g, f)
 
-    if m + m0 == 0:
-        # the bi-large construction at the seeds gf_factor_bi_large would
-        # draw; the gates above proved its parity criterion and window.  The
-        # search tries a few candidates, so a miss is UNKNOWN, as in keep-bi
-        s1 = child_seed(seed, 1)
-        found = _find_structure(
-            G, random.Random(child_seed(s1, 0)), 3 * kb * kb,
-            lambda intra: intra >= kb - 1, child_seed(s1, 1),
-        )
-        if found is None:
-            raise _GaveUp("bi-large structure search")
-        return _bi_large(G, g, f, *found, kb, s1)
-
-    # G2[X, Y] is packed at the seed of bi-large's structure gate, so while
-    # the largest gap f - g is k the stage answers as gf_factor_bi_large
-    # would at seed child_seed(seed, 4)
+    # keep-bi's structure search on G2 is bi-large's structure gate at
+    # seed s4, so at m = m0 = 0, where G2 is G, the entry is
+    # gf_factor_bi_large at s4
+    s4 = child_seed(seed, 4)
     g1f, g2f, P, cross_packing = _stage(
-        "decomposition", _keep_bi, G, m + m0, 3 * k * k, k - 1, s2,
-        packing, rng, child_seed(child_seed(seed, 4), 1),
+        "decomposition", _keep_bi, G, m + m0, 3 * kb * kb, kb - 1, packing, s4
     )
     g1_graph = g1f.as_graph()
     g2_graph = g2f.as_graph()
@@ -924,7 +904,7 @@ def tree_connected_gf(
     # count; shifts keep the gaps and the parity criterion, _shifted the window
     split = _stage("split", _split_complement, g1_graph, m, m0, child_seed(seed, 3))
     g2, f2 = _shifted(g2_graph, split[0].degrees(), g, f)
-    sub = _bi_large(g2_graph, g2, f2, P, cross_packing, kb, child_seed(seed, 4))
+    sub = _bi_large(g2_graph, g2, f2, P, cross_packing, kb, s4)
     return _certify_tree_connected(G, g, f, params, g1f, split, sub)
 
 

@@ -252,6 +252,28 @@ def test_a_none_names_what_found_nothing(tmp_path, capsys):
         }
 
 
+def test_a_host_below_the_tree_gate_answers_none_at_m_zero(tmp_path, capsys):
+    # 2 spanning trees, below the 6k^2 of tree-gf and the 4k^2 of
+    # tree-gf-bipartite: the gate refuses, and past it keep-bi and the tree
+    # pairing, which take the gate's trees at every m, find nothing
+    for theorem, bipartite in (("tree-gf", ()), ("tree-gf-bipartite", ("--bipartite",))):
+        _, host, _ = run(capsys, "gen", "--n", "6", "--trees", "2", "--k", "1",
+                         *bipartite, "--seed", "1")
+        path = tmp_path / "g.txt"
+        path.write_text(host)
+        argv = ("factor", "--theorem", theorem, "--m", "0", "--graph", str(path),
+                "--format", "json")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outcome"] == "refusal"
+        code, out, err = run(capsys, *argv, "--assume-hypotheses")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "outcome": "none",
+            "detail": "a stage found nothing under the assumed hypotheses",
+        }
+
+
 def test_gen_with_empty_window_is_a_refusal(capsys):
     code, out, err = run(
         capsys, "gen", "--n", "6", "--trees", "1", "--k", "1", "--m", "3",

@@ -169,15 +169,13 @@ def test_eulerian_split_refuses_a_packing_short_of_its_trees():
 
 def test_keep_bi_keeps_intra_edges():
     # the shape tree_connected_gf passes at k = 2, m = 1: m1 = m + m0,
-    # m2 = 3k^2, k0 = k - 1, on the 26 trees of G its gate packed with the
-    # first draw of the rng whose later draws the structure search takes
+    # m2 = 3k^2, k0 = k - 1, on the 26 trees of G its gate packed
     m1, m2, k0 = 1, 12, 1
     for seed in range(20):
         n = 5 + seed % 4
         G = _doubled(gen_tree_connected(GenSpec(n=n, trees=13, extra_edges=seed, seed=seed)))
-        rng = random.Random(seed)
-        packing = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=rng.randrange(1 << 30))
-        res = _keep_bi(G, m1, m2, k0, seed, packing, rng, seed + 1)
+        packing = spanning_tree_packing(G, 2 * m1 + 2 * m2, seed=seed)
+        res = _keep_bi(G, m1, m2, k0, packing, seed + 1)
         assert not is_unknown(res), seed
         g1, g2, P, cross_packing = res
         assert g1.edge_ids | g2.edge_ids == frozenset(G.edge_ids)
@@ -201,7 +199,7 @@ def test_keep_bi_refuses_a_handed_in_refusal():
     refusal = spanning_tree_packing(G, 8, seed=3)
     assert isinstance(refusal, PackingRefusal)
     with pytest.raises(HypothesisError) as exc:
-        _keep_bi(G, 1, 3, 0, 3, refusal, random.Random(3), 4)
+        _keep_bi(G, 1, 3, 0, refusal, 3)
     assert exc.value.hypothesis == "(2m1+2m2)-tree-connected"
     assert exc.value.certificate is refusal
     assert exc.value.certificate.verify()

@@ -204,13 +204,12 @@ def test_two_point_factor_agrees_with_oracle():
 
 
 def test_two_point_factor_respects_pin():
+    # pinned at z is the one-point window {value} there
     G = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3), (1, 2)])
     g = {1: 1, 2: 1, 3: 0}
     f = {1: 2, 2: 2, 3: 2}
-    got = find_two_point_factor(G, g, f, pin=(1, 2))
+    got = find_two_point_factor(G, {**g, 1: 2}, {**f, 1: 2})
     assert got is not None and got.degree(1) == 2
-    with pytest.raises(InputError):
-        find_two_point_factor(G, g, f, pin=(1, 3))
 
 
 def _degrees(got):
@@ -238,9 +237,9 @@ def test_two_point_factor_decides_gap_two_past_the_cap(n):
     G = MultiGraph(range(1, n + 1), [(v, v % n + 1) for v in range(1, n + 1)])
     g = {v: 0 for v in G.vertices}
     f = {v: 2 for v in G.vertices}
-    whole = find_two_point_factor(G, g, f, pin=(1, 2))
+    whole = find_two_point_factor(G, {**g, 1: 2}, {**f, 1: 2})
     assert not is_unknown(whole) and whole.edge_ids == frozenset(G.edge_ids)
-    empty = find_two_point_factor(G, g, f, pin=(1, 0))
+    empty = find_two_point_factor(G, {**g, 1: 0}, {**f, 1: 0})
     assert not is_unknown(empty) and empty.edge_ids == frozenset()
     odd = find_two_point_factor(G, {**g, 1: 1}, {**f, 1: 1})
     assert not is_unknown(odd) and odd is None
@@ -293,10 +292,8 @@ def test_two_point_answers_without_gap_one_are_pinned(finder, key, seed, digest)
             pin = (z, rng.choice((lo[z], hi[z])))
         if pin is None:
             got = finder(G, lo, hi)
-        elif finder is find_two_point_factor:
-            got = finder(G, lo, hi, pin=pin)
         else:
-            # an orientation pinned at z is one with the window {value} there
+            # pinned at z is the window {value} there
             got = finder(G, {**lo, z: pin[1]}, {**hi, z: pin[1]})
         if is_unknown(got):
             h.update(b"unknown")

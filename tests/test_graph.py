@@ -97,12 +97,11 @@ def test_edge_forms_are_checked():
 
 
 def test_partition_stats_loop_convention():
-    # loops count once in e(X), never in the boundary or cross counts
+    # loops count once in e(X), never in the boundary count
     G = MultiGraph([1, 2, 3], [(1, 1), (1, 2), (1, 3), (2, 3)])
-    boundary, ex, cross = partition_stats(G, {1, 2}, {3})
+    boundary, ex = partition_stats(G, {1, 2})
     assert ex == 2          # the loop once, plus edge (1, 2)
-    assert cross == 2       # (1, 3) and (2, 3)
-    assert boundary == 2    # same two edges leave X
+    assert boundary == 2    # (1, 3) and (2, 3) leave X
 
 
 def test_induced_bipartite_factor_drops_intra_edges():

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module,
-every export is used by the package, and every theorem entry and each of
-its parameters is reached by the harness."""
+every export is used by the package, every theorem entry and each of its
+parameters is reached by the harness, and the stages take seeds."""
 from __future__ import annotations
 
 import ast
@@ -36,6 +36,20 @@ def test_no_module_imports_a_name_it_does_not_use():
     }
     assert found == {}
 
+
+def test_no_stage_takes_a_random_generator():
+    # stages take seeds and derive their streams with child_seed, so a
+    # stage's draws depend on its seed alone, not on what a caller drew
+    # from a shared generator before the call
+    found = []
+    for name in ("pipeline.py", "decompositions.py", "connectivity.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.annotation is not None and "Random" in ast.unparse(arg.annotation):
+                        found.append(f"{name}: {node.name}({arg.arg})")
+    assert found == []
 
 
 def test_the_harness_calls_every_theorem_entry():

@@ -551,6 +551,25 @@ def test_tree_connected_pipelines_carry_their_trees(monkeypatch):
             assert part not in hosts
 
 
+def test_tree_connected_entries_at_m_zero_certify_as_at_m_one():
+    # m = m0 = 0 runs the same construction: an empty Eulerian part G1, an
+    # empty balancer, and packings of 0 trees for the factor and its
+    # complement
+    params = TheoremParams(k=1)
+    for G, run in (
+        (k23(8), lambda G, g, f: tree_connected_gf_bipartite(
+            G, P23, g, f, params=params, seed=5)),
+        (_k5_times_4(), lambda G, g, f: tree_connected_gf(
+            G, g, f, params=params, seed=3)),
+    ):
+        d = G.degrees()
+        cert = run(G, {v: d[v] // 2 for v in G.vertices}, {v: d[v] // 2 + 1 for v in G.vertices})
+        assert isinstance(cert, FactorCertificate) and cert.verify()
+        assert {name: p.m for name, p in cert.packings.items()} == {"factor": 0, "complement": 0}
+        assert cert.tree_counts == {"factor": 0, "complement": 0}
+        assert cert.derivation[:2] == (("eulerian-part", ()), ("balancer", ()))
+
+
 def test_keep_bi_that_finds_no_bipartition_is_unknown_at_once(monkeypatch):
     # keep-bi is one construction on the gate's trees: when its structure
     # search on G2 finds nothing, tree_connected_gf answers UNKNOWN after
