@@ -70,9 +70,6 @@ from .graph import (
 )
 from .rng import child_seed
 
-# random halves that the structure searches try after the index witness
-_CANDIDATE_TRIES = 6
-
 
 def edge_connectivity(G: MultiGraph) -> int | float:
     """Global min cut size; loops never count.  One vertex: infinity sentinel.
@@ -769,35 +766,22 @@ def _find_structure(
     window_ok: Callable[[Bipartition], bool] | None = None,
 ) -> tuple[Bipartition, TreePacking] | None:
     """(P, packing of need trees of G[X, Y] at packer seed child_seed(seed,
-    1)) for the first candidate P whose intra-part count passes intra_ok and
-    that passes window_ok as given or else swapped (P is that orientation);
-    or None.
-
-    The candidates are the witness of `bipartite_index_upper`, then random
-    halves drawn at child_seed(seed, 0) as the search reaches them.  A
-    swapped bipartition has the same cross factor, so each unordered pair is
-    tried once; both sides are nonempty.
+    1)) for the witness P of `bipartite_index_upper`, oriented as given or
+    else swapped so that it passes window_ok; or None when a side is empty,
+    no orientation passes window_ok, its intra-part count fails intra_ok or
+    its cross factor does not pack.
     """
     _, P = bipartite_index_upper(G)
-    rng = random.Random(child_seed(seed, 0))
-    verts = list(G.vertices)
-    seen = set()
-    for trial in range(_CANDIDATE_TRIES + 1):
-        if trial:
-            X = frozenset(v for v in verts if rng.random() < 0.5)
-            P = Bipartition(X, frozenset(verts) - X)
-        key = frozenset((P.X, P.Y))
-        if not P.X or not P.Y or key in seen:
-            continue
-        seen.add(key)
-        Q = next((Q for Q in (P, P.swapped()) if window_ok is None or window_ok(Q)), None)
-        # with Y = V - X every boundary edge of X is a cross edge
-        if Q is None or not intra_ok(G.num_edges - partition_stats(G, P.X)[0]):
-            continue
-        cross = induced_bipartite_factor(G, P).as_graph()
-        packing = spanning_tree_packing(cross, need, seed=child_seed(seed, 1))
-        if isinstance(packing, TreePacking):
-            return Q, packing
+    if not P.X or not P.Y:
+        return None
+    Q = next((Q for Q in (P, P.swapped()) if window_ok is None or window_ok(Q)), None)
+    # with Y = V - X every boundary edge of X is a cross edge
+    if Q is None or not intra_ok(G.num_edges - partition_stats(G, P.X)[0]):
+        return None
+    cross = induced_bipartite_factor(G, P).as_graph()
+    packing = spanning_tree_packing(cross, need, seed=child_seed(seed, 1))
+    if isinstance(packing, TreePacking):
+        return Q, packing
     return None
 
 

@@ -198,9 +198,10 @@ def _keep_bi(
 
     packing holds the 2m1+2m2 trees of G its caller proved, m1 >= 0 and
     m2 >= 1: G1 is the first 2m1 closed by the parity forest of the next,
-    so at m1 = 0 it is empty and G2 is G.  P comes from the structure
-    search on G2 at `seed`, the seed that also bounds bi(G); if it finds
-    no P the answer is UNKNOWN.
+    so at m1 = 0 it is empty and G2 is G.  P is the bipartite-index
+    witness of G2, whose cross factor the structure search packs at
+    `seed`, the seed that also bounds bi(G); if the witness fails, the
+    answer is UNKNOWN.
     """
     if isinstance(packing, PackingRefusal):
         raise HypothesisError(

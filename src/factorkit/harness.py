@@ -445,8 +445,8 @@ def _run_bipartite_gf(G, g, f, params, assume, seed):
 
 
 def _run_almost_bipartite(G, g, f, params, assume, seed):
-    # the entry's structure search tries this witness first, as given and
-    # then swapped: h is admissible for the first orientation that has one
+    # the entry's structure search runs on this witness, as given or
+    # swapped: h is admissible for the first orientation that has one
     _, P = bipartite_index_upper(G)
     for Q in (P, P.swapped()):
         h = _selector_within(G, Q, g, f, 2 * partition_stats(G, Q.X)[1] + 1)

@@ -9,9 +9,10 @@ entry enters another.  Each entry is one path: what its theorem says
 exists, it finds itself.  The balanced selector h of the bipartite
 entries comes from the subset sum of _selector_within and their pinned
 vertex is min(P.X); the bipartition of the almost-bipartite and bi-large
-entries comes from the structure search.  Only the bipartite entries take
-a bipartition, the one their host is bipartite on, and only the
-almost-bipartite entry takes h, which its statement quantifies over.
+entries is the bipartite-index witness, which the structure search
+checks.  Only the bipartite entries take a bipartition, the one their
+host is bipartite on, and only the almost-bipartite entry takes h, which
+its statement quantifies over.
 An entry ends in one of these ways:
 
 * a refusal: one of the entry's own hypotheses fails, and it raises a
@@ -25,9 +26,9 @@ An entry ends in one of these ways:
   failed hypotheses pass, so a failed stage returns None instead;
 * UNKNOWN, only from three searches that can find nothing: the selector
   sampling of find_two_point_factor past 20 vertices with a gap f - g of
-  3 or more (so never at k <= 2), after its budget; the one structure
-  search of tree_connected_gf, keep-bi's on G2 at every m; and the split
-  lemma, after its budget.
+  3 or more (so never at k <= 2), after its budget; keep-bi's witness on
+  G2 in tree_connected_gf at every m, when it fails the structure check;
+  and the split lemma, after its budget.
 
 Stages raise and each entry translates once: _stage turns a nested
 refusal or None into _StageFailed and UNKNOWN into _GaveUp, and the
@@ -48,9 +49,11 @@ from typing import Callable, Mapping
 from .connectivity import (
     PackingRefusal,
     TreePacking,
+    _EXACT_CAP,
     _find_structure,
-    bipartite_index_bounds,
+    bipartite_index_upper,
     edge_connectivity,
+    odd_cycle_packing_bound,
     spanning_tree_packing,
     toughness,
 )
@@ -275,14 +278,21 @@ def _half_degrees(part: Factor) -> dict[int, int]:
 
 
 def _bi_at_least(G: MultiGraph, threshold: int, seed: int = 0) -> bool:
-    """Decide bi(G) >= threshold; SizeRefusal when genuinely undecided."""
+    """Decide bi(G) >= threshold; SizeRefusal when genuinely undecided.
+
+    The upper bound of `bipartite_index_upper` is exact up to its cap.
+    Past it, one odd-cycle certificate at threshold on its witness decides
+    what `bipartite_index_bounds` would: the certificate at k implies the
+    one at every smaller k, so its lower bound reaches threshold iff the
+    certificate at threshold exists.
+    """
     if threshold <= 0:
         return True
-    lower, upper, _ = bipartite_index_bounds(G, seed=seed)
-    if lower >= threshold:
-        return True
+    upper, witness = bipartite_index_upper(G, seed=seed)
     if upper < threshold:
         return False
+    if G.num_vertices <= _EXACT_CAP or odd_cycle_packing_bound(G, witness, threshold)[0]:
+        return True
     raise SizeRefusal(
         "bipartite index bound",
         f"cannot decide bi >= {threshold} at this size",
@@ -530,9 +540,10 @@ def _gate_structure(
     """The bipartition the almost-bipartite and bi-large theorems run on,
     with the packing of its cross factor that their Eulerian split uses.
 
-    `_find_structure` searches at `seed`.  When no candidate passes,
-    `search` (hypothesis, detail) names the refusal, or the stage fails
-    under assume_hypotheses.
+    `_find_structure` checks the bipartite-index witness and packs its
+    cross factor at `seed`.  When the witness fails, `search` (hypothesis,
+    detail) names the refusal, or the stage fails under
+    assume_hypotheses.
     """
     found = _find_structure(G, need, intra_ok, seed, window_ok)
     if found is None:
@@ -552,7 +563,7 @@ def gf_factor_almost_bipartite(
 ) -> FactorCertificate | None | Unknown:
     """{g,f}-factor when some bipartition leaves at most k-1 edges inside
     parts and the cross factor is (4k^2+2k)-tree-connected; the bipartition
-    is searched for.
+    is the bipartite-index witness, as given or swapped.
 
     h must select within {g, f}, have even total, and obey the displayed
     near-balance window 0 <= sum_X h - sum_Y h <= 2e(X)+1.
@@ -583,12 +594,8 @@ def gf_factor_almost_bipartite(
     gate.require(total_h % 2 == 0, "sum h even", f"sum h = {total_h}")
     ex = partition_stats(G, P.X)[1]
     ey = partition_stats(G, P.Y)[1]
+    # window_ok has put s in [0, 2e(X)+1] on this orientation of P
     s = sum(h[v] for v in P.X) - sum(h[v] for v in P.Y)
-    gate.require(
-        0 <= s <= 2 * ex + 1,
-        "near-balance window 0 <= sum_X h - sum_Y h <= 2e(X)+1",
-        f"sum_X h - sum_Y h = {s}, e(X) = {ex}",
-    )
 
     if k == 1:
         # zero intra edges: the graph is bipartite, its cross factor carries
@@ -646,8 +653,8 @@ def gf_factor_bi_large(
     seed: int = 0,
 ) -> FactorCertificate | NoFactorCertificate | None | Unknown:
     """{g,f}-factor when some bipartition has a 3k^2-tree-connected cross
-    factor and at least k-1 intra-part edges; the bipartition is searched
-    for.
+    factor and at least k-1 intra-part edges; the bipartition is the
+    bipartite-index witness.
 
     The factor exists iff some gap f-g is odd, or all gaps are even and
     sum f is even; the failing case returns a parity certificate.

@@ -9,9 +9,9 @@ import sys
 import pytest
 
 import factorkit
-from factorkit import harness
+from factorkit import decompositions, harness
 from factorkit.cli import main
-from factorkit.generators import gen_functions
+from factorkit.generators import GenSpec, gen_functions, gen_tree_connected
 from factorkit.graph import Factor, MultiGraph, parse_graph, serialize_graph
 from factorkit.pipeline import FactorCertificate, NoFactorCertificate
 
@@ -272,6 +272,51 @@ def test_a_host_below_the_tree_gate_answers_none_at_m_zero(tmp_path, capsys):
             "outcome": "none",
             "detail": "a stage found nothing under the assumed hypotheses",
         }
+
+
+def test_a_host_without_a_balanced_selector_answers_none(tmp_path, capsys):
+    # K_{5,5} x8, g = f = d/2 except the window {d/2 - 1, d/2 + 1} at vertex 1:
+    # h(X) - h(Y) is odd for every h, so no selector balances
+    G = MultiGraph(range(1, 11), [(u, v) for u in range(1, 6) for v in range(6, 11)] * 8)
+    g = {v: G.degree(v) // 2 for v in G.vertices}
+    f = dict(g)
+    g[1] -= 1
+    f[1] += 1
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(G, g, f))
+    for theorem in ("bipartite-gf", "tree-gf-bipartite"):
+        code, out, err = run(capsys, "factor", "--theorem", theorem, "--graph", str(path),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == '{"detail":"no balanced selector","outcome":"none"}\n'
+
+
+def test_a_split_lemma_that_gives_up_answers_unknown(tmp_path, capsys, monkeypatch):
+    # no interval factor balances the packed trees, so every split trial
+    # misses and the tree-connected pipelines answer UNKNOWN
+    monkeypatch.setattr(decompositions, "find_interval_factor", lambda *args: None)
+    for theorem, trees, bipartite in (("tree-gf", 4, False), ("tree-gf-bipartite", 3, True)):
+        H = gen_tree_connected(GenSpec(n=6, trees=trees, bipartite=bipartite, seed=1))
+        G = MultiGraph(H.vertices, [(u, v) for _, u, v in H.edges] * 2)
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(G, *gen_functions(G, k=1, m=1, seed=1)))
+        code, out, err = run(capsys, "factor", "--theorem", theorem, "--m", "1",
+                             "--graph", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outcome"] == "unknown"
+
+
+def test_bi_above_the_exact_cap_prints_bounds(tmp_path, capsys):
+    # past 20 vertices bi prints the local-search bounds and their witness
+    for n in (21, 24):
+        code, out, err = run(capsys, "bi", "--graph", str(_odd_ring(tmp_path, n)),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["outcome"] == "bipartite-index-bounds"
+        assert 0 <= payload["lower"] <= payload["upper"]
+        X, Y = set(payload["side_x"]), set(payload["side_y"])
+        assert not X & Y and X | Y == set(range(1, n + 1))
 
 
 def test_gen_with_empty_window_is_a_refusal(capsys):

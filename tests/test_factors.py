@@ -245,6 +245,34 @@ def test_two_point_factor_decides_gap_two_past_the_cap(n):
     assert not is_unknown(odd) and odd is None
 
 
+def test_two_point_factor_samples_selectors_past_the_cap(monkeypatch):
+    # K_{12,12} doubled, window {d/2 - 1, d/2 + 2} everywhere: 24 gaps of 3,
+    # past the selector cap, so seeded random selectors are tried, each by
+    # one window factor, and a sample answers within a few attempts
+    G = MultiGraph(range(1, 25), [(u, v) for u in range(1, 13) for v in range(13, 25)] * 2)
+    g = {v: G.degree(v) // 2 - 1 for v in G.vertices}
+    f = {v: G.degree(v) // 2 + 2 for v in G.vertices}
+    attempts = []
+    window_factor = factors._window_factor
+
+    def counted(*args):
+        attempts.append(args)
+        return window_factor(*args)
+
+    monkeypatch.setattr(factors, "_window_factor", counted)
+    for seed in range(5):
+        attempts.clear()
+        got = find_two_point_factor(G, g, f, seed=seed)
+        assert isinstance(got, Factor)
+        assert all(got.degree(v) in (g[v], f[v]) for v in G.vertices)
+        assert 1 <= len(attempts) < factors._SELECTOR_BUDGET
+    # no selector answers: UNKNOWN after the whole budget, never none
+    monkeypatch.setattr(factors, "_window_factor", lambda *args: attempts.append(args))
+    attempts.clear()
+    assert is_unknown(find_two_point_factor(G, g, f, seed=0))
+    assert len(attempts) == factors._SELECTOR_BUDGET
+
+
 def _orientation_exists(G, ok) -> bool:
     """Exhaustive oracle: whether some orientation of G has out-degrees
     that pass ok, over every out-degree vector that directing the edges

@@ -10,7 +10,7 @@ import pytest
 
 from factorkit import connectivity, decompositions, factors, harness, pipeline
 from factorkit.connectivity import TreePacking, edge_connectivity, spanning_tree_packing
-from factorkit.errors import HypothesisError, InputError, is_unknown
+from factorkit.errors import HypothesisError, InputError, SizeRefusal, is_unknown
 from factorkit.factors import factor_exists
 from factorkit.generators import GenSpec, balanced_bipartition_of, gen_functions, gen_tree_connected
 from factorkit.graph import Bipartition, Factor, MultiGraph
@@ -216,6 +216,21 @@ def test_balanced_selector_none_when_unbalanceable():
     g[1] -= 1
     f[1] += 1  # only vertex 1 can move, by 2; imbalance is odd
     assert balanced_selector(G, P23, g, f) is None
+
+
+def test_bipartite_entries_answer_none_without_a_balanced_selector():
+    # K_{5,5} x8 with g = f = d/2 except the window {d/2 - 1, d/2 + 1} at
+    # vertex 1: every h leaves h(X) - h(Y) = +-1, so both bipartite entries
+    # pass their gates and answer None
+    X, Y = range(1, 6), range(6, 11)
+    G = MultiGraph(range(1, 11), [(u, v) for u in X for v in Y] * 8)
+    P = Bipartition(frozenset(X), frozenset(Y))
+    g = {v: G.degree(v) // 2 for v in G.vertices}
+    f = dict(g)
+    g[1] -= 1
+    f[1] += 1
+    assert gf_factor_bipartite(G, P, g, f, seed=1) is None
+    assert tree_connected_gf_bipartite(G, P, g, f, params=TheoremParams(k=2), seed=1) is None
 
 
 def _selector_walk(P, top, g, f):
@@ -468,13 +483,71 @@ def test_gf_factor_bi_large_constructs_at_k2():
             continue
         assert isinstance(res, FactorCertificate) and res.verify()
         assert all(res.factor.degree(v) in (g[v], f[v]) for v in G.vertices)
-    # 10 cross trees: no candidate passes the structure search, which
-    # refuses, and under assume_hypotheses is a failed stage, so None
+    # 10 cross trees: the bipartite-index witness fails the structure
+    # search, which refuses, and under assume_hypotheses is a failed stage,
+    # so None
     G = k23(7, intra=[(1, 2)])
     g, f = _gap_two_at_3(G, 1)
     with pytest.raises(HypothesisError, match="bi-large structure"):
         gf_factor_bi_large(G, g, f, seed=1)
     assert gf_factor_bi_large(G, g, f, assume_hypotheses=True, seed=1) is None
+
+
+def test_structure_search_packs_the_witness_once(monkeypatch):
+    # the bi-large refusal host above: its bipartite-index witness keeps the
+    # one intra edge, and one packing of its cross factor decides the gate
+    hosts = _spy_packer(monkeypatch)
+    G = k23(7, intra=[(1, 2)])
+    cross = frozenset(eid for eid, u, v in G.edges if (u, v) != (1, 2))
+    g, f = _gap_two_at_3(G, 1)
+    with pytest.raises(HypothesisError, match="bi-large structure"):
+        gf_factor_bi_large(G, g, f, seed=1)
+    assert hosts == [cross]
+
+
+def _doubled(G: MultiGraph) -> MultiGraph:
+    return MultiGraph(G.vertices, [(u, v) for _, u, v in G.edges] * 2)
+
+
+def test_bi_at_least_past_the_cap_packs_once(monkeypatch):
+    # the tree-gf gate at k = 2, m = 1 asks bi >= 1 of a doubled 13-tree
+    # host: one odd-cycle certificate at 1 on the index witness decides it,
+    # where the sweep of bipartite_index_bounds packs from its upper bound
+    # (218 here) down
+    hosts = _spy_packer(monkeypatch)
+    G = _doubled(gen_tree_connected(GenSpec(n=24, trees=13, extra_edges=6, seed=1)))
+    assert pipeline._bi_at_least(G, 1)
+    assert len(hosts) == 1
+
+
+def test_bi_at_least_agrees_with_the_index_bounds():
+    def by_bounds(G, t):
+        lower, upper, _ = connectivity.bipartite_index_bounds(G)
+        return True if lower >= t else False if upper < t else "refusal"
+
+    def decide(G, t):
+        try:
+            return pipeline._bi_at_least(G, t)
+        except SizeRefusal:
+            return "refusal"
+
+    ring = lambda n, start=1: [(v, (v - start + 1) % n + start) for v in range(start, start + n)]
+    hosts = [
+        _k5_times_4(),
+        MultiGraph(range(1, 24), ring(23)),
+        # two odd rings: bi = 2, but no witness has a connected cross factor
+        MultiGraph(range(1, 23), ring(11) + ring(11, 12)),
+        _doubled(gen_tree_connected(GenSpec(n=22, trees=3, extra_edges=4, seed=2))),
+    ]
+    seen = set()
+    for G in hosts:
+        for t in range(4):
+            got = decide(G, t)
+            assert got == by_bounds(G, t)
+            seen.add(got)
+    assert seen == {True, False, "refusal"}
+    with pytest.raises(SizeRefusal, match="cannot decide bi >= 1"):
+        pipeline._bi_at_least(hosts[2], 1)
 
 
 def test_tree_connected_gf_bipartite_carries_packings():

@@ -406,6 +406,24 @@ def test_no_entry_enters_another(monkeypatch):
     assert nested == []
 
 
+def test_the_split_lemma_gives_up_after_its_budget(monkeypatch):
+    # with no interval factor to balance the packed trees, every trial of
+    # the split misses and both tree-connected entries answer UNKNOWN at m = 1
+    balances = []
+    monkeypatch.setattr(decompositions, "find_interval_factor",
+                        lambda *args: balances.append(args))
+    for tid, trees, bipartite in (("tree-gf", 4, False), ("tree-gf-bipartite", 3, True)):
+        for seed in range(3):
+            G = _doubled(gen_tree_connected(
+                GenSpec(n=6, trees=trees, bipartite=bipartite, seed=seed)))
+            g, f = gen_functions(G, k=1, m=1, seed=seed)
+            for assume in (False, True):
+                balances.clear()
+                assert _outcome(lambda: THEOREMS[tid][1](
+                    G, g, f, TheoremParams(k=1, m=1), assume, seed)) == "unknown"
+                assert 1 <= len(balances) <= decompositions._BUDGET
+
+
 def test_tree_gf_at_m_zero_answers_as_bi_large(monkeypatch):
     # at m = m0 = 0 keep-bi leaves G2 = G and searches it as the bi-large
     # structure gate does, so tree_connected_gf is gf_factor_bi_large at
