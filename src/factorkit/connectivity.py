@@ -48,6 +48,14 @@ but it takes them by size and skips every set that provably cannot beat
 the best ratio, and it too keeps the smallest-mask witness of the full
 sweep.  All three run iteratively and build no closures, so a call leaves
 no reference cycles behind.
+
+The pipelines' structure search needs a bipartition with few intra edges
+and a richly tree-connected cross factor, not the index itself.  So it
+tries the flip witness first: a BFS 2-colouring with single-vertex flips,
+linear in the host apart from the flips, seedless, and exact on bipartite
+hosts.  Only when that witness fails does it run `bipartite_index_upper`,
+the exact sweep up to the cap, which stays for `factorkit bi`, the bounds
+and the oracles.
 """
 from __future__ import annotations
 
@@ -58,7 +66,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import InputError, SizeRefusal
 from .graph import (
@@ -761,27 +769,93 @@ def bipartite_index_bounds(G: MultiGraph, seed: int = 0) -> tuple[int, int, Bipa
     return lower, upper, witness
 
 
+def _flip_witness(G: MultiGraph) -> Bipartition:
+    """A bipartition in which no vertex has more same-side than cross
+    neighbours, with no seed and no search.
+
+    A BFS 2-colouring of every component puts each vertex opposite its BFS
+    parent, its first root in X; then any vertex with more same-side than
+    cross neighbours flips, which lowers the intra count by their
+    difference, until none has.  The colouring takes linear time and each
+    flip the vertex's degree; each flip removes an intra edge at least, so
+    there are no more flips than intra edges the colouring left.  On a
+    bipartite host the colouring is proper and keeps 0 intra edges, which
+    is exact.
+    """
+    verts = list(G.vertices)
+    n = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for _, u, v in G.edges:
+        if u != v:
+            nbrs[idx[u]].append(idx[v])
+            nbrs[idx[v]].append(idx[u])
+    side = [-1] * n
+    for root in range(n):
+        if side[root] < 0:
+            side[root] = 0
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for w in nbrs[u]:
+                    if side[w] < 0:
+                        side[w] = 1 - side[u]
+                        queue.append(w)
+    # gain[u]: u's same-side neighbours minus its cross ones
+    gain = [sum(1 if side[w] == side[u] else -1 for w in nbrs[u]) for u in range(n)]
+    queue = deque(u for u in range(n) if gain[u] > 0)
+    while queue:
+        u = queue.popleft()
+        if gain[u] <= 0:
+            continue
+        side[u] ^= 1
+        gain[u] = -gain[u]
+        for w in nbrs[u]:
+            if side[w] == side[u]:
+                gain[w] += 2
+                if gain[w] > 0:
+                    queue.append(w)
+            else:
+                gain[w] -= 2
+    Y = frozenset(v for v, s in zip(verts, side) if s)
+    return Bipartition(frozenset(verts) - Y, Y)
+
+
+def _structure_witnesses(G: MultiGraph) -> Iterator[Bipartition]:
+    """The bipartitions a structure search tries, in order: the flip
+    witness, then the witness of `bipartite_index_upper` unless it splits V
+    the same way, since the same split fails the same checks (the packer
+    is exact).  Lazy, so the index runs only for a caller that asks past
+    the first."""
+    P = _flip_witness(G)
+    yield P
+    _, Q = bipartite_index_upper(G)
+    if Q.X not in (P.X, P.Y):
+        yield Q
+
+
 def _find_structure(
     G: MultiGraph, need: int, intra_ok: Callable[[int], bool], seed: int,
     window_ok: Callable[[Bipartition], bool] | None = None,
 ) -> tuple[Bipartition, TreePacking] | None:
     """(P, packing of need trees of G[X, Y] at packer seed child_seed(seed,
-    1)) for the witness P of `bipartite_index_upper`, oriented as given or
-    else swapped so that it passes window_ok; or None when a side is empty,
-    no orientation passes window_ok, its intra-part count fails intra_ok or
+    1)) for the first witness P of `_structure_witnesses` that passes,
+    oriented as given or else swapped so that it passes window_ok; or None
+    when every witness fails.  A witness fails when a side is empty, no
+    orientation passes window_ok, its intra-part count fails intra_ok or
     its cross factor does not pack.
     """
-    _, P = bipartite_index_upper(G)
-    if not P.X or not P.Y:
-        return None
-    Q = next((Q for Q in (P, P.swapped()) if window_ok is None or window_ok(Q)), None)
-    # with Y = V - X every boundary edge of X is a cross edge
-    if Q is None or not intra_ok(G.num_edges - partition_stats(G, P.X)[0]):
-        return None
-    cross = induced_bipartite_factor(G, P).as_graph()
-    packing = spanning_tree_packing(cross, need, seed=child_seed(seed, 1))
-    if isinstance(packing, TreePacking):
-        return Q, packing
+    for P in _structure_witnesses(G):
+        if not P.X or not P.Y:
+            continue
+        Q = next((Q for Q in (P, P.swapped()) if window_ok is None or window_ok(Q)), None)
+        # with Y = V - X every boundary edge of X is a cross edge
+        if Q is None or not intra_ok(G.num_edges - partition_stats(G, P.X)[0]):
+            continue
+        cross = induced_bipartite_factor(G, P).as_graph()
+        packing = spanning_tree_packing(cross, need, seed=child_seed(seed, 1))
+        if isinstance(packing, TreePacking):
+            return Q, packing
     return None
 
 

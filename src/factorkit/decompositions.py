@@ -23,7 +23,6 @@ from .connectivity import (
     PackingRefusal,
     TreePacking,
     _find_structure,
-    bipartite_index_upper,
     spanning_tree_packing,
 )
 from .errors import HypothesisError, InputError, UNKNOWN, Unknown
@@ -193,15 +192,14 @@ def _keep_bi(
 ) -> tuple[Factor, Factor, Bipartition, TreePacking] | Unknown:
     """Split G into G1 (2m1-edge-connected Eulerian) and G2 with a
     bipartition P making G2[X, Y] m2-tree-connected while G2 keeps at
-    least min(k0, bi(G)) intra-part edges; returns (G1, G2, P, the packing
-    of m2 trees of G2[X, Y]).
+    least k0 intra-part edges; returns (G1, G2, P, the packing of m2 trees
+    of G2[X, Y]).  The caller's gate has proved bi(G) >= k0.
 
     packing holds the 2m1+2m2 trees of G its caller proved, m1 >= 0 and
     m2 >= 1: G1 is the first 2m1 closed by the parity forest of the next,
-    so at m1 = 0 it is empty and G2 is G.  P is the bipartite-index
-    witness of G2, whose cross factor the structure search packs at
-    `seed`, the seed that also bounds bi(G); if the witness fails, the
-    answer is UNKNOWN.
+    so at m1 = 0 it is empty and G2 is G.  P is the first witness of G2
+    that the structure search passes, packing its cross factor at `seed`;
+    if every witness fails, the answer is UNKNOWN.
     """
     if isinstance(packing, PackingRefusal):
         raise HypothesisError(
@@ -209,12 +207,11 @@ def _keep_bi(
             f"graph is not {2 * m1 + 2 * m2}-tree-connected",
             certificate=packing,
         )
-    intra_target = min(k0, bipartite_index_upper(G, seed=seed)[0]) if k0 else 0
     trees = packing.trees
     core = frozenset().union(*(t.edge_ids for t in trees[: 2 * m1]))
     g1 = _even_closure(Factor(G, core), trees[2 * m1])
     g2 = g1.complement()
-    found = _find_structure(g2.as_graph(), m2, lambda i: i >= intra_target, seed)
+    found = _find_structure(g2.as_graph(), m2, lambda i: i >= k0, seed)
     if found is None:
         return UNKNOWN
     g1_graph = g1.as_graph()

@@ -21,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .connectivity import bipartite_index_upper
+from .connectivity import _structure_witnesses
 from .errors import (
     HypothesisError,
     InputError,
@@ -445,13 +445,14 @@ def _run_bipartite_gf(G, g, f, params, assume, seed):
 
 
 def _run_almost_bipartite(G, g, f, params, assume, seed):
-    # the entry's structure search runs on this witness, as given or
-    # swapped: h is admissible for the first orientation that has one
-    _, P = bipartite_index_upper(G)
-    for Q in (P, P.swapped()):
-        h = _selector_within(G, Q, g, f, 2 * partition_stats(G, Q.X)[1] + 1)
-        if h is not None:
-            return gf_factor_almost_bipartite(G, g, f, h, assume_hypotheses=assume, seed=seed)
+    # the entry's structure search runs on these witnesses in this order,
+    # each as given or swapped: h is admissible for the first orientation
+    # that has one
+    for P in _structure_witnesses(G):
+        for Q in (P, P.swapped()):
+            h = _selector_within(G, Q, g, f, 2 * partition_stats(G, Q.X)[1] + 1)
+            if h is not None:
+                return gf_factor_almost_bipartite(G, g, f, h, assume_hypotheses=assume, seed=seed)
     return NO_SELECTOR
 
 

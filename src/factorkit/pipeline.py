@@ -9,10 +9,10 @@ entry enters another.  Each entry is one path: what its theorem says
 exists, it finds itself.  The balanced selector h of the bipartite
 entries comes from the subset sum of _selector_within and their pinned
 vertex is min(P.X); the bipartition of the almost-bipartite and bi-large
-entries is the bipartite-index witness, which the structure search
-checks.  Only the bipartite entries take a bipartition, the one their
-host is bipartite on, and only the almost-bipartite entry takes h, which
-its statement quantifies over.
+entries is the first witness that the structure search passes: the flip
+witness, or else the bipartite-index witness.  Only the bipartite entries
+take a bipartition, the one their host is bipartite on, and only the
+almost-bipartite entry takes h, which its statement quantifies over.
 An entry ends in one of these ways:
 
 * a refusal: one of the entry's own hypotheses fails, and it raises a
@@ -26,9 +26,9 @@ An entry ends in one of these ways:
   failed hypotheses pass, so a failed stage returns None instead;
 * UNKNOWN, only from three searches that can find nothing: the selector
   sampling of find_two_point_factor past 20 vertices with a gap f - g of
-  3 or more (so never at k <= 2), after its budget; keep-bi's witness on
-  G2 in tree_connected_gf at every m, when it fails the structure check;
-  and the split lemma, after its budget.
+  3 or more (so never at k <= 2), after its budget; keep-bi's structure
+  search on G2 in tree_connected_gf at every m, when both its witnesses
+  fail the structure check; and the split lemma, after its budget.
 
 Stages raise and each entry translates once: _stage turns a nested
 refusal or None into _StageFailed and UNKNOWN into _GaveUp, and the
@@ -51,6 +51,7 @@ from .connectivity import (
     TreePacking,
     _EXACT_CAP,
     _find_structure,
+    _flip_witness,
     bipartite_index_upper,
     edge_connectivity,
     odd_cycle_packing_bound,
@@ -280,13 +281,18 @@ def _half_degrees(part: Factor) -> dict[int, int]:
 def _bi_at_least(G: MultiGraph, threshold: int, seed: int = 0) -> bool:
     """Decide bi(G) >= threshold; SizeRefusal when genuinely undecided.
 
-    The upper bound of `bipartite_index_upper` is exact up to its cap.
-    Past it, one odd-cycle certificate at threshold on its witness decides
-    what `bipartite_index_bounds` would: the certificate at k implies the
-    one at every smaller k, so its lower bound reaches threshold iff the
-    certificate at threshold exists.
+    One odd-cycle certificate at threshold on the flip witness proves it
+    at any size, with no bipartite index.  Without one, the upper bound of
+    `bipartite_index_upper` decides up to its cap, where it is exact.  Past
+    it, one certificate at threshold on its witness decides what
+    `bipartite_index_bounds` would: the certificate at k implies the one
+    at every smaller k, so its lower bound reaches threshold iff the
+    certificate at threshold exists.  So the answer never contradicts the
+    bounds, and a True they leave open has a certificate.
     """
     if threshold <= 0:
+        return True
+    if odd_cycle_packing_bound(G, _flip_witness(G), threshold)[0]:
         return True
     upper, witness = bipartite_index_upper(G, seed=seed)
     if upper < threshold:
@@ -540,8 +546,9 @@ def _gate_structure(
     """The bipartition the almost-bipartite and bi-large theorems run on,
     with the packing of its cross factor that their Eulerian split uses.
 
-    `_find_structure` checks the bipartite-index witness and packs its
-    cross factor at `seed`.  When the witness fails, `search` (hypothesis,
+    `_find_structure` checks the flip witness and then, if it fails and
+    splits V another way, the bipartite-index witness, packing each cross
+    factor it reaches at `seed`.  When both fail, `search` (hypothesis,
     detail) names the refusal, or the stage fails under
     assume_hypotheses.
     """
@@ -563,7 +570,8 @@ def gf_factor_almost_bipartite(
 ) -> FactorCertificate | None | Unknown:
     """{g,f}-factor when some bipartition leaves at most k-1 edges inside
     parts and the cross factor is (4k^2+2k)-tree-connected; the bipartition
-    is the bipartite-index witness, as given or swapped.
+    is the structure search's flip witness, or else its bipartite-index
+    witness, each as given or swapped.
 
     h must select within {g, f}, have even total, and obey the displayed
     near-balance window 0 <= sum_X h - sum_Y h <= 2e(X)+1.
@@ -654,7 +662,7 @@ def gf_factor_bi_large(
 ) -> FactorCertificate | NoFactorCertificate | None | Unknown:
     """{g,f}-factor when some bipartition has a 3k^2-tree-connected cross
     factor and at least k-1 intra-part edges; the bipartition is the
-    bipartite-index witness.
+    structure search's flip witness, or else its bipartite-index witness.
 
     The factor exists iff some gap f-g is odd, or all gaps are even and
     sum f is even; the failing case returns a parity certificate.

@@ -28,6 +28,8 @@ from factorkit.connectivity import (
     PackingRefusal,
     TreePacking,
     _ForestState,
+    _find_structure,
+    _flip_witness,
     bipartite_index,
     bipartite_index_bounds,
     bipartite_index_upper,
@@ -774,6 +776,106 @@ def test_bipartite_index_refuses_large_and_bounds_bracket():
     assert 0 <= low <= high <= G.num_edges
     intra = sum(1 for _, u, v in G.edges if u == v or (u in P.X) == (v in P.X))
     assert intra == high
+
+
+def _witness_hosts(st, max_n, bipartite):
+    """Multigraphs on 1..n, n <= max_n, loops and all, or with bipartite
+    set only edges across a drawn side of each vertex."""
+
+    @st.composite
+    def hosts(draw):
+        n = draw(st.integers(1, max_n))
+        ends = st.integers(1, n)
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=4 * n))
+        if bipartite:
+            side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            pairs = [(u, v) for u, v in pairs if side[u - 1] != side[v - 1]]
+        return MultiGraph(range(1, n + 1), pairs)
+
+    return hosts()
+
+
+def test_flip_witness_properly_colours_bipartite_hosts():
+    # disconnected and past the exact cap too: intra 0 is exact there
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_witness_hosts(hypothesis.strategies, 30, bipartite=True))
+    def check(G):
+        P = _flip_witness(G)
+        P.validate_for(G)
+        assert all((u in P.X) != (v in P.X) for _, u, v in G.edges)
+
+    check()
+
+
+def test_no_vertex_of_the_flip_witness_has_more_same_side_neighbours():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_witness_hosts(hypothesis.strategies, 30, bipartite=False))
+    def check(G):
+        P = _flip_witness(G)
+        P.validate_for(G)
+        for v in G.vertices:
+            ends = [w for _, w in G.incident(v) if w != v]
+            same = sum(1 for w in ends if (w in P.X) == (v in P.X))
+            assert 2 * same <= len(ends)
+
+    check()
+
+
+def test_structure_search_answers_wherever_the_exact_witness_passes():
+    # up to the exact cap, the search tries the index witness when the
+    # flip witness fails, so it answers on every host where the index
+    # witness passes the check the search makes; what it returns passes it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    windows = [None, lambda Q: 1 in Q.X, lambda Q: len(Q.X) >= len(Q.Y)]
+    passed = []
+
+    def passes(G, P, need, intra_ok, window_ok):
+        cross = G.subgraph_of_edges(frozenset(
+            eid for eid, u, v in G.edges if (u in P.X) != (v in P.X)))
+        return (
+            P.X and P.Y
+            and (window_ok is None or window_ok(P) or window_ok(P.swapped()))
+            and intra_ok(G.num_edges - cross.num_edges)
+            and isinstance(spanning_tree_packing(cross, need), TreePacking)
+        )
+
+    @st.composite
+    def near_bipartite(draw):
+        # cross edges of a drawn side split, each taken c times, plus a few
+        # edges anywhere, so that cross factors often pack
+        n = draw(st.integers(2, connectivity._EXACT_CAP))
+        ends = st.integers(1, n)
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        c = draw(st.integers(1, 3))
+        pairs = draw(st.lists(st.tuples(ends, ends), min_size=3 * n, max_size=6 * n))
+        pairs = [(u, v) for u, v in pairs if side[u - 1] != side[v - 1]] * c
+        pairs += draw(st.lists(st.tuples(ends, ends), max_size=n))
+        return MultiGraph(range(1, n + 1), pairs)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        near_bipartite(),
+        st.integers(1, 3), st.integers(0, 4), st.booleans(), st.sampled_from(windows),
+    )
+    def check(G, need, bound, at_most, window_ok):
+        intra_ok = (lambda i: i <= bound) if at_most else (lambda i: i >= bound)
+        found = _find_structure(G, need, intra_ok, 0, window_ok)
+        if passes(G, bipartite_index_upper(G)[1], need, intra_ok, window_ok):
+            passed.append(G)
+            assert found is not None
+        if found is not None:
+            Q, packing = found
+            assert passes(G, Q, need, intra_ok, window_ok)
+            assert window_ok is None or window_ok(Q)
+            assert packing.m == need and packing.verify()
+
+    check()
+    assert passed
 
 
 def test_odd_cycle_packing_bound_on_doubled_triangle():

@@ -483,9 +483,9 @@ def test_gf_factor_bi_large_constructs_at_k2():
             continue
         assert isinstance(res, FactorCertificate) and res.verify()
         assert all(res.factor.degree(v) in (g[v], f[v]) for v in G.vertices)
-    # 10 cross trees: the bipartite-index witness fails the structure
-    # search, which refuses, and under assume_hypotheses is a failed stage,
-    # so None
+    # 10 cross trees: the structure search's witness fails (the flip and
+    # index witnesses split V alike), so the search refuses, and under
+    # assume_hypotheses is a failed stage, so None
     G = k23(7, intra=[(1, 2)])
     g, f = _gap_two_at_3(G, 1)
     with pytest.raises(HypothesisError, match="bi-large structure"):
@@ -494,8 +494,9 @@ def test_gf_factor_bi_large_constructs_at_k2():
 
 
 def test_structure_search_packs_the_witness_once(monkeypatch):
-    # the bi-large refusal host above: its bipartite-index witness keeps the
-    # one intra edge, and one packing of its cross factor decides the gate
+    # the bi-large refusal host above: the flip witness keeps the one intra
+    # edge, and one packing of its cross factor decides the gate, since the
+    # index witness splits V the same way and would fail alike
     hosts = _spy_packer(monkeypatch)
     G = k23(7, intra=[(1, 2)])
     cross = frozenset(eid for eid, u, v in G.edges if (u, v) != (1, 2))
@@ -503,6 +504,19 @@ def test_structure_search_packs_the_witness_once(monkeypatch):
     with pytest.raises(HypothesisError, match="bi-large structure"):
         gf_factor_bi_large(G, g, f, seed=1)
     assert hosts == [cross]
+    # a bi-large campaign host: the flip witness {1, 2} | {3, 4} is a local
+    # optimum with 4 intra edges, whose 6 cross edges cannot hold 3 trees;
+    # the index witness {1, 3} | {2, 4} keeps 1, and its cross factor packs
+    hosts.clear()
+    G = MultiGraph(range(1, 5), [(1, 2), (1, 2), (1, 3), (1, 4), (1, 4),
+                                 (2, 3), (2, 3), (2, 3), (3, 4), (3, 4)])
+    crossing = lambda X: frozenset(eid for eid, u, v in G.edges if (u in X) != (v in X))
+    d = G.degrees()
+    res = gf_factor_bi_large(
+        G, {v: d[v] // 2 for v in G.vertices}, {v: (d[v] + 1) // 2 for v in G.vertices})
+    assert isinstance(res, FactorCertificate) and res.verify()
+    assert dict(res.derivation)["bipartition"] == ((1, 3), (2, 4))
+    assert hosts == [crossing({1, 2}), crossing({1, 3})]
 
 
 def _doubled(G: MultiGraph) -> MultiGraph:
@@ -520,7 +534,56 @@ def test_bi_at_least_past_the_cap_packs_once(monkeypatch):
     assert len(hosts) == 1
 
 
+def test_structure_searches_of_benchmark_shapes_run_no_index(monkeypatch):
+    # the host shapes of the benchmark's factor pipelines that search a
+    # structure or gate bi, and the k = 2 tree-gf hosts at n = 20, where
+    # the exact sweep was the cost: the flip witness answers each of them
+    calls = []
+
+    def spy(name, run):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return run(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(connectivity, "bipartite_index", spy("index", connectivity.bipartite_index))
+    for module in (connectivity, pipeline):
+        monkeypatch.setattr(module, "bipartite_index_upper", spy("upper", module.bipartite_index_upper))
+
+    def gen(n, trees, seed, bipartite=False, doubled=False):
+        G = gen_tree_connected(
+            GenSpec(n=n, trees=trees, extra_edges=n // 4, bipartite=bipartite, seed=seed))
+        return _doubled(G) if doubled else G
+
+    one = TheoremParams(k=1, m=1)
+    almost = 0
+    for seed in range(3):
+        for n in (16, 32, 64):
+            G = gen(n, 6, seed, bipartite=True)
+            g, f = gen_functions(G, k=1, seed=seed)
+            h = balanced_selector(G, balanced_bipartition_of(G), g, f)
+            if h is not None:
+                res = gf_factor_almost_bipartite(G, g, f, h, seed=seed)
+                assert isinstance(res, FactorCertificate)
+                almost += 1
+            G = gen(n, 3, seed, bipartite=True)
+            xs = sorted(balanced_bipartition_of(G).X)
+            G = G.with_added_edges([(xs[0], xs[1])])
+            res = gf_factor_bi_large(G, *gen_functions(G, k=1, seed=seed), seed=seed)
+            assert isinstance(res, FactorCertificate)
+        G = gen(16, 4, seed, doubled=True)
+        res = tree_connected_gf(G, *gen_functions(G, k=1, m=1, seed=seed), params=one, seed=seed)
+        assert isinstance(res, FactorCertificate)
+        G = gen(20, 13, seed + 1, doubled=True)
+        g, f = gen_functions(G, k=2, m=1, seed=seed + 1)
+        res = tree_connected_gf(G, g, f, params=TheoremParams(k=2, m=1), seed=seed + 1)
+        assert isinstance(res, FactorCertificate)
+    assert almost and calls == []
+
+
 def test_bi_at_least_agrees_with_the_index_bounds():
+    # the gate decides all that the bounds decide, and the same way; past
+    # them, a True has the odd-cycle certificate on the flip witness
     def by_bounds(G, t):
         lower, upper, _ = connectivity.bipartite_index_bounds(G)
         return True if lower >= t else False if upper < t else "refusal"
@@ -534,6 +597,8 @@ def test_bi_at_least_agrees_with_the_index_bounds():
     ring = lambda n, start=1: [(v, (v - start + 1) % n + start) for v in range(start, start + n)]
     hosts = [
         _k5_times_4(),
+        # the bounds refuse bi >= 1 past the cap; the flip witness's one
+        # intra edge and its cross path are an odd cycle
         MultiGraph(range(1, 24), ring(23)),
         # two odd rings: bi = 2, but no witness has a connected cross factor
         MultiGraph(range(1, 23), ring(11) + ring(11, 12)),
@@ -542,10 +607,14 @@ def test_bi_at_least_agrees_with_the_index_bounds():
     seen = set()
     for G in hosts:
         for t in range(4):
-            got = decide(G, t)
-            assert got == by_bounds(G, t)
-            seen.add(got)
-    assert seen == {True, False, "refusal"}
+            got, bounds = decide(G, t), by_bounds(G, t)
+            assert got == bounds or bounds == "refusal"
+            if got is True and t:
+                witness = connectivity._flip_witness(G)
+                assert bounds is True or connectivity.odd_cycle_packing_bound(G, witness, t)[0]
+            seen.add((got, bounds))
+    assert {(True, "refusal"), (True, True), (False, False), ("refusal", "refusal")} <= seen
+    assert decide(hosts[1], 1) is True
     with pytest.raises(SizeRefusal, match="cannot decide bi >= 1"):
         pipeline._bi_at_least(hosts[2], 1)
 
@@ -667,6 +736,22 @@ def test_keep_bi_that_finds_no_bipartition_is_unknown_at_once(monkeypatch):
         assert is_unknown(res)
         assert len(searches) == 1
         assert hosts.count(frozenset(G.edge_ids)) == 1
+
+
+def test_keep_bi_asks_for_the_intra_edges_the_gate_proved():
+    # keep-bi asks G2 for kb - 1 intra edges (kb the largest gap), which
+    # the bi gate proves G has: a bipartite host at k = 2 is refused by
+    # that gate, and under assume_hypotheses no witness of G2 keeps an
+    # intra edge, so UNKNOWN
+    for seed in range(2):
+        G = _doubled(gen_tree_connected(
+            GenSpec(n=6, trees=13, extra_edges=2, bipartite=True, seed=seed)))
+        g, f = gen_functions(G, k=2, m=1, seed=seed)
+        params = TheoremParams(k=2, m=1)
+        with pytest.raises(HypothesisError, match=r"bi\(G\) >= k-1"):
+            tree_connected_gf(G, g, f, params=params, seed=seed)
+        assert is_unknown(tree_connected_gf(
+            G, g, f, params=params, assume_hypotheses=True, seed=seed))
 
 
 def test_eulerian_stages_take_the_split_they_are_cut_from(monkeypatch):

@@ -138,8 +138,11 @@ def test_pipeline_answers_are_pinned():
     # matchings); and the Euler circuits that a half factor at t <= 1 is
     # coloured along.  Re-pinned when tree_connected_gf at m = m0 = 0 came
     # to run keep-bi like every other m: the six tree-gf lines at seeds 0,
-    # 2 and 4 moved to other factors, the other 182 and the kinds did not
-    assert _digest(lines) == "e0cda5d1e8df11234507f9f15acd620d7a510fe4a086553e9842cc061cda55f3"
+    # 2 and 4 moved to other factors, the other 182 and the kinds did not;
+    # and again when the structure search came to try the flip witness
+    # first: the four tree-gf lines at seeds 0 and 2 moved to other
+    # factors, on keep-bi's other bipartition of G2, and no other line
+    assert _digest(lines) == "99c9b6ed6e8daeadcecea0133dd5a57bb445fddb8110481ff6d2034cf327187e"
 
 
 def _stage_cases():
@@ -202,12 +205,15 @@ def test_stage_answers_are_pinned():
     # taking a bipartition, by dropping the 12 lines of the given-P cases
     # and keeping the other 68 as they were; and again when tree_connected_gf
     # at m = m0 = 0 came to run keep-bi, which moved the 8 "tree-gf k=2 m=0"
-    # lines to other factors and no other line
+    # lines to other factors and no other line; and again when the structure
+    # search came to try the flip witness first, which moved 12 tree-gf
+    # lines (10 at m0 = 1, 2 at k = 2, m = 1) to other factors, each still a
+    # factor, and no other line
     lines = [
         f"{label} {assume}: {_outcome(lambda: call(assume))}"
         for label, call in _stage_cases() for assume in (False, True)
     ]
-    assert _digest(lines) == "13d59428c2ba183d45c26a66a121a2779d22f8d6f0e51cdea78d2a1f76e255a7"
+    assert _digest(lines) == "7d3f6e1adee1feb67e17460982cd7047f84d69e2ae52566d47b7c6c77cb5967e"
 
 
 def _k23(mult, intra=()):
